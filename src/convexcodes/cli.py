@@ -17,16 +17,20 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .core import (
+    CO,
     BitVector,
-    Code,
     CodeMultiset,
     Density,
     Geometry,
+    InternalError,
     Regime,
+    SensorMatrix,
     SizeLimit,
+    ensure,
 )
 from .counting import (
     brute_force_dense,
@@ -196,76 +200,71 @@ def _reconstruct(args, ms: CodeMultiset):
     return reconstruct_dense_linear(words), regime
 
 
-def _result_matrix(result, regime):
-    if isinstance(result, Multiordering):
-        return result.matrix(regime.geometry)
-    return result
-
-
-def cmd_check(args) -> int:
+def _run_reconstruction(args, emit_feasible, emit_infeasible=None) -> int:
+    """The flow of check, realize and normalize: parse and reconstruct,
+    then emit an Unsupported or Infeasible refusal, extended by
+    emit_infeasible(em, ms, regime) if given, or pass the feasible matrix
+    to emit_feasible(em, m, regime)."""
     ms = parse_code_file(args.file.read())
     result, regime = _reconstruct(args, ms)
     em = _Emitter(args.format == "structured")
     if isinstance(result, Unsupported):
-        em.set("status", "unsupported")
-        em.set("reason", result.reason)
-        em.text("unsupported: %s" % result.reason)
+        status, code = "unsupported", EXIT_UNSUPPORTED
+    elif isinstance(result, Infeasible):
+        status, code = "infeasible", EXIT_INFEASIBLE
+    else:
+        m = (result.matrix(regime.geometry)
+             if isinstance(result, Multiordering) else result)
+        emit_feasible(em, m, regime)
         em.flush()
-        return EXIT_UNSUPPORTED
-    if isinstance(result, Infeasible):
-        em.set("status", "infeasible")
-        em.set("reason", result.reason)
-        em.text("infeasible: %s" % result.reason)
-        if regime.geometry is Geometry.LINE and regime.density is Density.SPARSE:
-            cert = rejection_certificate(ms.support)
-            assert isinstance(cert, RejectionCertificate) and cert.verify()
-            em.set("certificate", _certificate_doc(cert))
-            em.text("odd cycle (%d vertices):" % len(cert.odd_cycle))
-            for a, b in cert.odd_cycle:
-                em.text("  (%s, %s)" % (a.to_string(), b.to_string()))
-        em.flush()
-        return EXIT_INFEASIBLE
-    m = _result_matrix(result, regime)
-    em.set("status", "feasible")
-    em.set("matrix", m.row_strings())
-    em.text("feasible")
-    for row in m.row_strings():
-        em.text(row)
+        return EXIT_FEASIBLE
+    em.set("status", status)
+    em.set("reason", result.reason)
+    em.text("%s: %s" % (status, result.reason))
+    if code == EXIT_INFEASIBLE and emit_infeasible is not None:
+        emit_infeasible(em, ms, regime)
     em.flush()
-    return EXIT_FEASIBLE
+    return code
 
 
-def cmd_realize(args) -> int:
-    ms = parse_code_file(args.file.read())
-    result, regime = _reconstruct(args, ms)
-    em = _Emitter(args.format == "structured")
-    if isinstance(result, Unsupported):
-        em.set("status", "unsupported")
-        em.set("reason", result.reason)
-        em.text("unsupported: %s" % result.reason)
-        em.flush()
-        return EXIT_UNSUPPORTED
-    if isinstance(result, Infeasible):
-        em.set("status", "infeasible")
-        em.set("reason", result.reason)
-        em.text("infeasible: %s" % result.reason)
-        em.flush()
-        return EXIT_INFEASIBLE
-    m = _result_matrix(result, regime)
-    arr, sensors = realize_matrix(m, regime)
-    _, back = extract_code_sparse(arr, sensors)
-    assert back.rows == m.rows, "realization failed re-extraction"
+def _emit_matrix(em: _Emitter, m: SensorMatrix, regime: Regime) -> None:
     em.set("status", "feasible")
     em.set("matrix", m.row_strings())
-    em.set("arrangement", _arrangement_doc(arr, sensors))
     em.text("feasible")
     for row in m.row_strings():
         em.text(row)
+
+
+def _emit_arrangement(em: _Emitter, arr: IntervalArrangement,
+                      sensors: SensorSet) -> None:
+    em.set("arrangement", _arrangement_doc(arr, sensors))
     em.text("sensors: %s" % " ".join(_frac_str(p) for p in sensors.positions))
     for i, iv in enumerate(arr.intervals):
         em.text("interval %d: %s" % (i, _interval_text(iv)))
-    em.flush()
-    return EXIT_FEASIBLE
+
+
+def _emit_odd_cycle(em: _Emitter, ms: CodeMultiset, regime: Regime) -> None:
+    if regime != CO:
+        return
+    cert = rejection_certificate(ms.support)
+    ensure(isinstance(cert, RejectionCertificate),
+           "recognizer rejected a code with a bipartite incompatibility graph")
+    em.set("certificate", _certificate_doc(cert))
+    em.text("odd cycle (%d vertices):" % len(cert.odd_cycle))
+    for a, b in cert.odd_cycle:
+        em.text("  (%s, %s)" % (a.to_string(), b.to_string()))
+
+
+def cmd_check(args) -> int:
+    return _run_reconstruction(args, _emit_matrix, _emit_odd_cycle)
+
+
+def cmd_realize(args) -> int:
+    def emit(em, m, regime):
+        arr, sensors = realize_matrix(m, regime)
+        _emit_matrix(em, m, regime)
+        _emit_arrangement(em, arr, sensors)
+    return _run_reconstruction(args, emit)
 
 
 def cmd_certificate(args) -> int:
@@ -284,7 +283,6 @@ def cmd_certificate(args) -> int:
         em.text("bipartite: the code is realizable on the line (sparse)")
         em.flush()
         return EXIT_FEASIBLE
-    assert cert.verify()
     em.set("status", "infeasible")
     em.set("certificate", _certificate_doc(cert))
     em.text("not bipartite: odd cycle of %d ordering relations"
@@ -318,19 +316,16 @@ def cmd_enumerate(args) -> int:
             for n in range(N + 1):
                 if regime.density is Density.DENSE:
                     bf = brute_force_dense(n, regime.geometry)
-                    for k in range(K + 1):
-                        if bf.count(n, k) != table[(n, k)]:
-                            raise AssertionError(
-                                "oracle mismatch at n=%d k=%d" % (n, k))
+                    expected = [bf.count(n, k) for k in range(K + 1)]
                 else:
                     if n > 12:
                         raise SizeLimit("sparse oracle is limited to n <= 12")
                     rows = len(valid_dense_rows(n, regime.geometry))
-                    from math import comb
-                    for k in range(K + 1):
-                        if comb(rows, k) != table[(n, k)]:
-                            raise AssertionError(
-                                "oracle mismatch at n=%d k=%d" % (n, k))
+                    expected = [comb(rows, k) for k in range(K + 1)]
+                for k in range(K + 1):
+                    if expected[k] != table[(n, k)]:
+                        raise InternalError(
+                            "oracle mismatch at n=%d k=%d" % (n, k))
     except SizeLimit as exc:
         em.set("status", "size-limit")
         em.set("reason", str(exc))
@@ -351,39 +346,21 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_normalize(args) -> int:
-    ms = parse_code_file(args.file.read())
-    result, regime = _reconstruct(args, ms)
-    em = _Emitter(args.format == "structured")
-    if isinstance(result, Unsupported):
-        em.set("status", "unsupported")
-        em.set("reason", result.reason)
-        em.text("unsupported: %s" % result.reason)
-        em.flush()
-        return EXIT_UNSUPPORTED
-    if isinstance(result, Infeasible):
-        em.set("status", "infeasible")
-        em.set("reason", result.reason)
-        em.text("infeasible: %s" % result.reason)
-        em.flush()
-        return EXIT_INFEASIBLE
-    m = _result_matrix(result, regime)
-    arr, sensors = realize_matrix(m, regime)
-    if args.transform == "snap":
-        out = normalize_arbitrary(arr, sensors)
-    elif args.transform == "close":
-        out = open_to_closed(arr)
-    else:
-        out = closed_to_open(open_to_closed(arr))
-    _, back = extract_code_sparse(out, sensors)
-    assert back.column_set() == extract_code_sparse(arr, sensors)[1].column_set()
-    em.set("status", "feasible")
-    em.set("arrangement", _arrangement_doc(out, sensors))
-    em.text("feasible")
-    em.text("sensors: %s" % " ".join(_frac_str(p) for p in sensors.positions))
-    for i, iv in enumerate(out.intervals):
-        em.text("interval %d: %s" % (i, _interval_text(iv)))
-    em.flush()
-    return EXIT_FEASIBLE
+    def emit(em, m, regime):
+        arr, sensors = realize_matrix(m, regime)
+        if args.transform == "snap":
+            out = normalize_arbitrary(arr, sensors)
+        elif args.transform == "close":
+            out = open_to_closed(arr)
+        else:
+            out = closed_to_open(open_to_closed(arr))
+        _, back = extract_code_sparse(out, sensors)
+        ensure(back.column_set() == m.column_set(),
+               "normalization changed the sparse code")
+        em.set("status", "feasible")
+        em.text("feasible")
+        _emit_arrangement(em, out, sensors)
+    return _run_reconstruction(args, emit)
 
 
 def build_parser() -> argparse.ArgumentParser:

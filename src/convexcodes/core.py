@@ -9,6 +9,7 @@ dense); their matrix signatures are CO, HCO, CCO and HCCO.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping
@@ -38,6 +39,12 @@ class RegimeViolation(ValueError):
 
 class SizeLimit(ValueError):
     """An exhaustive computation was requested beyond its guard limit."""
+
+
+class InternalError(RuntimeError):
+    """A self-check failed: a bug in the library, not a property of the
+    input.  Raised by ensure and verify_matrix, which unlike assert
+    statements still run under python -O."""
 
 
 @dataclass(frozen=True)
@@ -210,7 +217,7 @@ def row_stats(row: BitVector, geometry: Geometry) -> tuple[int, int]:
             f = i + 1
         if not here and nxt:
             g = i + 1
-    assert f is not None and g is not None
+    ensure(f is not None and g is not None, "circle row without block ends")
     return f, g
 
 
@@ -281,16 +288,33 @@ class CodeMultiset:
         return sum(self.entries.values())
 
 
-class SensorMatrix:
-    """k x n binary matrix: rows are intervals, columns sensor readings."""
+def _transpose(vectors: tuple, length: int) -> tuple[BitVector, ...]:
+    # walks set bits only, so sparse matrices are cheap
+    masks = [0] * length
+    for j, v in enumerate(vectors):
+        m = v.mask
+        while m:
+            i = (m & -m).bit_length() - 1
+            masks[i] |= 1 << j
+            m &= m - 1
+    return tuple(BitVector(len(vectors), mask) for mask in masks)
 
-    __slots__ = ("rows", "geometry")
+
+class SensorMatrix:
+    """k x n binary matrix: rows are intervals, columns sensor readings.
+    Both are stored, so a matrix with no rows still has its n columns."""
+
+    __slots__ = ("rows", "columns", "geometry")
 
     def __init__(self, rows: Iterable[BitVector], geometry: Geometry):
         rows = tuple(rows)
         if len({r.n for r in rows}) > 1:
             raise LengthMismatch("rows have differing lengths")
+        self._init(rows, _transpose(rows, rows[0].n if rows else 0), geometry)
+
+    def _init(self, rows, columns, geometry) -> None:
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "geometry", geometry)
 
     def __setattr__(self, name, value):
@@ -302,7 +326,7 @@ class SensorMatrix:
 
     @property
     def n(self) -> int:
-        return self.rows[0].n if self.rows else 0
+        return len(self.columns)
 
     @classmethod
     def from_strings(cls, rows: Iterable[str], geometry: Geometry) -> "SensorMatrix":
@@ -315,24 +339,12 @@ class SensorMatrix:
         cols = tuple(columns)
         if len({c.n for c in cols}) > 1:
             raise LengthMismatch("columns have differing lengths")
-        k = cols[0].n if cols else 0
-        # transpose by walking set bits only, so sparse matrices are cheap
-        masks = [0] * k
-        for j, c in enumerate(cols):
-            m = c.mask
-            while m:
-                i = (m & -m).bit_length() - 1
-                masks[i] |= 1 << j
-                m &= m - 1
-        rows = [BitVector(len(cols), mask) for mask in masks]
-        return cls(rows, geometry)
+        m = cls.__new__(cls)
+        m._init(_transpose(cols, cols[0].n if cols else 0), cols, geometry)
+        return m
 
     def column(self, j: int) -> BitVector:
-        return BitVector.from_bits(r.bit(j) for r in self.rows)
-
-    @property
-    def columns(self) -> tuple[BitVector, ...]:
-        return tuple(self.column(j) for j in range(self.n))
+        return self.columns[j]
 
     def column_set(self) -> Code:
         if self.n == 0:
@@ -340,9 +352,7 @@ class SensorMatrix:
         return Code.of(self.columns)
 
     def column_multiset(self) -> CodeMultiset:
-        counts: dict[BitVector, int] = {}
-        for c in self.columns:
-            counts[c] = counts.get(c, 0) + 1
+        counts = Counter(self.columns)
         return CodeMultiset.of(counts) if counts else CodeMultiset({}, self.k)
 
     def row_strings(self) -> list[str]:
@@ -352,11 +362,12 @@ class SensorMatrix:
         return (
             isinstance(other, SensorMatrix)
             and self.rows == other.rows
+            and self.n == other.n
             and self.geometry == other.geometry
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.geometry))
+        return hash((self.rows, self.n, self.geometry))
 
     def __repr__(self) -> str:
         return f"SensorMatrix({self.row_strings()}, {self.geometry.value})"
@@ -399,3 +410,20 @@ def regime_check(m: SensorMatrix, regime: Regime) -> bool:
     ):
         return False
     return True
+
+
+def ensure(ok: bool, what: str) -> None:
+    """Self-check: raise InternalError(what) unless ok."""
+    if not ok:
+        raise InternalError(what)
+
+
+def verify_matrix(m: SensorMatrix, regime: Regime,
+                  expected_columns: Code | CodeMultiset) -> None:
+    """Self-check of a constructed matrix: the regime's signature, and
+    exactly the expected columns (with multiplicities for a CodeMultiset)."""
+    ensure(regime_check(m, regime),
+           "constructed matrix fails the %s signature" % regime.name)
+    got = (m.column_set() if isinstance(expected_columns, Code)
+           else m.column_multiset())
+    ensure(got == expected_columns, "constructed matrix has the wrong columns")

@@ -21,6 +21,7 @@ from .core import (
     Regime,
     RegimeViolation,
     SensorMatrix,
+    ensure,
     regime_check,
     row_stats,
 )
@@ -239,7 +240,7 @@ def realize_matrix(
                 ivs.append(Interval1D.open(lo, hi))
     arr = IntervalArrangement(tuple(ivs), regime.geometry)
     _, back = extract_code_sparse(arr, sensors)
-    assert back.rows == m.rows, "sparse round trip failed"
+    ensure(back.rows == m.rows, "sparse round trip failed")
     return arr, sensors
 
 
@@ -288,7 +289,7 @@ def normalize_arbitrary(
     result = IntervalArrangement(tuple(out), arr.geometry)
     before = [evaluate_codeword(arr, s) for s in ps]
     after = [evaluate_codeword(result, s) for s in ps]
-    assert before == after, "normalization changed the sparse code"
+    ensure(before == after, "normalization changed the sparse code")
     return result
 
 
@@ -340,9 +341,8 @@ def open_to_closed(arr: IntervalArrangement) -> IntervalArrangement:
             raise DegenerateInterval("interval too short to shrink")
         out.append(Interval1D.proper(lo, hi, lo is not None, hi is not None))
     result = IntervalArrangement(tuple(out), arr.geometry)
-    assert extract_code_dense(result) == extract_code_dense(arr), (
-        "closure changed the dense code"
-    )
+    ensure(extract_code_dense(result) == extract_code_dense(arr),
+           "closure changed the dense code")
     return result
 
 
@@ -371,9 +371,8 @@ def closed_to_open(arr: IntervalArrangement) -> IntervalArrangement:
             lo, hi = lo % 1, hi % 1
         out.append(Interval1D.proper(lo, hi, False, False))
     result = IntervalArrangement(tuple(out), arr.geometry)
-    assert extract_code_dense(result) == extract_code_dense(arr), (
-        "interior changed the dense code"
-    )
+    ensure(extract_code_dense(result) == extract_code_dense(arr),
+           "interior changed the dense code")
     return result
 
 

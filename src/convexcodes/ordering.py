@@ -6,12 +6,15 @@ one by Tucker complementation: fix an anchor codeword and flip every bit
 position in which the anchor is 1 (i.e. XOR all words with the anchor);
 the complemented set is CO-orderable iff the original is CCO-orderable,
 and any CO ordering maps back to a circular one by XOR-ing again.
+
+A feasible result keeps its PQ-tree and renders tree_summary from it on
+first read, so callers that only want the ordering never build it.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .core import (
@@ -20,9 +23,21 @@ from .core import (
     BitVector,
     Code,
     SensorMatrix,
+    ensure,
     regime_check,
 )
 from .pqtree import PQTree, ReductionFailed
+
+
+class _WordTree(PQTree):
+    """PQ-tree over word indices whose summary shows leaves as codewords."""
+
+    def __init__(self, names: list[BitVector]):
+        super().__init__(len(names))
+        self.names = names
+
+    def leaf_name(self, label: int) -> str:
+        return self.names[label].to_string()
 
 
 @dataclass(frozen=True)
@@ -30,21 +45,26 @@ class OrderingResult:
     """A feasible column ordering plus its permutation-class summary.
 
     tree_summary uses codeword strings, with {..} for freely permutable
-    groups and [..] for sequences fixed up to reversal.
+    groups and [..] for sequences fixed up to reversal.  It and tree, the
+    reduced PQ-tree it is rendered from, are None for an infeasible
+    result.  Equality compares feasibility and ordering only.
     """
 
     feasible: bool
     ordering: Optional[tuple[BitVector, ...]] = None
-    tree_summary: Optional[str] = None
+    tree: Optional[PQTree] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def tree_summary(self) -> Optional[str]:
+        return None if self.tree is None else self.tree.summary()
 
 
 INFEASIBLE_ORDERING = OrderingResult(False)
 
 
-def _pq_solve(
-    words: list[BitVector], summarize: bool
-) -> Optional[tuple[list[int], Optional[str]]]:
-    """Canonical consecutive-ones order of word indices, or None."""
+def _pq_solve(words: list[BitVector],
+              names: list[BitVector]) -> Optional[tuple[list[int], PQTree]]:
+    """Canonical consecutive-ones order of word indices and its tree, or None."""
     n = len(words)
     k = words[0].n if words else 0
     constraints: dict[int, list[int]] = {}
@@ -54,7 +74,7 @@ def _pq_solve(
             i = (m & -m).bit_length() - 1
             constraints.setdefault(i, []).append(j)
             m &= m - 1
-    tree = PQTree(n)
+    tree = _WordTree(names)
     try:
         for i in range(k):
             labels = constraints.get(i, ())
@@ -62,49 +82,35 @@ def _pq_solve(
                 tree.reduce(labels)
     except ReductionFailed:
         return None
-    return tree.frontier(), tree.summary() if summarize else None
+    return tree.frontier(), tree
 
 
-def _relabel(summary: str, words: list[BitVector]) -> str:
-    return re.sub(r"\d+", lambda m: words[int(m.group())].to_string(), summary)
-
-
-def co_order(words: Code, summarize: bool = True) -> OrderingResult:
-    """A canonical CO column ordering of the codeword set, or infeasible.
-
-    Pass summarize=False to skip building the permutation-class summary
-    string, which can dwarf the recognition cost on very large codes.
-    """
+def co_order(words: Code) -> OrderingResult:
+    """A canonical CO column ordering of the codeword set, or infeasible."""
     ws = words.sorted_words()
-    if not ws:
-        return OrderingResult(True, (), "{}" if summarize else None)
-    solved = _pq_solve(ws, summarize)
+    solved = _pq_solve(ws, ws)
     if solved is None:
         return INFEASIBLE_ORDERING
-    order, summary = solved
+    order, tree = solved
     cols = tuple(ws[j] for j in order)
     m = SensorMatrix.from_columns(cols, CO.geometry)
-    assert regime_check(m, CO), "PQ-tree produced a non-CO ordering"
-    return OrderingResult(
-        True, cols, _relabel(summary, ws) if summary is not None else None
-    )
+    ensure(regime_check(m, CO), "PQ-tree produced a non-CO ordering")
+    return OrderingResult(True, cols, tree)
 
 
-def cco_order(words: Code, summarize: bool = True) -> OrderingResult:
+def cco_order(words: Code) -> OrderingResult:
     """A canonical CCO column ordering of the codeword set, or infeasible."""
     ws = words.sorted_words()
     if not ws:
-        return OrderingResult(True, (), "{}" if summarize else None)
+        return co_order(words)  # no anchor; the empty code is trivially CCO
     anchor = ws[-1]
     flipped = sorted((w ^ anchor for w in ws), key=lambda w: w.mask)
-    solved = _pq_solve(flipped, summarize)
+    originals = [w ^ anchor for w in flipped]
+    solved = _pq_solve(flipped, originals)
     if solved is None:
         return INFEASIBLE_ORDERING
-    order, summary = solved
-    cols = tuple(flipped[j] ^ anchor for j in order)
+    order, tree = solved
+    cols = tuple(originals[j] for j in order)
     m = SensorMatrix.from_columns(cols, CCO.geometry)
-    assert regime_check(m, CCO), "complementation produced a non-CCO ordering"
-    if summary is None:
-        return OrderingResult(True, cols, None)
-    originals = [w ^ anchor for w in flipped]
-    return OrderingResult(True, cols, _relabel(summary, originals))
+    ensure(regime_check(m, CCO), "complementation produced a non-CCO ordering")
+    return OrderingResult(True, cols, tree)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
+from .core import InternalError, ensure
+
 LEAF, PNODE, QNODE = 0, 1, 2
 
 FULL, PARTIAL = 0, 1
@@ -79,7 +81,7 @@ class _Node:
         elif self.nb2 is old:
             self.nb2 = new
         else:
-            raise AssertionError("sibling link corrupted")
+            raise InternalError("sibling link corrupted")
 
 
 def _q_children(q: _Node) -> list[_Node]:
@@ -127,7 +129,7 @@ def _fill_free_nb(node: _Node, new: _Node) -> None:
     elif node.nb2 is None:
         node.nb2 = new
     else:
-        raise AssertionError("no free sibling slot")
+        raise InternalError("no free sibling slot")
 
 
 def _q_prepend(q: _Node, child: _Node) -> None:
@@ -249,7 +251,8 @@ class PQTree:
                 if eblock is not None:
                     _q_append(q, eblock)
             else:
-                assert fblock is not None and eblock is not None
+                ensure(fblock is not None and eblock is not None,
+                       "partial P node without full and empty children")
                 q = _new_q([fblock, eblock])
             self._install_slot(slot, node, q)
             return PARTIAL, q
@@ -289,7 +292,7 @@ class PQTree:
                 self._splice_into_q(node, run[0], full_toward=run[1])
                 node.head, node.tail = node.tail, node.head
             return PARTIAL, node
-        raise AssertionError("leaf cannot be partial")
+        raise InternalError("leaf cannot be partial")
 
     def _label_children(self, node, counts, pert_children):
         fulls, partials = [], []
@@ -362,7 +365,7 @@ class PQTree:
                     toward = last.nb1 if last.nb1 is not None else last.nb2
                 self._splice_into_q(r, last, full_toward=toward)
             return
-        raise AssertionError("root leaf with pc < nleaves")
+        raise InternalError("root leaf with pc < nleaves")
 
     # -- structural surgery ----------------------------------------------
 
@@ -405,7 +408,7 @@ class PQTree:
         outer = part.other_nb(full_toward) if full_toward is not None else (
             part.nb1 if part.nb1 is not None else part.nb2)
         if full_toward is None and part.nb1 is None and part.nb2 is None:
-            raise AssertionError("splicing the only child")
+            raise InternalError("splicing the only child")
         h, t = part.head, part.tail  # h = full end, t = empty end
         inner_end, outer_end = h, t
         # connect inner_end <-> full_toward, outer_end <-> outer
@@ -440,11 +443,15 @@ class PQTree:
 
     def summary(self) -> str:
         """Render the permutation classes: {..} free P groups, [..] Q runs
-        fixed up to reversal, leaf labels at the leaves."""
+        fixed up to reversal, leaf_name(label) at the leaves."""
         if self.root is None:
             return "{}"
         self._normalize(self.root)
         return self._render(self.root)
+
+    def leaf_name(self, label: int) -> str:
+        """How summary() shows a leaf: its label, unless a subclass names it."""
+        return str(label)
 
     def _normalize(self, node: _Node) -> int:
         """Collapse 1-child nodes, turn 2-child Q into P, return min label."""
@@ -452,7 +459,7 @@ class PQTree:
             return node.label
         children = (list(node.pchildren) if node.kind == PNODE
                     else _q_children(node))
-        assert len(children) >= 2, "unary internal node survived surgery"
+        ensure(len(children) >= 2, "unary internal node survived surgery")
         if node.kind == QNODE and len(children) == 2:
             node.kind = PNODE
             node.pchildren = set(children)
@@ -484,22 +491,9 @@ class PQTree:
 
     def _render(self, node: _Node) -> str:
         if node.kind == LEAF:
-            return str(node.label)
+            return self.leaf_name(node.label)
         parts = [self._render(c) for c in self._ordered_children(node)]
         if node.kind == PNODE:
             return "{" + " ".join(parts) + "}"
         return "[" + " ".join(parts) + "]"
 
-
-def pq_order(n: int, constraints: Iterable[Iterable[int]]) -> Optional[tuple[list[int], str]]:
-    """Order 0..n-1 so each constraint set is consecutive.
-
-    Returns (canonical order, tree summary), or None if impossible.
-    """
-    tree = PQTree(n)
-    try:
-        for s in constraints:
-            tree.reduce(s)
-    except ReductionFailed:
-        return None
-    return tree.frontier(), tree.summary()

@@ -14,7 +14,7 @@ without trusting the recognizer.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -27,8 +27,9 @@ from .core import (
     CodeMultiset,
     Geometry,
     SensorMatrix,
+    ensure,
     inharmonious,
-    regime_check,
+    verify_matrix,
 )
 from .ordering import cco_order, co_order
 
@@ -219,7 +220,7 @@ def _extract_odd_cycle(u: Vertex, v: Vertex, row, parent) -> RejectionCertificat
     if row is not None:
         witnesses[len(vertices) - 1] = row
     cert = RejectionCertificate(tuple(vertices), witnesses)
-    assert cert.verify(), "extracted cycle failed self-verification"
+    ensure(cert.verify(), "extracted cycle failed self-verification")
     return cert
 
 
@@ -230,10 +231,9 @@ def reconstruct_sparse(words: Code, geometry: Geometry):
     if not result.feasible:
         return Infeasible("no %s column ordering exists"
                           % ("CO" if geometry is Geometry.LINE else "CCO"))
+    # the ordering's regime signature was checked where it was produced
     m = SensorMatrix.from_columns(result.ordering, geometry)
-    regime = CO if geometry is Geometry.LINE else CCO
-    assert regime_check(m, regime)
-    assert m.column_set() == words
+    ensure(m.column_set() == words, "ordering has the wrong column set")
     return m
 
 
@@ -285,8 +285,9 @@ def reconstruct_dense_linear(words: Code):
             cols.append(glue)
         cols.append(w)
     mo = Multiordering(tuple(cols), words)
-    assert regime_check(mo.matrix(), HCO)
-    assert len(cols) <= max(2 * len(words) - 1, 0)
+    verify_matrix(mo.matrix(), HCO, words)
+    ensure(len(cols) <= max(2 * len(words) - 1, 0),
+           "dense multiordering exceeds 2|words| - 1 columns")
     return mo
 
 
@@ -309,9 +310,7 @@ def reconstruct_multiset_sparse(ms: CodeMultiset, geometry: Geometry):
     for c in base.columns:
         cols.extend([c] * ms.entries[c])
     m = SensorMatrix.from_columns(cols, geometry)
-    regime = CO if geometry is Geometry.LINE else CCO
-    assert regime_check(m, regime)
-    assert m.column_multiset().entries == dict(ms.entries)
+    verify_matrix(m, CO if geometry is Geometry.LINE else CCO, ms)
     return m
 
 
@@ -330,9 +329,7 @@ def reconstruct_multiset_dense_linear(ms: CodeMultiset):
         return base
     cols = list(base.columns)
     _prune_surplus(cols, ms.entries)
-    counts: dict[BitVector, int] = {}
-    for c in cols:
-        counts[c] = counts.get(c, 0) + 1
+    counts = Counter(cols)
 
     over = {c: counts[c] - ms.entries[c] for c in counts if counts[c] > ms.entries[c]}
     if over:
@@ -349,7 +346,5 @@ def reconstruct_multiset_dense_linear(ms: CodeMultiset):
         if deficit[c] > 0:
             out.extend([c] * deficit[c])
             deficit[c] = 0
-    m = SensorMatrix.from_columns(out, Geometry.LINE)
-    assert regime_check(m, HCO)
-    assert m.column_multiset().entries == dict(ms.entries)
+    verify_matrix(SensorMatrix.from_columns(out, Geometry.LINE), HCO, ms)
     return Multiordering(tuple(out), ms.support)

@@ -285,7 +285,7 @@ def test_recognition_benchmark_ten_thousand_codewords():
     words += [BitVector(k, 0b11 << i) for i in range(k - 1)]
     code = Code.of(words[:n_words])
     start = time.perf_counter()
-    result = co_order(code, summarize=False)
+    result = co_order(code)
     elapsed = time.perf_counter() - start
     assert result.feasible
     assert len(result.ordering) == n_words

@@ -68,14 +68,6 @@ class TestCheck:
         assert doc["status"] == "infeasible"
         assert len(doc["certificate"]["odd_cycle"]) % 2 == 1
 
-    def test_circle_dense_unsupported(self, capsys, tmp_path):
-        path = write(tmp_path, "c.txt", WALKTHROUGH)
-        code, out, _ = run(
-            capsys, "check", path, "--geometry", "circle", "--regime", "dense"
-        )
-        assert code == EXIT_UNSUPPORTED
-        assert out.startswith("unsupported")
-
     def test_multiset_dense_rejection(self, capsys, tmp_path):
         path = write(tmp_path, "c.txt", "100\n010\n001\n000\n")
         code, out, _ = run(
@@ -115,10 +107,89 @@ class TestRealize:
             num, den = s.split("/")
             int(num), int(den)
 
-    def test_infeasible(self, capsys, tmp_path):
+
+# Exact stdout of a refused code, by output format.  check, realize and
+# normalize print the same refusal; check's infeasible report on the line
+# adds the odd-cycle certificate.
+UNSUPPORTED = {
+    "text": "unsupported: no reconstruction algorithm is known for the circular"
+    " sensor-dense regime\n",
+    "structured": '{\n'
+    '  "reason": "no reconstruction algorithm is known for the circular'
+    ' sensor-dense regime",\n'
+    '  "status": "unsupported"\n'
+    '}\n',
+}
+INFEASIBLE = {
+    "text": "infeasible: no CO column ordering exists\n",
+    "structured": '{\n'
+    '  "reason": "no CO column ordering exists",\n'
+    '  "status": "infeasible"\n'
+    '}\n',
+}
+CHECK_INFEASIBLE = {
+    "text": "infeasible: no CO column ordering exists\n"
+    "odd cycle (5 vertices):\n"
+    "  (1100, 1111)\n"
+    "  (1010, 1100)\n"
+    "  (1100, 1010)\n"
+    "  (1010, 0101)\n"
+    "  (0101, 1100)\n",
+    "structured": '{\n'
+    '  "certificate": {\n'
+    '    "odd_cycle": [\n'
+    '      [\n'
+    '        "1100",\n'
+    '        "1111"\n'
+    '      ],\n'
+    '      [\n'
+    '        "1010",\n'
+    '        "1100"\n'
+    '      ],\n'
+    '      [\n'
+    '        "1100",\n'
+    '        "1010"\n'
+    '      ],\n'
+    '      [\n'
+    '        "1010",\n'
+    '        "0101"\n'
+    '      ],\n'
+    '      [\n'
+    '        "0101",\n'
+    '        "1100"\n'
+    '      ]\n'
+    '    ],\n'
+    '    "witnesses": {\n'
+    '      "0": 2,\n'
+    '      "2": 1,\n'
+    '      "3": 0,\n'
+    '      "4": 3\n'
+    '    }\n'
+    '  },\n'
+    '  "reason": "no CO column ordering exists",\n'
+    '  "status": "infeasible"\n'
+    '}\n',
+}
+
+
+class TestRefusal:
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("command", ["check", "realize", "normalize"])
+    def test_unsupported(self, capsys, tmp_path, command, fmt):
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        code, out, _ = run(capsys, command, path, "--geometry", "circle",
+                           "--regime", "dense", "--format", fmt)
+        assert code == EXIT_UNSUPPORTED
+        assert out == UNSUPPORTED[fmt]
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("command", ["check", "realize", "normalize"])
+    def test_infeasible(self, capsys, tmp_path, command, fmt):
         path = write(tmp_path, "c.txt", ODD_CYCLE)
-        code, out, _ = run(capsys, "realize", path)
+        code, out, _ = run(capsys, command, path, "--format", fmt)
         assert code == EXIT_INFEASIBLE
+        expected = CHECK_INFEASIBLE if command == "check" else INFEASIBLE
+        assert out == expected[fmt]
 
 
 class TestCertificate:
@@ -216,11 +287,6 @@ class TestNormalize:
         for iv in doc["arrangement"]["intervals"]:
             if iv["kind"] == "proper" and iv["lo"] is not None:
                 assert iv["lo_closed"]
-
-    def test_infeasible_propagates(self, capsys, tmp_path):
-        path = write(tmp_path, "c.txt", ODD_CYCLE)
-        code, out, _ = run(capsys, "normalize", path)
-        assert code == EXIT_INFEASIBLE
 
 
 class TestUsageErrors:

@@ -58,11 +58,15 @@ class TestExamples:
         assert r.feasible
         assert "10" in r.tree_summary and "01" in r.tree_summary
 
-    def test_summarize_false_skips_summary(self):
-        r = _co(["10", "01"])
-        assert r.tree_summary is not None
-        r = co_order(Code.from_strings(["10", "01"]), summarize=False)
-        assert r.feasible and r.tree_summary is None
+    def test_summary_golden(self):
+        strings = ["1100", "1000", "0100", "0000", "0001", "0110"]
+        assert (_co(strings).tree_summary
+                == "{0000 [1000 1100 {0100 0110}] 0001}")
+        assert (_cco(strings).tree_summary
+                == "{0001 {0000 [1000 1100 {0100 0110}]}}")
+        assert co_order(Code.of([])).tree_summary == "{}"
+        assert cco_order(Code.of([])).tree_summary == "{}"
+        assert _co(["1100", "1010", "0101", "1111"]).tree_summary is None
 
 
 class TestDeterminism:
@@ -74,13 +78,17 @@ class TestDeterminism:
         for _ in range(10):
             shuffled = strings[:]
             rng.shuffle(shuffled)
-            assert _co(shuffled) == base_co
-            assert _cco(shuffled) == base_cco
+            for result, base in ((_co(shuffled), base_co),
+                                 (_cco(shuffled), base_cco)):
+                assert result == base
+                assert result.tree_summary == base.tree_summary
 
     def test_repeat_calls_identical(self):
         strings = ["111", "110", "011", "010"]
-        assert _co(strings) == _co(strings)
-        assert _cco(strings) == _cco(strings)
+        for order in (_co, _cco):
+            first, second = order(strings), order(strings)
+            assert first == second
+            assert first.tree_summary == second.tree_summary
 
 
 class TestExhaustiveOracle:

@@ -1,6 +1,12 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+
+import pytest
 
 from conftest import (
     all_words,
@@ -68,6 +74,46 @@ class TestSparse:
                 result = reconstruct_sparse(code, geometry)
                 expected = brute_orderable(combo, regime)
                 assert isinstance(result, SensorMatrix) == expected
+
+    @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
+    def test_zero_length_words(self, geometry):
+        # words of length 0 give a matrix with no rows, one column per copy
+        code = Code.of([BitVector(0)])
+        m = reconstruct_sparse(code, geometry)
+        assert (m.k, m.n) == (0, 1)
+        assert m.column_set() == code
+        ms = CodeMultiset.of({BitVector(0): 2})
+        m = reconstruct_multiset_sparse(ms, geometry)
+        assert (m.k, m.n) == (0, 2)
+        assert m.column_multiset() == ms
+
+    def test_self_checks_survive_optimize_flag(self):
+        # python -O strips assert statements; a solver that returns a
+        # non-CO order must still be caught
+        script = textwrap.dedent("""
+            import sys
+            import convexcodes.ordering as ordering
+            from convexcodes import Code, Geometry, reconstruct_sparse
+            from convexcodes.core import InternalError
+
+            if not sys.flags.optimize:
+                sys.exit("not running under -O")
+            # words sort as 100, 110, 001, 011; this order splits row 0
+            ordering._pq_solve = lambda *args: ([0, 2, 1, 3], None)
+            code = Code.from_strings(["100", "110", "011", "001"])
+            try:
+                reconstruct_sparse(code, Geometry.LINE)
+            except InternalError:
+                sys.exit(0)
+            sys.exit("non-CO order accepted")
+        """)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDenseLinear:
