@@ -5,8 +5,16 @@ constraint (a set of leaves) appears consecutively.  P nodes permute their
 children freely; Q nodes fix the child sequence up to reversal.
 
 Implementation notes, chosen so a reduction touches only the pertinent
-subtree plus one root-to-leaf walk per pertinent leaf:
+subtree (over a sequence of reductions, O(n + sum of |S|) nodes in total,
+as in Booth & Lueker 1976) and no code path recurses, so tree depth is
+bounded by memory, not by the interpreter stack:
 
+- A reduction runs in two passes.  The bubble pass climbs from the
+  pertinent leaves in FIFO order, visiting each node once, until all
+  paths meet.  The labeling pass then works bottom-up from the leaves,
+  labeling a node once all its pertinent children are labeled and
+  applying the P/Q templates, and stops at the first node that holds
+  every pertinent leaf: the pertinent root.
 - Q children sit in an orientation-agnostic doubly linked list: each child
   stores its two neighbors in unordered slots, so reversing a Q node is an
   O(1) head/tail swap.
@@ -19,13 +27,16 @@ subtree plus one root-to-leaf walk per pertinent leaf:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections import deque
+from typing import Iterable, Iterator, Optional
 
 from .core import InternalError, ensure
 
 LEAF, PNODE, QNODE = 0, 1, 2
 
 FULL, PARTIAL = 0, 1
+
+_OPENERS, _CLOSERS = ("{", "["), ("}", "]")
 
 
 class ReductionFailed(Exception):
@@ -164,6 +175,36 @@ def _q_merge_heads(q1: _Node, q2: _Node) -> None:
     q1.nleaves += q2.nleaves
 
 
+def _bubble(leaves: list[_Node]) -> tuple[dict[_Node, _Node],
+                                           dict[_Node, list[_Node]]]:
+    """Bubble pass of a reduction: FIFO from the pertinent leaves upward,
+    each node visited once, until every path has merged into one node.
+
+    Returns each visited node's parent and each parent's pertinent
+    children.  The merge node may lie above the pertinent root, but FIFO
+    order pops a node of a still-open path between any two steps above
+    it, so the pass costs O(size of the pertinent subtree).
+    """
+    up: dict[_Node, _Node] = {}
+    pert_children: dict[_Node, list[_Node]] = {}
+    queue = deque(leaves)
+    while len(queue) > 1:
+        node = queue.popleft()
+        par = node.parent()
+        if par is None:
+            # the tree root waits until the paths still open reach it
+            queue.append(node)
+            continue
+        up[node] = par
+        kids = pert_children.get(par)
+        if kids is None:
+            pert_children[par] = [node]
+            queue.append(par)
+        else:
+            kids.append(node)
+    return up, pert_children
+
+
 class PQTree:
     """PQ-tree over leaves labeled 0..n-1."""
 
@@ -189,34 +230,41 @@ class PQTree:
         m = len(s)
         if m <= 1 or m >= self.n:
             return
-        counts: dict[int, int] = {}
-        nodes: dict[int, _Node] = {}
-        pert_children: dict[int, list[_Node]] = {}
-        for lab in s:
-            node: Optional[_Node] = self.leaves[lab]
-            while node is not None:
-                key = id(node)
-                fresh = key not in counts
-                counts[key] = counts.get(key, 0) + 1
-                nodes[key] = node
-                par = node.parent()
-                if fresh and par is not None:
-                    pert_children.setdefault(id(par), []).append(node)
-                node = par
-        node = self.leaves[next(iter(s))]
-        while counts[id(node)] != m:
-            node = node.parent()
-        self._reduce_root(node, counts, pert_children)
+        leaves = [self.leaves[lab] for lab in s]
+        up, pert_children = _bubble(leaves)
+        # Labeling pass, bottom-up: a node is labeled once all its pertinent
+        # children are, and the first one holding all m leaves is the
+        # pertinent root.  labeled maps a node to (pertinent leaf count,
+        # FULL/PARTIAL, the node that now stands in its place).
+        waiting = {par: len(kids) for par, kids in pert_children.items()}
+        labeled = {leaf: (1, FULL, leaf) for leaf in leaves}
+        ready = leaves
+        while ready:
+            par = up[ready.pop()]
+            waiting[par] -= 1
+            if waiting[par]:
+                continue
+            pc, fulls, partials = 0, [], []
+            for child in pert_children[par]:
+                child_pc, label, rep = labeled[child]
+                pc += child_pc
+                (fulls if label == FULL else partials).append(rep)
+            if pc == m:
+                self._reduce_root(par, pc, fulls, partials)
+                return
+            labeled[par] = (pc, *self._label(par, pc, fulls, partials))
+            ready.append(par)
+        raise InternalError("pertinent leaves have no common ancestor")
 
-    # Non-root labeling.  On PARTIAL the returned node is a Q node whose
-    # children run full-side-first from head; it has already replaced
-    # `node` in the parent's child structure if it is a different object.
-    def _label(self, node: _Node, counts, pert_children) -> tuple[int, _Node]:
-        pc = counts[id(node)]
+    # Non-root labeling of a node whose pertinent children are labeled.
+    # On PARTIAL the returned node is a Q node whose children run
+    # full-side-first from head; it has already replaced `node` in the
+    # parent's child structure if it is a different object.
+    def _label(self, node: _Node, pc: int, fulls: list[_Node],
+               partials: list[_Node]) -> tuple[int, _Node]:
         if pc == node.nleaves:
             return FULL, node
         if node.kind == PNODE:
-            fulls, partials = self._label_children(node, counts, pert_children)
             if len(partials) > 1:
                 raise ReductionFailed("P node with >1 partial child")
             # capture node's slot before surgery: node may survive inside the
@@ -238,7 +286,11 @@ class PQTree:
                 (eblock,) = rest
                 node.anchor.owner = None
             elif len(rest) > 1:
-                node.nleaves = sum(c.nleaves for c in rest)
+                # the leaves left are the empty ones: subtract the
+                # pertinent children's instead of summing the empty ones
+                node.nleaves -= sum(c.nleaves for c in fulls)
+                if partials:
+                    node.nleaves -= partials[0].nleaves
                 eblock = node
             else:
                 node.anchor.owner = None
@@ -257,29 +309,28 @@ class PQTree:
             self._install_slot(slot, node, q)
             return PARTIAL, q
         if node.kind == QNODE:
-            fulls, partials = self._label_children(node, counts, pert_children)
-            pert = set(id(c) for c in fulls) | set(id(c) for c in partials)
+            pert = set(fulls) | set(partials)
             # pertinent children must form a run anchored at one end
-            if id(node.head) in pert:
-                start, fullside_head = node.head, True
-            elif id(node.tail) in pert:
+            if node.head in pert:
+                start = node.head
+            elif node.tail in pert:
                 node.head, node.tail = node.tail, node.head
-                start, fullside_head = node.head, True
+                start = node.head
             else:
                 raise ReductionFailed("partial Q: pertinent run not at an end")
             run = []
             prev, cur = None, start
-            while cur is not None and id(cur) in pert:
+            while cur is not None and cur in pert:
                 run.append(cur)
                 prev, cur = cur, cur.other_nb(prev)
             whole_list = cur is None
             if len(run) != len(pert):
                 raise ReductionFailed("partial Q: pertinent children not consecutive")
-            partial_ids = {id(c) for c in partials}
-            at_tail = id(run[-1]) in partial_ids
-            at_head = len(run) > 1 and id(run[0]) in partial_ids
+            partial_set = set(partials)
+            at_tail = run[-1] in partial_set
+            at_head = len(run) > 1 and run[0] in partial_set
             for i, c in enumerate(run):
-                if id(c) in partial_ids and 0 < i < len(run) - 1:
+                if c in partial_set and 0 < i < len(run) - 1:
                     raise ReductionFailed("partial Q: partial child inside full run")
             if at_head and (at_tail or not whole_list):
                 # a head-side partial is only orientable when the run spans
@@ -294,18 +345,11 @@ class PQTree:
             return PARTIAL, node
         raise InternalError("leaf cannot be partial")
 
-    def _label_children(self, node, counts, pert_children):
-        fulls, partials = [], []
-        for child in pert_children.get(id(node), ()):
-            lab, rep = self._label(child, counts, pert_children)
-            (fulls if lab == FULL else partials).append(rep)
-        return fulls, partials
-
-    def _reduce_root(self, r: _Node, counts, pert_children) -> None:
-        if counts[id(r)] == r.nleaves:
+    def _reduce_root(self, r: _Node, pc: int, fulls: list[_Node],
+                     partials: list[_Node]) -> None:
+        if pc == r.nleaves:
             return
         if r.kind == PNODE:
-            fulls, partials = self._label_children(r, counts, pert_children)
             if len(partials) > 2:
                 raise ReductionFailed("root P with >2 partial children")
             if not partials:
@@ -333,26 +377,24 @@ class PQTree:
                 r.anchor.owner = None
             return
         if r.kind == QNODE:
-            fulls, partials = self._label_children(r, counts, pert_children)
-            pert = {id(c): c for c in fulls + partials}
-            partial_ids = {id(c) for c in partials}
-            anykey = next(iter(pert))
-            anynode = pert[anykey]
+            pert = set(fulls) | set(partials)
+            partial_set = set(partials)
+            anynode = next(iter(pert))
             run = [anynode]
             for first_dir in (anynode.nb1, anynode.nb2):
                 prev, cur = anynode, first_dir
-                while cur is not None and id(cur) in pert:
+                while cur is not None and cur in pert:
                     run.append(cur)
                     prev, cur = cur, cur.other_nb(prev)
                 run.reverse()
             if len(run) != len(pert):
                 raise ReductionFailed("root Q: pertinent children not consecutive")
             for i, c in enumerate(run):
-                if id(c) in partial_ids and i not in (0, len(run) - 1):
+                if c in partial_set and i not in (0, len(run) - 1):
                     raise ReductionFailed("root Q: partial child inside full run")
-            last = run[-1] if id(run[-1]) in partial_ids else None
+            last = run[-1] if run[-1] in partial_set else None
             outer_last = last.other_nb(run[-2]) if last and len(run) > 1 else None
-            if len(run) >= 2 and id(run[0]) in partial_ids:
+            if len(run) >= 2 and run[0] in partial_set:
                 self._splice_into_q(r, run[0], full_toward=run[1])
             if last is not None:
                 if len(run) > 1:
@@ -436,64 +478,65 @@ class PQTree:
         Q nodes take the orientation whose first child has the smaller min."""
         if self.root is None:
             return []
-        self._normalize(self.root)
-        out: list[int] = []
-        self._emit(self.root, out)
-        return out
+        return [tok.label for tok in self._walk() if type(tok) is _Node]
 
     def summary(self) -> str:
         """Render the permutation classes: {..} free P groups, [..] Q runs
-        fixed up to reversal, leaf_name(label) at the leaves."""
+        fixed up to reversal, leaf_name(label) at the leaves.  A Q node
+        with two children allows both orders, so it renders as {..}."""
         if self.root is None:
             return "{}"
-        self._normalize(self.root)
-        return self._render(self.root)
+        out: list[str] = []
+        for tok in self._walk():
+            text = tok if type(tok) is str else self.leaf_name(tok.label)
+            if out and out[-1] not in _OPENERS and text not in _CLOSERS:
+                out.append(" ")
+            out.append(text)
+        return "".join(out)
 
     def leaf_name(self, label: int) -> str:
         """How summary() shows a leaf: its label, unless a subclass names it."""
         return str(label)
 
-    def _normalize(self, node: _Node) -> int:
-        """Collapse 1-child nodes, turn 2-child Q into P, return min label."""
-        if node.kind == LEAF:
-            return node.label
-        children = (list(node.pchildren) if node.kind == PNODE
+    def _walk(self) -> Iterator[_Node | str]:
+        """The canonical tree in pre-order: each leaf node, and for each
+        internal node its opening bracket, its children, its closing one."""
+        ordered = self._canonical_children()
+        stack: list[_Node | str] = [self.root]
+        while stack:
+            tok = stack.pop()
+            if type(tok) is str or tok.kind == LEAF:
+                yield tok
+                continue
+            children = ordered[tok]
+            free = tok.kind == PNODE or len(children) == 2
+            yield "{" if free else "["
+            stack.append("}" if free else "]")
+            stack.extend(reversed(children))
+
+    def _canonical_children(self) -> dict[_Node, list[_Node]]:
+        """Each internal node's children in canonical order.  One top-down
+        pass collects them, one bottom-up pass computes every subtree's min
+        label once and sorts or orients by it."""
+        children: dict[_Node, list[_Node]] = {}
+        order = [self.root]
+        for node in order:  # grows while iterated: breadth-first
+            if node.kind == LEAF:
+                continue
+            kids = (list(node.pchildren) if node.kind == PNODE
                     else _q_children(node))
-        ensure(len(children) >= 2, "unary internal node survived surgery")
-        if node.kind == QNODE and len(children) == 2:
-            node.kind = PNODE
-            node.pchildren = set(children)
-            node.head = node.tail = None
-            for c in children:
-                c.nb1 = c.nb2 = None
-        return min(self._normalize(c) for c in children)
-
-    def _min_label(self, node: _Node) -> int:
-        if node.kind == LEAF:
-            return node.label
-        children = (node.pchildren if node.kind == PNODE else _q_children(node))
-        return min(self._min_label(c) for c in children)
-
-    def _ordered_children(self, node: _Node) -> list[_Node]:
-        if node.kind == PNODE:
-            return sorted(node.pchildren, key=self._min_label)
-        children = _q_children(node)
-        if self._min_label(children[0]) > self._min_label(children[-1]):
-            children.reverse()
+            ensure(len(kids) >= 2, "unary internal node survived surgery")
+            children[node] = kids
+            order.extend(kids)
+        min_label: dict[_Node, int] = {}
+        for node in reversed(order):  # children before parents
+            if node.kind == LEAF:
+                min_label[node] = node.label
+                continue
+            kids = children[node]
+            if node.kind == PNODE:
+                kids.sort(key=min_label.__getitem__)
+            elif min_label[kids[0]] > min_label[kids[-1]]:
+                kids.reverse()
+            min_label[node] = min(min_label[c] for c in kids)
         return children
-
-    def _emit(self, node: _Node, out: list[int]) -> None:
-        if node.kind == LEAF:
-            out.append(node.label)
-            return
-        for c in self._ordered_children(node):
-            self._emit(c, out)
-
-    def _render(self, node: _Node) -> str:
-        if node.kind == LEAF:
-            return self.leaf_name(node.label)
-        parts = [self._render(c) for c in self._ordered_children(node)]
-        if node.kind == PNODE:
-            return "{" + " ".join(parts) + "}"
-        return "[" + " ".join(parts) + "]"
-

@@ -1,0 +1,182 @@
+"""The PQ-tree on its own: a permutation oracle, stack safety, linear work."""
+
+import itertools
+import math
+import os
+import random
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from convexcodes import pqtree
+from convexcodes.pqtree import LEAF, PNODE, PQTree, ReductionFailed
+
+
+def _consecutive(order, constraint) -> bool:
+    pos = [order.index(lab) for lab in constraint]
+    return not pos or max(pos) - min(pos) + 1 == len(pos)
+
+
+def _brute_count(n: int, constraints) -> int:
+    return sum(all(_consecutive(perm, c) for c in constraints)
+               for perm in itertools.permutations(range(n)))
+
+
+def _tree_count(tree: PQTree) -> int:
+    """Orderings the tree represents: k! per P node with k children, 2 per
+    Q node."""
+    total, stack = 1, [tree.root]
+    while stack:
+        node = stack.pop()
+        if node.kind == LEAF:
+            continue
+        if node.kind == PNODE:
+            children = list(node.pchildren)
+            total *= math.factorial(len(children))
+        else:
+            children = pqtree._q_children(node)
+            total *= 2
+        stack.extend(children)
+    return total
+
+
+def _family(n: int, rng: random.Random) -> list[list[int]]:
+    """Intervals of a hidden order (mostly feasible) or random subsets
+    (mostly infeasible), half each."""
+    count = rng.randint(0, 2 * n)
+    if rng.random() < 0.5:
+        hidden = rng.sample(range(n), n)
+        out = []
+        for _ in range(count):
+            a = rng.randrange(n)
+            out.append(hidden[a:rng.randint(a + 1, n)])
+        return out
+    return [rng.sample(range(n), rng.randint(0, n)) for _ in range(count)]
+
+
+class TestPermutationOracle:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_agrees_with_brute_force(self, n):
+        rng = random.Random(1000 + n)
+        outcomes = set()
+        for _ in range(40):
+            constraints = _family(n, rng)
+            expected = _brute_count(n, constraints)
+            tree = PQTree(n)
+            try:
+                for c in constraints:
+                    tree.reduce(c)
+            except ReductionFailed:
+                assert expected == 0, constraints
+                outcomes.add("infeasible")
+                continue
+            assert expected > 0, constraints
+            order = tree.frontier()
+            assert sorted(order) == list(range(n))
+            assert all(_consecutive(order, c) for c in constraints), constraints
+            assert _tree_count(tree) == expected, constraints
+            outcomes.add("feasible")
+        if n >= 4:
+            assert outcomes == {"feasible", "infeasible"}
+
+
+def _nested(n: int) -> list[list[int]]:
+    return [list(range(i + 1, n)) for i in range(n - 1)]
+
+
+def _two_ended(n: int) -> list[list[int]]:
+    return _nested(n) + [list(range(j + 1)) for j in range(n - 1)]
+
+
+def _staircase(n: int) -> list[list[int]]:
+    return [[i, i + 1] for i in range(n - 1)]
+
+
+@pytest.fixture
+def visits(monkeypatch):
+    """Counts parent lookups: one per node the bubble pass visits, plus
+    one per partial P node the templates replace."""
+    count = [0]
+    parent = pqtree._Node.parent
+
+    def counting(node):
+        count[0] += 1
+        return parent(node)
+
+    monkeypatch.setattr(pqtree._Node, "parent", counting)
+    return count
+
+
+def _reduce_all(n: int, constraints, visits) -> list[tuple[int, int]]:
+    """(|S|, visits) of each reduction that reaches the tree."""
+    tree = PQTree(n)
+    out = []
+    for c in constraints:
+        before = visits[0]
+        tree.reduce(c)
+        if 1 < len(c) < n:
+            out.append((len(c), visits[0] - before))
+    return out
+
+
+class TestLinearWork:
+    @pytest.mark.parametrize("family", [_nested, _two_ended, _staircase])
+    def test_visits_per_reduction(self, family, visits):
+        for size, seen in _reduce_all(300, family(300), visits):
+            assert seen <= 3 * size + 2, (size, seen)
+
+    def test_random_intervals_amortized(self, visits):
+        # a single reduction can walk a chain of partial nodes; the
+        # templates then merge that chain, so the total stays linear
+        rng = random.Random(7)
+        n = 500
+        hidden = rng.sample(range(n), n)
+        constraints = []
+        for _ in range(3 * n):
+            a = rng.randrange(n)
+            constraints.append(hidden[a:a + rng.randint(1, 10)])
+        work = _reduce_all(n, constraints, visits)
+        assert sum(seen for _, seen in work) <= 2 * sum(s for s, _ in work) + n
+
+    def test_nested_doubling(self, visits):
+        def total(n):
+            return sum(seen for _, seen in _reduce_all(n, _nested(n), visits))
+        # the number of ones grows 4x; the old walk-to-root grew ~8x
+        assert total(400) <= 4.5 * total(200)
+
+
+def test_deep_trees_need_no_recursion():
+    # nested codes build a P-node chain n deep, the two-ended family a long
+    # Q node over a deep reduction history; a stack of 150 frames is enough
+    script = textwrap.dedent("""
+        import sys
+        from convexcodes import BitVector, Code, Geometry, reconstruct_sparse
+        from convexcodes.core import SensorMatrix
+        from convexcodes.ordering import cco_order, co_order
+
+        def code(n, rows):
+            cols = [0] * n
+            for r, members in enumerate(rows):
+                for c in members:
+                    cols[c] |= 1 << r
+            return Code.of(BitVector(len(rows), m) for m in cols)
+
+        nested = [range(i + 1, 400) for i in range(399)]
+        two_ended = ([range(i + 1, 300) for i in range(299)]
+                     + [range(j + 1) for j in range(299)])
+        codes = [code(400, nested), code(300, two_ended)]
+        sys.setrecursionlimit(150)
+        for c in codes:
+            assert isinstance(reconstruct_sparse(c, Geometry.LINE), SensorMatrix)
+            assert co_order(c).tree_summary.startswith(("{", "["))
+            assert cco_order(c).feasible
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
