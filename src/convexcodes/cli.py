@@ -301,6 +301,10 @@ def cmd_enumerate(args) -> int:
     N, K = args.max_n, args.max_k
     em = _Emitter(args.format == "structured")
     try:
+        if args.oracle and N > 12:
+            raise SizeLimit("brute_force_dense is limited to n <= 12"
+                            if regime.density is Density.DENSE
+                            else "sparse oracle is limited to n <= 12")
         if regime.density is Density.SPARSE:
             table = {
                 (n, k): count_sparse(n, k, regime.geometry)
@@ -318,8 +322,6 @@ def cmd_enumerate(args) -> int:
                     bf = brute_force_dense(n, regime.geometry)
                     expected = [bf.count(n, k) for k in range(K + 1)]
                 else:
-                    if n > 12:
-                        raise SizeLimit("sparse oracle is limited to n <= 12")
                     rows = len(valid_dense_rows(n, regime.geometry))
                     expected = [comb(rows, k) for k in range(K + 1)]
                 for k in range(K + 1):
@@ -363,6 +365,16 @@ def cmd_normalize(args) -> int:
     return _run_reconstruction(args, emit)
 
 
+def _cap(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="convexcodes",
                 description="Decide and realize 1-D convex neural codes.")
@@ -398,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("enumerate", help="count discrete interval sets")
     common(sp, with_file=False)
-    sp.add_argument("--max-n", type=int, default=5)
-    sp.add_argument("--max-k", type=int, default=10)
+    sp.add_argument("--max-n", type=_cap, default=5)
+    sp.add_argument("--max-k", type=_cap, default=10)
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against brute force")
     sp.set_defaults(fn=cmd_enumerate)

@@ -129,27 +129,81 @@ def count_sparse(n: int, k: int, geometry: Geometry) -> int:
     return comb(n, k)  # n = 0 -> [k == 0]; n = 1 -> C(1, k)
 
 
-def _one_plus_y(x_cap: int, y_cap: int) -> BivariatePoly:
-    return BivariatePoly.of({(0, 0): 1, (0, 1): 1}, x_cap, y_cap)
+def _dense_series(geometry: Geometry, N: int, a: list[int], one_plus_y: int,
+                  mask: int) -> list[int]:
+    """Coefficients of x^0 .. x^N of the dense generating function.
+
+    The coefficients live in a ring of y-polynomials given by a[i] =
+    (1+y)^i - 1 for 0 <= i <= N, the element 1+y, and a mask that
+    truncates a product; plain ints with y = 1 and mask = -1 (no
+    truncation) are the same recurrences over the integers.
+
+    Line: term_m = x^m / ((1 - a_1 x) ... (1 - a_{m+1} x)) is x times
+    term_{m-1} divided by (1 - a_{m+1} x), so one prefix series r is
+    divided in place with Q_t = P_t + a Q_{t-1}, up to x-degree N - m.
+    Circle: 1 + (1+y) * sum over m >= 1 of
+    x^m sum_t C(m+t, t) a_m^t x^t, with the powers of a_m iterated.
+    """
+    total = [0] * (N + 1)
+    if geometry is Geometry.LINE:
+        r = [1] + [0] * N
+        for m in range(N + 1):
+            for t in range(1, N - m + 1):
+                r[t] += a[m + 1] * r[t - 1] & mask
+            for t in range(N - m + 1):
+                total[m + t] += r[t]
+        return total
+    for m in range(1, N + 1):
+        power = 1
+        for t in range(N - m + 1):
+            total[m + t] += comb(m + t, t) * power
+            if t < N - m:
+                power = power * a[m] & mask
+    total = [s * one_plus_y & mask for s in total]
+    total[0] += 1
+    return total
 
 
-def _geometric(a: BivariatePoly, max_t: int) -> BivariatePoly:
-    """Truncation of 1 / (1 - a*x) = sum_t a^t x^t."""
-    out: dict[tuple[int, int], int] = {}
-    power = BivariatePoly.const(1, a.x_cap, a.y_cap)
-    for t in range(max_t + 1):
-        for (dx, dy), c in power.coefficients.items():
-            key = (dx + t, dy)
-            if key[0] <= a.x_cap and key[1] <= a.y_cap:
-                out[key] = out.get(key, 0) + c
-        power = power * a
-    return BivariatePoly.of(out, a.x_cap, a.y_cap)
+def _dense_table(geometry: Geometry, N: int, K: int) -> CountTable:
+    """The dense count table up to n <= N sensors and k <= K rows.
 
+    Each y-polynomial is packed into one int with B bits per
+    coefficient (Kronecker substitution), so a product truncated to
+    y-degree <= K is (p * q) & mask at C speed.  B = scalar_max's bit
+    length + 1, where scalar_max is the largest x-coefficient of the same
+    recurrences run at y = 1 on plain ints.  No packed coefficient can
+    reach 2^B, so none carries into its neighbor:
 
-def _table_from_poly(poly: BivariatePoly, regime: Regime) -> CountTable:
-    return CountTable(
-        {(dx, dy): c for (dx, dy), c in poly.coefficients.items()}, regime
-    )
+    - every coefficient, of the inputs a_i and of every partial sum and
+      product, is a nonnegative integer;
+    - truncation only drops terms: y-degrees add under multiplication,
+      so a dropped term never feeds a kept one, and each kept
+      coefficient equals its untruncated value;
+    - each term of the sum, and every quantity it is built from, is
+      dominated coefficient by coefficient by the total (Q_t holds both
+      P_t and a Q_{t-1}; each a_i that is multiplied appears in the
+      total at x-degree i or i + 1), and every coefficient of the total
+      at x-degree t is at most its value at y = 1.
+    """
+    if N < 0 or K < 0:
+        raise ValueError("N and K must be nonnegative")
+    scalars = _dense_series(geometry, N, [2**i - 1 for i in range(N + 1)],
+                            2, -1)
+    B = max(scalars).bit_length() + 1
+    mask = (1 << (K + 1) * B) - 1
+    one_plus_y = 1 + (1 << B)
+    a, power = [0], 1
+    for _ in range(N):
+        power = power * one_plus_y & mask
+        a.append(power - 1)
+    digit = (1 << B) - 1
+    c = {}
+    for n, packed in enumerate(_dense_series(geometry, N, a, one_plus_y, mask)):
+        for k in range(K + 1):
+            v = packed >> k * B & digit
+            if v:
+                c[(n, k)] = v
+    return CountTable(c, Regime(geometry, Density.DENSE))
 
 
 def gf_dense_linear(N: int, K: int) -> CountTable:
@@ -159,18 +213,7 @@ def gf_dense_linear(N: int, K: int) -> CountTable:
     x^m / ((1 - a_1 x)(1 - a_2 x) ... (1 - a_{m+1} x)), a_i = (1+y)^i - 1.
     The m-th term has lowest x-degree m, so m <= N terms suffice.
     """
-    one = BivariatePoly.const(1, N, K)
-    opy = _one_plus_y(N, K)
-    a = [None]  # a[i] = (1+y)^i - 1
-    for i in range(1, N + 2):
-        a.append(opy.pow(i) + one.scale(-1))
-    total = BivariatePoly.const(0, N, K)
-    for m in range(N + 1):
-        term = BivariatePoly.of({(m, 0): 1}, N, K)
-        for i in range(1, m + 2):
-            term = term * _geometric(a[i], N - m)
-        total = total + term
-    return _table_from_poly(total, Regime(Geometry.LINE, Density.DENSE))
+    return _dense_table(Geometry.LINE, N, K)
 
 
 def gf_dense_circular(N: int, K: int) -> CountTable:
@@ -184,26 +227,7 @@ def gf_dense_circular(N: int, K: int) -> CountTable:
     a factor of (1+y) that degenerates to the familiar factor of 2 when
     y = 1.
     """
-    one = BivariatePoly.const(1, N, K)
-    opy = _one_plus_y(N, K)
-    total = BivariatePoly.const(1, N, K)
-    for m in range(1, N + 1):
-        a_m = opy.pow(m) + one.scale(-1)
-        expanded: dict[tuple[int, int], int] = {}
-        power = BivariatePoly.const(1, N, K)
-        for t in range(N - m + 1):
-            for (dx, dy), c in power.coefficients.items():
-                key = (dx + t, dy)
-                if key[0] <= N and key[1] <= K:
-                    expanded[key] = expanded.get(key, 0) + comb(m + t, t) * c
-            power = power * a_m
-        term = (
-            BivariatePoly.of({(m, 0): 1}, N, K)
-            * opy
-            * BivariatePoly.of(expanded, N, K)
-        )
-        total = total + term
-    return _table_from_poly(total, Regime(Geometry.CIRCLE, Density.DENSE))
+    return _dense_table(Geometry.CIRCLE, N, K)
 
 
 def valid_dense_rows(n: int, geometry: Geometry) -> list[BitVector]:

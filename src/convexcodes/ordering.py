@@ -45,14 +45,17 @@ class OrderingResult:
     """A feasible column ordering plus its permutation-class summary.
 
     tree_summary uses codeword strings, with {..} for freely permutable
-    groups and [..] for sequences fixed up to reversal.  It and tree, the
-    reduced PQ-tree it is rendered from, are None for an infeasible
+    groups and [..] for sequences fixed up to reversal.  It, tree, the
+    reduced PQ-tree it is rendered from, and matrix, the checked sensor
+    matrix whose columns are the ordering, are None for an infeasible
     result.  Equality compares feasibility and ordering only.
     """
 
     feasible: bool
     ordering: Optional[tuple[BitVector, ...]] = None
     tree: Optional[PQTree] = field(default=None, repr=False, compare=False)
+    matrix: Optional[SensorMatrix] = field(default=None, repr=False,
+                                           compare=False)
 
     @cached_property
     def tree_summary(self) -> Optional[str]:
@@ -95,17 +98,15 @@ def co_order(words: Code) -> OrderingResult:
     cols = tuple(ws[j] for j in order)
     m = SensorMatrix.from_columns(cols, CO.geometry)
     ensure(regime_check(m, CO), "PQ-tree produced a non-CO ordering")
-    return OrderingResult(True, cols, tree)
+    return OrderingResult(True, cols, tree, m)
 
 
 def cco_order(words: Code) -> OrderingResult:
     """A canonical CCO column ordering of the codeword set, or infeasible."""
     ws = words.sorted_words()
-    if not ws:
-        return co_order(words)  # no anchor; the empty code is trivially CCO
-    anchor = ws[-1]
-    flipped = sorted((w ^ anchor for w in ws), key=lambda w: w.mask)
-    originals = [w ^ anchor for w in flipped]
+    # the last word is the anchor; the empty code has none and needs none
+    flipped = sorted((w ^ ws[-1] for w in ws), key=lambda w: w.mask)
+    originals = [w ^ ws[-1] for w in flipped]
     solved = _pq_solve(flipped, originals)
     if solved is None:
         return INFEASIBLE_ORDERING
@@ -113,4 +114,4 @@ def cco_order(words: Code) -> OrderingResult:
     cols = tuple(originals[j] for j in order)
     m = SensorMatrix.from_columns(cols, CCO.geometry)
     ensure(regime_check(m, CCO), "complementation produced a non-CCO ordering")
-    return OrderingResult(True, cols, tree)
+    return OrderingResult(True, cols, tree, m)

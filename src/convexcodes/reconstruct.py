@@ -231,8 +231,9 @@ def reconstruct_sparse(words: Code, geometry: Geometry):
     if not result.feasible:
         return Infeasible("no %s column ordering exists"
                           % ("CO" if geometry is Geometry.LINE else "CCO"))
-    # the ordering's regime signature was checked where it was produced
-    m = SensorMatrix.from_columns(result.ordering, geometry)
+    # the ordering's matrix and regime signature were checked where it
+    # was produced
+    m = result.matrix
     ensure(m.column_set() == words, "ordering has the wrong column set")
     return m
 

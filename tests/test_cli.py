@@ -266,6 +266,44 @@ class TestEnumerate:
         )
         assert code == EXIT_SIZE_LIMIT
 
+    @pytest.mark.parametrize("regime, message", [
+        ("dense", "brute_force_dense is limited to n <= 12"),
+        ("sparse", "sparse oracle is limited to n <= 12"),
+    ], ids=["dense", "sparse"])
+    def test_oracle_limit_checked_before_counting(self, capsys, monkeypatch,
+                                                  regime, message):
+        def refuse(*args):
+            raise AssertionError("counted before checking the oracle limit")
+
+        for name in ("gf_dense_linear", "count_sparse", "brute_force_dense"):
+            monkeypatch.setattr("convexcodes.cli." + name, refuse)
+        code, out, _ = run(
+            capsys, "enumerate", "--regime", regime,
+            "--max-n", "13", "--max-k", "2", "--oracle",
+        )
+        assert code == EXIT_SIZE_LIMIT
+        assert out == "size limit: %s\n" % message
+        code, out, _ = run(
+            capsys, "enumerate", "--regime", regime, "--max-n", "13",
+            "--max-k", "2", "--oracle", "--format", "structured",
+        )
+        assert code == EXIT_SIZE_LIMIT
+        assert json.loads(out) == {"status": "size-limit", "reason": message}
+
+    @pytest.mark.parametrize("geometry", ["line", "circle"])
+    @pytest.mark.parametrize("regime", ["sparse", "dense"])
+    @pytest.mark.parametrize("caps", [("--max-n", "-1"), ("--max-k", "-2")],
+                             ids=["max-n", "max-k"])
+    def test_negative_caps_are_usage_errors(self, capsys, geometry, regime,
+                                            caps):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--geometry", geometry, "--regime", regime,
+                  *caps])
+        assert exc.value.code == EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "must be nonnegative" in out.err
+
 
 class TestNormalize:
     @pytest.mark.parametrize("transform", ["snap", "close", "open"])

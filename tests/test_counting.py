@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from math import comb
 
@@ -24,6 +25,12 @@ LINE_TOTALS = [1, 2, 6, 26, 158, 1330]
 # the halved tail 3, 13, 87, 841 is OEIS A001831; the n = 5 total is
 # also confirmed by the grouped oracle and a literal subset enumeration
 CIRCLE_TOTALS = [1, 2, 6, 26, 174, 1682]
+# sha256 of repr(sorted(table.c.items())) for the (16, 40) tables as the
+# BivariatePoly expansion computed them
+LINE_16_40_SHA256 = (
+    "d8d3d160c9a9feb6f01e9679d114fa5ff924d76f6cc43ac7bd9abe8460fc20f7")
+CIRCLE_16_40_SHA256 = (
+    "852fd2149904950e135218dd100c5457933f9b30a0a6c269ac27bb195ba22ab0")
 
 
 def totals(table, n_max, k_cap):
@@ -186,3 +193,47 @@ class TestSubspaceBijection:
             count_full_support_subspaces(-1)
         with pytest.raises(SizeLimit):
             brute_force_dense(13, Geometry.LINE)
+
+
+class TestSeriesKernel:
+    @staticmethod
+    def digest(table):
+        return hashlib.sha256(repr(sorted(table.c.items())).encode()).hexdigest()
+
+    def test_golden_digests(self):
+        assert self.digest(gf_dense_linear(16, 40)) == LINE_16_40_SHA256
+        assert self.digest(gf_dense_circular(16, 40)) == CIRCLE_16_40_SHA256
+
+    def test_circle_truncation_soundness(self):
+        # enlarging the caps never changes coefficients inside them
+        small = gf_dense_circular(4, 6)
+        large = gf_dense_circular(7, 20)
+        for n in range(0, 5):
+            for k in range(0, 7):
+                assert small.count(n, k) == large.count(n, k)
+
+    @pytest.mark.parametrize("gf", [gf_dense_linear, gf_dense_circular])
+    def test_edge_caps(self, gf):
+        # N = 0: only the empty set on no sensors
+        assert gf(0, 0).c == {(0, 0): 1}
+        assert gf(0, 5).c == {(0, 0): 1}
+        # K = 0: one empty set for every n
+        assert gf(6, 0).c == {(n, 0): 1 for n in range(7)}
+
+    @pytest.mark.parametrize("geometry, gf", [
+        (Geometry.LINE, gf_dense_linear),
+        (Geometry.CIRCLE, gf_dense_circular),
+    ])
+    def test_agrees_with_brute_force_to_n8(self, geometry, gf):
+        # K = 60 exceeds the largest set on 8 sensors in either geometry
+        table = gf(8, 60)
+        for n in range(0, 9):
+            bf = brute_force_dense(n, geometry)
+            assert {k: v for (nn, k), v in table.c.items() if nn == n} == {
+                k: v for (_, k), v in bf.c.items()}, n
+
+    @pytest.mark.parametrize("gf", [gf_dense_linear, gf_dense_circular])
+    @pytest.mark.parametrize("N, K", [(-1, 3), (3, -2), (-1, -1)])
+    def test_negative_caps_rejected(self, gf, N, K):
+        with pytest.raises(ValueError):
+            gf(N, K)

@@ -87,6 +87,22 @@ class TestSparse:
         assert (m.k, m.n) == (0, 2)
         assert m.column_multiset() == ms
 
+    def test_reuses_the_ordering_matrix(self, monkeypatch):
+        code = _code(["1100", "1000", "0100", "0000", "0001", "0110"])
+        calls = []
+        original = SensorMatrix.from_columns.__func__
+
+        def counted(cls, columns, geometry):
+            calls.append(geometry)
+            return original(cls, columns, geometry)
+
+        monkeypatch.setattr(SensorMatrix, "from_columns", classmethod(counted))
+        for geometry in (Geometry.LINE, Geometry.CIRCLE):
+            del calls[:]
+            m = reconstruct_sparse(code, geometry)
+            assert calls == [geometry]
+            assert m.geometry is geometry and m.column_set() == code
+
     def test_self_checks_survive_optimize_flag(self):
         # python -O strips assert statements; a solver that returns a
         # non-CO order must still be caught
