@@ -273,13 +273,13 @@ def cmd_certificate(args) -> int:
     em = _Emitter(args.format == "structured")
     if isinstance(cert, Bipartition):
         em.set("status", "feasible")
-        em.set("bipartition", {
-            "%s,%s" % (a.to_string(), b.to_string()): c
-            for (a, b), c in sorted(
-                cert.coloring.items(),
-                key=lambda kv: (kv[0][0].to_string(), kv[0][1].to_string()),
-            )
-        })
+        if em.structured:
+            # n(n-1) keys: render each word once; json sorts the keys
+            name = {w: w.to_string() for w in ms.support.words}
+            em.set("bipartition", {
+                "%s,%s" % (name[a], name[b]): c
+                for (a, b), c in cert.coloring.items()
+            })
         em.text("bipartite: the code is realizable on the line (sparse)")
         em.flush()
         return EXIT_FEASIBLE

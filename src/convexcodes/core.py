@@ -168,7 +168,8 @@ class BitVector:
         return self.mask.bit_count()
 
     def to_string(self) -> str:
-        return "".join("1" if (self.mask >> i) & 1 else "0" for i in range(self.n))
+        # position 0 first, so the binary form read backwards
+        return format(self.mask, "0%db" % self.n)[::-1] if self.n else ""
 
     def __repr__(self) -> str:
         return f"BitVector({self.to_string()!r})"
@@ -282,7 +283,7 @@ class CodeMultiset:
 
     @property
     def support(self) -> Code:
-        return Code.of(self.entries.keys())
+        return Code(frozenset(self.entries), self.k)
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -334,13 +335,22 @@ class SensorMatrix:
 
     @classmethod
     def from_columns(
-        cls, columns: Iterable[BitVector], geometry: Geometry
+        cls, columns: Iterable[BitVector], geometry: Geometry, *,
+        k: int | None = None,
     ) -> "SensorMatrix":
+        """The matrix with these columns.  k, the row count, is needed
+        only when there are no columns; if given, it must match them."""
         cols = tuple(columns)
-        if len({c.n for c in cols}) > 1:
+        lens = {c.n for c in cols}
+        if len(lens) > 1:
             raise LengthMismatch("columns have differing lengths")
+        if k is None:
+            k = lens.pop() if lens else 0
+        elif lens and lens != {k}:
+            raise LengthMismatch("columns have length %d, not k = %d"
+                                 % (lens.pop(), k))
         m = cls.__new__(cls)
-        m._init(_transpose(cols, cols[0].n if cols else 0), cols, geometry)
+        m._init(_transpose(cols, k), cols, geometry)
         return m
 
     def column(self, j: int) -> BitVector:

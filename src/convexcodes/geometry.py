@@ -166,7 +166,7 @@ def extract_code_sparse(
 ) -> tuple[Code, SensorMatrix]:
     """The code seen by a finite sensor set, with its matrix."""
     cols = [evaluate_codeword(arr, s) for s in sensors.positions]
-    m = SensorMatrix.from_columns(cols, arr.geometry)
+    m = SensorMatrix.from_columns(cols, arr.geometry, k=len(arr.intervals))
     return m.column_set(), m
 
 

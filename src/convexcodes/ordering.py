@@ -96,7 +96,7 @@ def co_order(words: Code) -> OrderingResult:
         return INFEASIBLE_ORDERING
     order, tree = solved
     cols = tuple(ws[j] for j in order)
-    m = SensorMatrix.from_columns(cols, CO.geometry)
+    m = SensorMatrix.from_columns(cols, CO.geometry, k=words.k)
     ensure(regime_check(m, CO), "PQ-tree produced a non-CO ordering")
     return OrderingResult(True, cols, tree, m)
 
@@ -112,6 +112,6 @@ def cco_order(words: Code) -> OrderingResult:
         return INFEASIBLE_ORDERING
     order, tree = solved
     cols = tuple(originals[j] for j in order)
-    m = SensorMatrix.from_columns(cols, CCO.geometry)
+    m = SensorMatrix.from_columns(cols, CCO.geometry, k=words.k)
     ensure(regime_check(m, CCO), "complementation produced a non-CCO ordering")
     return OrderingResult(True, cols, tree, m)

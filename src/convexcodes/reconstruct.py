@@ -65,7 +65,8 @@ class Multiordering:
                 raise ValueError("column length differs from support length")
 
     def matrix(self, geometry: Geometry = Geometry.LINE) -> SensorMatrix:
-        return SensorMatrix.from_columns(self.columns, geometry)
+        return SensorMatrix.from_columns(self.columns, geometry,
+                                         k=self.support.k)
 
 
 Vertex = tuple[BitVector, BitVector]
@@ -152,8 +153,76 @@ def rejection_certificate(words: Code):
     RejectionCertificate refutes it and verifies independently of the
     recognizer (Theorem: a matrix has a CO column ordering iff its
     incompatibility graph is bipartite).
+
+    The recognizer does the heavy work.  A feasible code is colored from
+    its CO ordering.  An infeasible code is first shrunk to a minimal
+    infeasible core, and only the core's graph, O(c^3) edges for c core
+    words, is searched for an odd cycle.
     """
     ws = words.sorted_words()
+    result = co_order(words)
+    if result.feasible:
+        return _ordering_bipartition(ws, result.ordering)
+    core = sorted(_infeasible_core(ws, words.k), key=lambda w: w.mask)
+    cert = _odd_cycle(core)
+    ensure(cert is not None,
+           "recognizer rejected a code whose core has a bipartite "
+           "incompatibility graph")
+    return cert
+
+
+def _ordering_bipartition(ws: list[BitVector],
+                          ordering: tuple[BitVector, ...]) -> Bipartition:
+    # color (a, b) by whether a comes after b.  Proper: (a,b)-(b,a)
+    # clearly, and a type-2 edge (a,b)-(b,c) has a row holding a and c
+    # but not b, so b is not between a and c and the pairs disagree.
+    # Orient the ordering so that (ws[0], ws[1]) gets 0, as the BFS
+    # started there colors it: then a connected graph gets the same
+    # coloring as the search, which is unique up to swapping.
+    if len(ws) > 1 and ordering.index(ws[0]) > ordering.index(ws[1]):
+        ordering = ordering[::-1]
+    coloring: dict[Vertex, int] = {}
+    for i, a in enumerate(ordering):
+        for j, b in enumerate(ordering):
+            if i != j:
+                coloring[(a, b)] = int(i > j)
+    return Bipartition(coloring)
+
+
+def _infeasible_core(ws: list[BitVector], k: int) -> list[BitVector]:
+    """A minimal CO-infeasible subset of the CO-infeasible words ws.
+
+    Deletion filter by bisection: find the shortest prefix of the
+    remaining words that is infeasible together with the core found so
+    far, move its last word into the core and drop the words after it.
+    Adding columns keeps a code infeasible, so the invariant "core plus
+    remaining is infeasible" holds, and each core word w was needed:
+    the other core words lie in a set that was feasible without w.  For
+    a core of c words this takes O(c log n) recognitions.
+    """
+    def infeasible(cols):
+        return not co_order(Code(frozenset(cols), k)).feasible
+
+    core: list[BitVector] = []
+    rest = ws
+    # at most two columns are always CO-orderable
+    while len(core) < 3 or not infeasible(core):
+        ensure(rest, "recognizer contradicted itself in the core search")
+        lo, hi = 1, len(rest)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if infeasible(core + rest[:mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        core.append(rest[hi - 1])
+        rest = rest[:hi - 1]
+    return core
+
+
+def _odd_cycle(ws: list[BitVector]) -> Optional[RejectionCertificate]:
+    """An odd cycle of the incompatibility graph of ws by breadth-first
+    search, or None if the graph is bipartite."""
     adj: dict[Vertex, list[tuple[Vertex, Optional[int]]]] = {}
     for a in ws:
         for b in ws:
@@ -180,7 +249,7 @@ def rejection_certificate(words: Code):
                     queue.append(v)
                 elif color[v] == color[u]:
                     return _extract_odd_cycle(u, v, row, parent)
-    return Bipartition(dict(color))
+    return None
 
 
 def _extract_odd_cycle(u: Vertex, v: Vertex, row, parent) -> RejectionCertificate:
@@ -310,7 +379,7 @@ def reconstruct_multiset_sparse(ms: CodeMultiset, geometry: Geometry):
     cols: list[BitVector] = []
     for c in base.columns:
         cols.extend([c] * ms.entries[c])
-    m = SensorMatrix.from_columns(cols, geometry)
+    m = SensorMatrix.from_columns(cols, geometry, k=ms.k)
     verify_matrix(m, CO if geometry is Geometry.LINE else CCO, ms)
     return m
 
@@ -347,5 +416,6 @@ def reconstruct_multiset_dense_linear(ms: CodeMultiset):
         if deficit[c] > 0:
             out.extend([c] * deficit[c])
             deficit[c] = 0
-    verify_matrix(SensorMatrix.from_columns(out, Geometry.LINE), HCO, ms)
+    verify_matrix(SensorMatrix.from_columns(out, Geometry.LINE, k=ms.k),
+                  HCO, ms)
     return Multiordering(tuple(out), ms.support)

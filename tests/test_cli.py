@@ -199,6 +199,25 @@ class TestCertificate:
         assert code == EXIT_FEASIBLE
         assert out.startswith("bipartite")
 
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_words_rendered_once(self, capsys, tmp_path, monkeypatch, fmt):
+        # the bipartition has n(n-1) keys, but only structured output
+        # has it, and each word is rendered once
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        calls = []
+        original = BitVector.to_string
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(BitVector, "to_string", counted)
+        code, out, _ = run(capsys, "certificate", path, "--format", fmt)
+        assert code == EXIT_FEASIBLE
+        assert len(calls) == (6 if fmt == "structured" else 0)
+        if fmt == "structured":
+            assert len(json.loads(out)["bipartition"]) == 6 * 5
+
     def test_odd_cycle_with_witnesses(self, capsys, tmp_path):
         path = write(tmp_path, "c.txt", ODD_CYCLE)
         code, out, _ = run(capsys, "certificate", path)

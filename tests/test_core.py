@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,15 @@ class TestBitVector:
     def test_string_round_trip(self):
         for s in ("", "0", "1", "1100", "0111100"):
             assert BitVector.from_string(s).to_string() == s
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 4096])
+    def test_long_string_round_trip(self, n):
+        rng = random.Random(n)
+        for mask in (0, (1 << n) - 1, rng.getrandbits(n) if n else 0):
+            w = BitVector(n, mask)
+            s = w.to_string()
+            assert s == "".join(str(w.bit(i)) for i in range(n))
+            assert BitVector.from_string(s) == w
 
     def test_position_zero_is_first_character(self):
         w = BitVector.from_string("1100")
@@ -197,6 +208,16 @@ class TestSensorMatrix:
         assert cols == ["00", "10", "11", "11", "10", "00", "00"]
         again = SensorMatrix.from_columns(m.columns, Geometry.LINE)
         assert again.rows == m.rows
+
+    def test_from_columns_row_count(self):
+        # with no columns, only k says how many rows there are
+        m = SensorMatrix.from_columns([], Geometry.LINE, k=3)
+        assert (m.k, m.n) == (3, 0)
+        assert m.column_set() == Code(frozenset(), 3)
+        cols = [BitVector.from_string("10"), BitVector.from_string("01")]
+        assert SensorMatrix.from_columns(cols, Geometry.LINE, k=2).k == 2
+        with pytest.raises(LengthMismatch):
+            SensorMatrix.from_columns(cols, Geometry.LINE, k=3)
 
     def test_column_set_and_multiset(self):
         m = SensorMatrix.from_strings(["110", "011"], Geometry.LINE)

@@ -161,6 +161,13 @@ class TestRealizeRoundTrip:
         assert arr.intervals[0].kind is Kind.EMPTY
         assert arr.intervals[1].kind is Kind.WHOLE
 
+    def test_no_sensors_keep_the_rows(self):
+        m = SensorMatrix.from_columns([], Geometry.LINE, k=3)
+        arr, sensors = realize_matrix(m, CO)
+        code, back = extract_code_sparse(arr, sensors)
+        assert back == m and (back.k, back.n) == (3, 0)
+        assert code == m.column_set()
+
     def test_regime_violation_rejected(self):
         m = SensorMatrix.from_strings(["101"], Geometry.LINE)
         with pytest.raises(RegimeViolation):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -22,10 +23,13 @@ from convexcodes.core import (
     Code,
     CodeMultiset,
     Geometry,
+    InternalError,
     SensorMatrix,
     inharmonious,
     regime_check,
 )
+import convexcodes.reconstruct as reconstruct
+from convexcodes.ordering import INFEASIBLE_ORDERING, co_order
 from convexcodes.reconstruct import (
     Bipartition,
     Infeasible,
@@ -39,6 +43,7 @@ from convexcodes.reconstruct import (
     reconstruct_sparse,
     rejection_certificate,
 )
+from test_acceptance import _Budget
 
 ODD_CYCLE_CODE = ["1100", "1010", "0101", "1111"]
 
@@ -87,14 +92,27 @@ class TestSparse:
         assert (m.k, m.n) == (0, 2)
         assert m.column_multiset() == ms
 
+    @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_empty_code_keeps_its_rows(self, geometry, k):
+        # no columns, but k rows
+        code = Code(frozenset(), k)
+        m = reconstruct_sparse(code, geometry)
+        assert (m.k, m.n) == (k, 0)
+        assert m.column_set() == code
+        ms = CodeMultiset({}, k)
+        m = reconstruct_multiset_sparse(ms, geometry)
+        assert (m.k, m.n) == (k, 0)
+        assert m.column_multiset() == ms
+
     def test_reuses_the_ordering_matrix(self, monkeypatch):
         code = _code(["1100", "1000", "0100", "0000", "0001", "0110"])
         calls = []
         original = SensorMatrix.from_columns.__func__
 
-        def counted(cls, columns, geometry):
+        def counted(cls, columns, geometry, **kwargs):
             calls.append(geometry)
-            return original(cls, columns, geometry)
+            return original(cls, columns, geometry, **kwargs)
 
         monkeypatch.setattr(SensorMatrix, "from_columns", classmethod(counted))
         for geometry in (Geometry.LINE, Geometry.CIRCLE):
@@ -213,6 +231,18 @@ class TestDenseLinear:
                     SensorMatrix.from_columns(cols, Geometry.LINE), HCO
                 )
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_empty_code_keeps_its_rows(self, k):
+        code = Code(frozenset(), k)
+        mo = reconstruct_dense_linear(code)
+        assert mo.columns == ()
+        assert (mo.matrix().k, mo.matrix().n) == (k, 0)
+        assert mo.matrix().column_set() == code
+        ms = CodeMultiset({}, k)
+        mo = reconstruct_multiset_dense_linear(ms)
+        assert mo.columns == ()
+        assert mo.matrix().column_multiset() == ms
+
     def test_circular_dense_unsupported(self):
         result = reconstruct_dense_circular(_code(["10", "01"]))
         assert isinstance(result, Unsupported)
@@ -280,6 +310,126 @@ class TestCertificates:
         assert isinstance(cert, Bipartition)
         for u, v, _ in _incompatibility_edges(code.sorted_words()):
             assert cert.coloring[u] != cert.coloring[v]
+
+
+def _staircase_with_triangle(n):
+    # n staircase words (singletons and adjacent pairs, CO-feasible) on
+    # rows 0..r-1, plus a Tucker triangle on three new rows: each of the
+    # rows r, r+1, r+2 makes two of the three new columns adjacent
+    r = n // 2 + 1
+    k = r + 3
+    words = [1 << i for i in range(r)] + [0b11 << i for i in range(r - 1)]
+    words = words[:n] + [0b101 << r, 0b011 << r, 0b110 << r]
+    return Code.of(BitVector(k, m) for m in words)
+
+
+def _random_codes(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.choice([4, 5])
+        yield _code(rng.sample(all_words(k), rng.randint(1, 8)))
+
+
+def _bfs_coloring(ws):
+    # reference: BFS over the whole incompatibility graph, each component
+    # started at its first pair in sorted order with color 0
+    from convexcodes.reconstruct import _incompatibility_edges
+
+    adj = {(a, b): [] for a in ws for b in ws if a is not b}
+    for u, v, _ in _incompatibility_edges(ws):
+        adj[u].append(v)
+        adj[v].append(u)
+    color, components = {}, 0
+    for start in adj:
+        if start in color:
+            continue
+        components += 1
+        color[start] = 0
+        queue = [start]
+        for u in queue:
+            for v in adj[u]:
+                if v not in color:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+    return color, components
+
+
+class TestCertificateScaling:
+    def test_ordering_bipartition_is_proper(self):
+        from convexcodes.reconstruct import _incompatibility_edges
+
+        checked = connected = 0
+        for code in _random_codes(41, 2000):
+            if not co_order(code).feasible:
+                continue
+            checked += 1
+            cert = rejection_certificate(code)
+            assert isinstance(cert, Bipartition)
+            ws = code.sorted_words()
+            assert set(cert.coloring) == {
+                (a, b) for a in ws for b in ws if a is not b}
+            for u, v, _ in _incompatibility_edges(ws):
+                assert cert.coloring[u] != cert.coloring[v]
+            # a connected graph has one proper coloring with (ws[0],
+            # ws[1]) colored 0: the one a search of the whole graph finds
+            reference, components = _bfs_coloring(ws)
+            if components == 1:
+                connected += 1
+                assert cert.coloring == reference
+            if checked == 300:
+                break
+        assert checked == 300 and connected >= 100
+
+    def test_core_is_minimal_and_holds_the_certificate(self):
+        from convexcodes.reconstruct import _infeasible_core
+
+        checked = 0
+        for code in _random_codes(43, 400):
+            if co_order(code).feasible:
+                continue
+            checked += 1
+            core = _infeasible_core(code.sorted_words(), code.k)
+            assert not co_order(Code.of(core)).feasible
+            for w in core:
+                assert co_order(Code.of(set(core) - {w})).feasible
+            cert = rejection_certificate(code)
+            assert isinstance(cert, RejectionCertificate) and cert.verify()
+            assert {x for pair in cert.odd_cycle for x in pair} <= set(core)
+        assert checked >= 100
+
+    def test_recognitions_grow_like_log_n(self, monkeypatch):
+        calls = []
+
+        def counted(words):
+            calls.append(len(words))
+            return co_order(words)
+
+        monkeypatch.setattr(reconstruct, "co_order", counted)
+        n = 1000
+        cert = rejection_certificate(_staircase_with_triangle(n))
+        assert isinstance(cert, RejectionCertificate) and cert.verify()
+        assert len(cert.odd_cycle) == 3
+        assert len(calls) <= 3 * (math.ceil(math.log2(n)) + 2)
+
+    def test_large_infeasible_code_within_budget(self):
+        budget = _Budget(3)
+        cert = rejection_certificate(_staircase_with_triangle(2000))
+        assert isinstance(cert, RejectionCertificate) and cert.verify()
+        budget.check()
+
+    @pytest.mark.parametrize("lie", ["always", "on the whole code"])
+    def test_lying_recognizer_gives_no_certificate(self, monkeypatch, lie):
+        code = _code(["1100", "0110", "0011", "1000"])
+        assert co_order(code).feasible
+
+        def lying(words):
+            if lie == "always" or words == code:
+                return INFEASIBLE_ORDERING
+            return co_order(words)
+
+        monkeypatch.setattr(reconstruct, "co_order", lying)
+        with pytest.raises(InternalError):
+            rejection_certificate(code)
 
 
 class TestMultiset:
