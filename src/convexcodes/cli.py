@@ -200,6 +200,12 @@ def _reconstruct(args, ms: CodeMultiset):
     return reconstruct_dense_linear(words), regime
 
 
+def _refuse(em: _Emitter, status: str, reason: str) -> None:
+    em.set("status", status)
+    em.set("reason", reason)
+    em.text("%s: %s" % (status, reason))
+
+
 def _run_reconstruction(args, emit_feasible, emit_infeasible=None) -> int:
     """The flow of check, realize and normalize: parse and reconstruct,
     then emit an Unsupported or Infeasible refusal, extended by
@@ -218,9 +224,7 @@ def _run_reconstruction(args, emit_feasible, emit_infeasible=None) -> int:
         emit_feasible(em, m, regime)
         em.flush()
         return EXIT_FEASIBLE
-    em.set("status", status)
-    em.set("reason", result.reason)
-    em.text("%s: %s" % (status, result.reason))
+    _refuse(em, status, result.reason)
     if code == EXIT_INFEASIBLE and emit_infeasible is not None:
         emit_infeasible(em, ms, regime)
     em.flush()
@@ -269,8 +273,13 @@ def cmd_realize(args) -> int:
 
 def cmd_certificate(args) -> int:
     ms = parse_code_file(args.file.read())
-    cert = rejection_certificate(ms.support)
     em = _Emitter(args.format == "structured")
+    if args.geometry == "circle":
+        _refuse(em, "unsupported",
+                "rejection certificates are implemented on the line only")
+        em.flush()
+        return EXIT_UNSUPPORTED
+    cert = rejection_certificate(ms.support)
     if isinstance(cert, Bipartition):
         em.set("status", "feasible")
         if em.structured:

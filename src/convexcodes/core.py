@@ -130,7 +130,8 @@ class BitVector:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.mask))
+        # ints hash modulo 2**61 - 1; the bit length splits 1 << i, 1 << i + 61
+        return hash((self.n, self.mask, self.mask.bit_length()))
 
     def _check_len(self, other: "BitVector") -> None:
         if self.n != other.n:
@@ -209,16 +210,11 @@ def row_stats(row: BitVector, geometry: Geometry) -> tuple[int, int]:
         return f, g
     if row.is_ones:
         raise DegenerateRow("all-one row on the circle")
-    n, mask = row.n, row.mask
-    f = g = None
-    for i in range(n):
-        here = (mask >> i) & 1
-        nxt = (mask >> ((i + 1) % n)) & 1
-        if here and not nxt:
-            f = i + 1
-        if not here and nxt:
-            g = i + 1
-    ensure(f is not None and g is not None, "circle row without block ends")
+    mask = row.mask
+    nxt = (mask >> 1) | ((mask & 1) << (row.n - 1))  # bit i = bit i + 1, cyclically
+    # the 1 before a 0 ends the 1-block; the 0 before a 1 ends the 0-block
+    f, g = (mask & ~nxt).bit_length(), (nxt & ~mask).bit_length()
+    ensure(f > 0 and g > 0, "circle row without block ends")
     return f, g
 
 

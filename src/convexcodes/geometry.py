@@ -8,6 +8,7 @@ with fractions.Fraction; there are no tolerances anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -60,8 +61,6 @@ class Interval1D:
     def proper(cls, lo, hi, lo_closed=False, hi_closed=False) -> "Interval1D":
         lo = None if lo is None else _frac(lo)
         hi = None if hi is None else _frac(hi)
-        if lo is not None and hi is not None and lo > hi:
-            pass  # circle wraparound; validated against the arrangement
         if lo is not None and hi is not None and lo == hi:
             if not (lo_closed and hi_closed):
                 raise DegenerateInterval("coincident endpoints must be closed")
@@ -142,12 +141,15 @@ class IntervalArrangement:
 class SensorSet:
     positions: tuple[Fraction, ...]
 
+    def __post_init__(self):
+        # strictly increasing: the bisections of _row_mask rely on it
+        ps = self.positions
+        if any(a >= b for a, b in zip(ps, ps[1:])):
+            raise ValueError("sensor positions must be distinct and sorted")
+
     @classmethod
     def of(cls, positions: Iterable) -> "SensorSet":
-        ps = tuple(sorted(_frac(p) for p in positions))
-        if len(set(ps)) != len(ps):
-            raise ValueError("sensor positions must be distinct")
-        return cls(ps)
+        return cls(tuple(sorted(_frac(p) for p in positions)))
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -161,12 +163,32 @@ def evaluate_codeword(arr: IntervalArrangement, p) -> BitVector:
     )
 
 
+def _row_mask(iv: Interval1D, ps: Sequence[Fraction], geometry: Geometry) -> int:
+    """Mask of the sensors at the sorted positions ps that iv contains:
+    one index range, found by bisection, or two when an arc wraps."""
+    if iv.kind is not Kind.PROPER:
+        return (1 << len(ps)) - 1 if iv.kind is Kind.WHOLE else 0
+    i = 0 if iv.lo is None else (
+        bisect_left if iv.lo_closed else bisect_right)(ps, iv.lo)
+    j = len(ps) if iv.hi is None else (
+        bisect_right if iv.hi_closed else bisect_left)(ps, iv.hi)
+    if geometry is Geometry.CIRCLE and iv.lo > iv.hi:
+        # the arc wraps past 0: sensors from i on, and those before j
+        return ((1 << len(ps)) - (1 << i)) | ((1 << j) - 1)
+    return ((1 << (j - i)) - 1) << i if j > i else 0
+
+
 def extract_code_sparse(
     arr: IntervalArrangement, sensors: SensorSet
 ) -> tuple[Code, SensorMatrix]:
-    """The code seen by a finite sensor set, with its matrix."""
-    cols = [evaluate_codeword(arr, s) for s in sensors.positions]
-    m = SensorMatrix.from_columns(cols, arr.geometry, k=len(arr.intervals))
+    """The code seen by a finite sensor set, with its matrix.  The rows
+    cost O(k log n) bisections for k intervals and n sensors; the columns
+    are their transpose."""
+    ps = sensors.positions
+    rows = [BitVector(len(ps), _row_mask(iv, ps, arr.geometry))
+            for iv in arr.intervals]
+    m = (SensorMatrix(rows, arr.geometry) if rows else  # k = 0 keeps n columns
+         SensorMatrix.from_columns([BitVector(0)] * len(ps), arr.geometry, k=0))
     return m.column_set(), m
 
 
@@ -190,8 +212,7 @@ def _sample_points(arr: IntervalArrangement) -> list[Fraction]:
 
 def extract_code_dense(arr: IntervalArrangement) -> Code:
     """The full image of the codeword map over the ambient space."""
-    words = {evaluate_codeword(arr, p) for p in _sample_points(arr)}
-    return Code.of(words)
+    return extract_code_sparse(arr, SensorSet.of(_sample_points(arr)))[0]
 
 
 def realize_matrix(
@@ -211,43 +232,29 @@ def realize_matrix(
     if not regime_check(m, regime):
         raise RegimeViolation("matrix fails the %s signature" % regime.name)
     n = m.n
+    circle = regime.geometry is Geometry.CIRCLE
+    if circle and n == 0:
+        raise RegimeViolation("cannot realize a zero-column circular matrix")
+    sensors = SensorSet(tuple(Fraction(t, n) if circle else Fraction(t + 1)
+                              for t in range(n)))
+    ps = sensors.positions
+    eps = Fraction(1, 4 * n) if circle else Fraction(1, 4)
     ivs: list[Interval1D] = []
-    if regime.geometry is Geometry.LINE:
-        sensors = SensorSet.of(Fraction(t) for t in range(1, n + 1))
-        eps = Fraction(1, 4)
-        for r in m.rows:
-            if r.is_zero:
-                ivs.append(Interval1D.empty())
-            elif r.is_ones:
-                ivs.append(Interval1D.whole())
-            else:
-                f, g = row_stats(r, Geometry.LINE)
-                ivs.append(Interval1D.open(Fraction(g + 1) - eps, Fraction(f) + eps))
-    else:
-        if n == 0:
-            raise RegimeViolation("cannot realize a zero-column circular matrix")
-        sensors = SensorSet.of(Fraction(t - 1, n) for t in range(1, n + 1))
-        eps = Fraction(1, 4 * n)
-        for r in m.rows:
-            if r.is_zero:
-                ivs.append(Interval1D.empty())
-            elif r.is_ones:
-                ivs.append(Interval1D.whole())
-            else:
-                f, g = row_stats(r, Geometry.CIRCLE)
-                lo = (Fraction(g + 1 - 1, n) - eps) % 1
-                hi = (Fraction(f - 1, n) + eps) % 1
-                ivs.append(Interval1D.open(lo, hi))
+    for r in m.rows:
+        if r.is_zero:
+            ivs.append(Interval1D.empty())
+        elif r.is_ones:
+            ivs.append(Interval1D.whole())
+        else:
+            f, g = row_stats(r, regime.geometry)
+            lo, hi = ps[g % n] - eps, ps[f - 1] + eps
+            if circle:
+                lo, hi = lo % 1, hi % 1
+            ivs.append(Interval1D.open(lo, hi))
     arr = IntervalArrangement(tuple(ivs), regime.geometry)
     _, back = extract_code_sparse(arr, sensors)
     ensure(back.rows == m.rows, "sparse round trip failed")
     return arr, sensors
-
-
-def _detected(iv: Interval1D, sensors: SensorSet, geometry: Geometry) -> list[int]:
-    return [
-        j for j, s in enumerate(sensors.positions) if iv.contains(s, geometry)
-    ]
 
 
 def normalize_arbitrary(
@@ -267,29 +274,24 @@ def normalize_arbitrary(
         raise ValueError("sensor set must be nonempty")
     ps = sensors.positions
     n = len(ps)
+    _, before = extract_code_sparse(arr, sensors)
     out: list[Interval1D] = []
-    for iv in arr.intervals:
-        hit = _detected(iv, sensors, arr.geometry)
-        if not hit:
+    for row in before.rows:
+        if row.is_zero:
             out.append(Interval1D.empty())
-            continue
-        if len(hit) == n:
+        elif row.is_ones:
             out.append(Interval1D.whole())
-            continue
-        if arr.geometry is Geometry.LINE:
-            first, last = hit[0], hit[-1]
-            lo = None if first == 0 else ps[first]
-            hi = None if last == n - 1 else ps[last + 1]
-            out.append(Interval1D.proper(lo, hi, lo is not None, False))
         else:
-            hitset = set(hit)
-            start = next(j for j in hit if (j - 1) % n not in hitset)
-            end = next(j for j in hit if (j + 1) % n not in hitset)
-            out.append(Interval1D.proper(ps[start], ps[(end + 1) % n], True, False))
+            f, g = row_stats(row, arr.geometry)
+            if arr.geometry is Geometry.LINE:
+                lo = None if g == 0 else ps[g]
+                hi = None if f == n else ps[f]
+            else:
+                lo, hi = ps[g % n], ps[f % n]
+            out.append(Interval1D.proper(lo, hi, lo is not None, False))
     result = IntervalArrangement(tuple(out), arr.geometry)
-    before = [evaluate_codeword(arr, s) for s in ps]
-    after = [evaluate_codeword(result, s) for s in ps]
-    ensure(before == after, "normalization changed the sparse code")
+    _, after = extract_code_sparse(result, sensors)
+    ensure(after.rows == before.rows, "normalization changed the sparse code")
     return result
 
 

@@ -309,24 +309,26 @@ def reconstruct_sparse(words: Code, geometry: Geometry):
 
 def _prune_surplus(cols: list[BitVector], target: Mapping[BitVector, int]) -> None:
     """Remove copies above target whenever removal keeps every adjacent
-    pair harmonious, until no such copy remains."""
+    pair harmonious, until no such copy remains: always the leftmost
+    removable copy first, in one pass."""
     counts: dict[BitVector, int] = {}
     for c in cols:
         counts[c] = counts.get(c, 0) + 1
-    changed = True
-    while changed:
-        changed = False
-        for i, c in enumerate(cols):
-            if counts[c] <= target.get(c, 1):
-                continue
-            left = cols[i - 1] if i > 0 else None
-            right = cols[i + 1] if i + 1 < len(cols) else None
-            if left is not None and right is not None and inharmonious(left, right):
-                continue
+    i = 0
+    while i < len(cols):
+        c = cols[i]
+        left = cols[i - 1] if i > 0 else None
+        right = cols[i + 1] if i + 1 < len(cols) else None
+        if counts[c] <= target.get(c, 1) or (
+                left is not None and right is not None
+                and inharmonious(left, right)):
+            i += 1
+        else:
+            # positions before i - 1 keep their neighbours, and counts only
+            # fall, so none of them became removable
             del cols[i]
             counts[c] -= 1
-            changed = True
-            break
+            i = max(i - 1, 0)
 
 
 def reconstruct_dense_linear(words: Code):

@@ -193,6 +193,20 @@ class TestRefusal:
 
 
 class TestCertificate:
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_circle_unsupported(self, capsys, tmp_path, fmt):
+        reason = "rejection certificates are implemented on the line only"
+        expected = {
+            "text": "unsupported: %s\n" % reason,
+            "structured": '{\n  "reason": "%s",\n  "status": "unsupported"\n}\n'
+            % reason,
+        }
+        path = write(tmp_path, "c.txt", ODD_CYCLE)
+        code, out, _ = run(capsys, "certificate", path, "--geometry", "circle",
+                           "--format", fmt)
+        assert code == EXIT_UNSUPPORTED
+        assert out == expected[fmt]
+
     def test_bipartite(self, capsys, tmp_path):
         path = write(tmp_path, "c.txt", WALKTHROUGH)
         code, out, _ = run(capsys, "certificate", path)

@@ -53,6 +53,15 @@ class TestBitVector:
         assert hash(w) == hash(BitVector(3, 0b101))
         assert w != BitVector(4, 0b101)
 
+    def test_staircase_hashes_spread(self):
+        # 1000 singletons and adjacent pairs over k = 501 rows; masks
+        # 61 bits apart are equal modulo 2**61 - 1, the int hash modulus
+        k = 501
+        words = ([BitVector(k, 1 << i) for i in range(k)]
+                 + [BitVector(k, 0b11 << i) for i in range(k - 1)])[:1000]
+        assert len({hash(w) for w in words}) >= 990
+        assert all(hash(w) == hash(BitVector(w.n, w.mask)) for w in words)
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             BitVector.from_string("10") & BitVector.from_string("100")
@@ -163,6 +172,30 @@ class TestRowStats:
             i = (i + 1) % n
         rebuilt = BitVector.from_bits(1 if i in covered else 0 for i in range(n))
         assert rebuilt == w
+
+
+    def test_circle_matches_the_scan(self):
+        def scan(row):
+            # the former loop: the 1 followed by a 0 ends the 1-block (f),
+            # the 0 followed by a 1 ends the 0-block (g), 1-based
+            n, mask = row.n, row.mask
+            for i in range(n):
+                here = (mask >> i) & 1
+                nxt = (mask >> ((i + 1) % n)) & 1
+                if here and not nxt:
+                    f = i + 1
+                if not here and nxt:
+                    g = i + 1
+            return f, g
+
+        rows = 0
+        for n in range(1, 11):
+            for mask in range(1, (1 << n) - 1):
+                w = BitVector(n, mask)
+                if is_discrete_interval(w, Geometry.CIRCLE):
+                    assert row_stats(w, Geometry.CIRCLE) == scan(w)
+                    rows += 1
+        assert rows == sum(n * (n - 1) for n in range(1, 11))
 
 
 class TestInharmonious:

@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convexcodes.core import (
     CCO,
@@ -9,6 +14,7 @@ from convexcodes.core import (
     HCCO,
     HCO,
     BitVector,
+    Code,
     Density,
     Geometry,
     Regime,
@@ -23,6 +29,8 @@ from convexcodes.geometry import (
     IntervalArrangement,
     Kind,
     SensorSet,
+    _row_mask,
+    _sample_points,
     closed_to_open,
     evaluate_codeword,
     extract_code_dense,
@@ -90,6 +98,89 @@ def rand_open_arrangement(rng, geometry, k_max=10, k_min=0):
     return IntervalArrangement(tuple(ivs), geometry)
 
 
+# Points on a grid of eighths in [0, 1), so sensors often sit on endpoints.
+_points = st.integers(0, 7).map(lambda i: F(i, 8))
+
+
+@st.composite
+def _intervals(draw, geometry):
+    roll = draw(st.integers(0, 9))
+    if roll == 0:
+        return Interval1D.empty()
+    if roll == 1:
+        return Interval1D.whole()
+    lo, hi = draw(_points), draw(_points)
+    lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
+    if lo == hi:  # a point, or a point arc
+        return Interval1D.closed(lo, hi)
+    if geometry is Geometry.LINE:
+        lo, hi = min(lo, hi), max(lo, hi)
+        if roll == 2:
+            lo, lo_closed = None, False
+        elif roll == 3:
+            hi, hi_closed = None, False
+    return Interval1D.proper(lo, hi, lo_closed, hi_closed)
+
+
+@st.composite
+def _arrangements(draw):
+    geometry = draw(st.sampled_from([Geometry.LINE, Geometry.CIRCLE]))
+    ivs = draw(st.lists(_intervals(geometry), max_size=6))
+    sensors = SensorSet.of(draw(st.sets(_points, max_size=8)))
+    return IntervalArrangement(tuple(ivs), geometry), sensors
+
+
+class TestRowMask:
+    @settings(max_examples=300, deadline=None)
+    @given(_arrangements())
+    def test_equals_per_point_contains(self, case):
+        arr, sensors = case
+        ps = sensors.positions
+        for iv in arr.intervals:
+            want = sum(1 << j for j, p in enumerate(ps)
+                       if iv.contains(p, arr.geometry))
+            assert _row_mask(iv, ps, arr.geometry) == want
+        _, m = extract_code_sparse(arr, sensors)
+        assert (m.k, m.n) == (arr.k, len(ps))
+        assert list(m.columns) == [evaluate_codeword(arr, p) for p in ps]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_arrangements())
+    def test_dense_extraction_is_every_sample_point(self, case):
+        arr, _ = case
+        words = {evaluate_codeword(arr, p) for p in _sample_points(arr)}
+        assert extract_code_dense(arr) == Code.of(words)
+
+    def test_named_cases(self):
+        line, circle = Geometry.LINE, Geometry.CIRCLE
+        ps = (F(0), F(1, 4), F(1, 2), F(3, 4))
+        cases = [
+            (Interval1D.open(F(1, 4), F(3, 4)), line, 0b0100),
+            (Interval1D.closed(F(1, 4), F(3, 4)), line, 0b1110),
+            (Interval1D.proper(F(1, 4), F(3, 4), True, False), line, 0b0110),
+            (Interval1D.proper(F(1, 4), F(3, 4), False, True), line, 0b1100),
+            (Interval1D.proper(None, F(1, 4), False, True), line, 0b0011),
+            (Interval1D.proper(F(1, 2), None, False, False), line, 0b1000),
+            (Interval1D.closed(F(1, 2), F(1, 2)), line, 0b0100),
+            (Interval1D.open(F(1, 8), F(1, 5)), line, 0),
+            (Interval1D.empty(), line, 0),
+            (Interval1D.whole(), circle, 0b1111),
+            (Interval1D.open(F(3, 4), F(1, 4)), circle, 0b0001),
+            (Interval1D.closed(F(3, 4), F(1, 4)), circle, 0b1011),
+            (Interval1D.proper(F(1, 2), 0, True, False), circle, 0b1100),
+            (Interval1D.closed(F(1, 4), F(1, 4)), circle, 0b0010),
+        ]
+        for iv, geometry, mask in cases:
+            assert _row_mask(iv, ps, geometry) == mask, iv
+            assert _row_mask(iv, (), geometry) == 0
+
+    def test_no_intervals_keep_the_columns(self):
+        arr = IntervalArrangement((), Geometry.CIRCLE)
+        code, m = extract_code_sparse(arr, SensorSet.of([0, F(1, 2)]))
+        assert (m.k, m.n) == (0, 2)
+        assert code == Code.of([BitVector(0)])
+
+
 class TestInterval:
     def test_contains_line(self):
         iv = Interval1D.proper(1, 3, True, False)
@@ -133,6 +224,12 @@ class TestInterval:
         with pytest.raises(ValueError):
             SensorSet.of([1, 1])
         assert SensorSet.of([3, 1, 2]).positions == (F(1), F(2), F(3))
+
+    def test_sensor_set_strictly_increasing(self):
+        for positions in ((F(2), F(1)), (F(1), F(1)), (F(0), F(2), F(1))):
+            with pytest.raises(ValueError):
+                SensorSet(positions)
+        assert SensorSet(()).positions == ()
 
 
 class TestEvaluate:
@@ -298,6 +395,54 @@ class TestOpenClosedSwap:
             open_to_closed(arr)
         with pytest.raises(DegenerateInterval):
             closed_to_open(arr)
+
+
+def test_self_checks_survive_optimize_flag():
+    # python -O strips assert statements; the round-trip checks of
+    # realize_matrix, normalize_arbitrary and the open/closed swaps must
+    # still raise when their construction goes wrong
+    script = textwrap.dedent("""
+        import sys
+        from fractions import Fraction as F
+        import convexcodes.geometry as g
+        from convexcodes.core import CO, Geometry, InternalError, SensorMatrix
+
+        if not sys.flags.optimize:
+            sys.exit("not running under -O")
+
+        def raises(call, *args):
+            try:
+                call(*args)
+            except InternalError:
+                return True
+            return False
+
+        m = SensorMatrix.from_strings(["0110"], Geometry.LINE)
+        arr, sensors = g.realize_matrix(m, CO)
+        row_stats = g.row_stats
+        # one sensor too far left: g - 1 in place of g
+        g.row_stats = lambda row, geo: (row_stats(row, geo)[0],
+                                        row_stats(row, geo)[1] - 1)
+        failed = [not raises(g.realize_matrix, m, CO),
+                  not raises(g.normalize_arbitrary, arr, sensors)]
+        g.row_stats = row_stats
+        two = g.IntervalArrangement(
+            (g.Interval1D.open(0, 1), g.Interval1D.open(2, 3)), Geometry.LINE)
+        closed = g.open_to_closed(two)
+        # margins that grow the intervals into each other
+        g._line_gap_epsilon = lambda arr, lengths: F(-1)
+        failed.append(not raises(g.open_to_closed, two))
+        g._line_gap_epsilon = lambda arr, lengths: F(1)
+        failed.append(not raises(g.closed_to_open, closed))
+        sys.exit("unchecked: %r" % failed if any(failed) else 0)
+    """)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDenseSizeBound:

@@ -476,6 +476,50 @@ class TestMultiset:
         assert regime_check(m, HCO)
         assert m.column_multiset().entries == dict(ms.entries)
 
+    def test_prune_matches_the_restart_loop(self):
+        def restart_loop(cols, target):
+            # the former _prune_surplus: restart from 0 after each deletion
+            counts = Counter(cols)
+            changed = True
+            while changed:
+                changed = False
+                for i, c in enumerate(cols):
+                    if counts[c] <= target.get(c, 1):
+                        continue
+                    left = cols[i - 1] if i > 0 else None
+                    right = cols[i + 1] if i + 1 < len(cols) else None
+                    if (left is not None and right is not None
+                            and inharmonious(left, right)):
+                        continue
+                    del cols[i]
+                    counts[c] -= 1
+                    changed = True
+                    break
+
+        rng = random.Random(31)
+        compared = 0
+        while compared < 500:
+            k = rng.choice([3, 4, 5])
+            support = rng.sample(all_words(k), rng.randint(1, 7))
+            mo = reconstruct_dense_linear(_code(support))
+            if not isinstance(mo, Multiordering):
+                continue
+            # padded with extra copies, so that some are surplus; the
+            # dense order, a shuffle of it and a list of random 3-bit
+            # words, where a deletion more often unblocks its left
+            # neighbour
+            cols = []
+            for c in mo.columns:
+                cols.extend([c] * rng.randint(1, 3))
+            noise = [_bv(w) for w in rng.choices(all_words(3), k=12)]
+            for order in (cols, rng.sample(cols, len(cols)), noise):
+                target = {c: rng.randint(1, 3) for c in set(order)}
+                want, got = list(order), list(order)
+                restart_loop(want, target)
+                reconstruct._prune_surplus(got, target)
+                assert got == want
+            compared += 1
+
     def test_dense_oracle_small(self):
         rng = random.Random(29)
         universe = all_words(3)
