@@ -104,7 +104,7 @@ def parse_code_file(text: str) -> CodeMultiset:
         else:
             raise ParseError("line %d: expected 'codeword' or 'count codeword'"
                              % lineno)
-        if not word or any(ch not in "01" for ch in word):
+        if not word or word.strip("01"):
             raise ParseError("line %d: codeword must be a 0/1 string" % lineno)
         if length is None:
             length = len(word)

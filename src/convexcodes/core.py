@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping
+from operator import xor
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class Geometry(Enum):
@@ -90,18 +91,20 @@ class BitVector:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVector":
-        mask = 0
-        n = 0
+        digits = []
         for b in bits:
             if b not in (0, 1):
                 raise ValueError("bits must be 0 or 1")
-            mask |= b << n
-            n += 1
-        return cls(n, mask)
+            digits.append("01"[b])
+        return cls.from_string("".join(digits))
 
     @classmethod
     def from_string(cls, s: str) -> "BitVector":
-        return cls.from_bits(int(ch) for ch in s)
+        # checked first: int() also takes "_", signs and whitespace
+        if s.strip("01"):
+            raise ValueError("bits must be 0 or 1")
+        # position 0 first, so the binary form read backwards
+        return cls(len(s), int(s[::-1], 2) if s else 0)
 
     @classmethod
     def zeros(cls, n: int) -> "BitVector":
@@ -285,16 +288,31 @@ class CodeMultiset:
         return sum(self.entries.values())
 
 
-def _transpose(vectors: tuple, length: int) -> tuple[BitVector, ...]:
-    # walks set bits only, so sparse matrices are cheap
-    masks = [0] * length
-    for j, v in enumerate(vectors):
-        m = v.mask
+def _set_positions(masks: Iterable[int], length: int) -> list[list[int]]:
+    """For each bit position below length, the ascending indices of the
+    masks that hold it: a transpose in one Python step per set bit."""
+    out: list[list[int]] = [[] for _ in range(length)]
+    for j, m in enumerate(masks):
         while m:
-            i = (m & -m).bit_length() - 1
-            masks[i] |= 1 << j
-            m &= m - 1
-    return tuple(BitVector(len(vectors), mask) for mask in masks)
+            low = m & -m
+            out[low.bit_length() - 1].append(j)
+            m ^= low
+    return out
+
+
+def _row_runs(columns: Sequence[BitVector], k: int) -> list[list[int]]:
+    """For each of the k rows of the matrix with these columns, the
+    bounds b0 < b1 < ... of its runs of ones, [b0, b1), [b2, b3), ...
+
+    The set bits of column j XOR column j - 1 are the rows that switch
+    there, so the cost is one step per run end, not per one: at most two
+    per row of an ordered CO matrix, however long its runs."""
+    masks = [c.mask for c in columns]
+    runs = _set_positions(map(xor, masks, [0] + masks), k)
+    for bounds in runs:
+        if len(bounds) % 2:  # the last run reaches the last column
+            bounds.append(len(masks))
+    return runs
 
 
 class SensorMatrix:
@@ -307,7 +325,19 @@ class SensorMatrix:
         rows = tuple(rows)
         if len({r.n for r in rows}) > 1:
             raise LengthMismatch("rows have differing lengths")
-        self._init(rows, _transpose(rows, rows[0].n if rows else 0), geometry)
+        n = rows[0].n if rows else 0
+        # row i switches at column j where bit j differs from bit j - 1;
+        # each column is the previous one with those rows toggled
+        full = (1 << n) - 1
+        switches = _set_positions(
+            ((r.mask ^ r.mask << 1) & full for r in rows), n)
+        columns = []
+        col = 0
+        for toggled in switches:
+            for i in toggled:
+                col ^= 1 << i
+            columns.append(BitVector(len(rows), col))
+        self._init(rows, tuple(columns), geometry)
 
     def _init(self, rows, columns, geometry) -> None:
         object.__setattr__(self, "rows", rows)
@@ -345,8 +375,14 @@ class SensorMatrix:
         elif lens and lens != {k}:
             raise LengthMismatch("columns have length %d, not k = %d"
                                  % (lens.pop(), k))
+        rows = []
+        for bounds in _row_runs(cols, k):
+            mask = 0
+            for lo, hi in zip(bounds[::2], bounds[1::2]):
+                mask |= (1 << hi) - (1 << lo)
+            rows.append(BitVector(len(cols), mask))
         m = cls.__new__(cls)
-        m._init(_transpose(cols, k), cols, geometry)
+        m._init(tuple(rows), cols, geometry)
         return m
 
     def column(self, j: int) -> BitVector:

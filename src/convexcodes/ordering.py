@@ -23,6 +23,7 @@ from .core import (
     BitVector,
     Code,
     SensorMatrix,
+    _row_runs,
     ensure,
     regime_check,
 )
@@ -68,19 +69,16 @@ INFEASIBLE_ORDERING = OrderingResult(False)
 def _pq_solve(words: list[BitVector],
               names: list[BitVector]) -> Optional[tuple[list[int], PQTree]]:
     """Canonical consecutive-ones order of word indices and its tree, or None."""
-    n = len(words)
     k = words[0].n if words else 0
-    constraints: dict[int, list[int]] = {}
-    for j, w in enumerate(words):
-        m = w.mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            constraints.setdefault(i, []).append(j)
-            m &= m - 1
+    # row i constrains the words holding bit i: its runs, cut from one
+    # shared index list at C speed
+    index = list(range(len(words)))
     tree = _WordTree(names)
     try:
-        for i in range(k):
-            labels = constraints.get(i, ())
+        for bounds in _row_runs(words, k):
+            labels = []
+            for lo, hi in zip(bounds[::2], bounds[1::2]):
+                labels += index[lo:hi]
             if len(labels) > 1:
                 tree.reduce(labels)
     except ReductionFailed:

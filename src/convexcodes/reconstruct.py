@@ -79,6 +79,35 @@ class Bipartition:
     coloring: Mapping[Vertex, int]
 
 
+class _OrderColoring(Mapping):
+    """Read-only map (a, b) -> 1 if a comes after b in ordering, else 0,
+    over the pairs of distinct words: O(n) to build, O(1) per lookup,
+    iterated in the order of the ordering."""
+
+    def __init__(self, ordering: tuple[BitVector, ...]):
+        self._ordering = ordering
+        self._position = {w: i for i, w in enumerate(ordering)}
+
+    def __getitem__(self, pair) -> int:
+        if isinstance(pair, tuple) and len(pair) == 2:
+            i = self._position.get(pair[0])
+            j = self._position.get(pair[1])
+            if i is not None and j is not None and i != j:
+                return int(i > j)
+        raise KeyError(pair)
+
+    def __iter__(self):
+        return ((a, b) for a in self._ordering for b in self._ordering
+                if a is not b)
+
+    def __len__(self) -> int:
+        n = len(self._ordering)
+        return n * (n - 1)
+
+    def __repr__(self) -> str:
+        return "_OrderColoring(%r)" % (self._ordering,)
+
+
 @dataclass(frozen=True)
 class RejectionCertificate:
     """An odd closed walk in the incompatibility graph.
@@ -181,12 +210,7 @@ def _ordering_bipartition(ws: list[BitVector],
     # coloring as the search, which is unique up to swapping.
     if len(ws) > 1 and ordering.index(ws[0]) > ordering.index(ws[1]):
         ordering = ordering[::-1]
-    coloring: dict[Vertex, int] = {}
-    for i, a in enumerate(ordering):
-        for j, b in enumerate(ordering):
-            if i != j:
-                coloring[(a, b)] = int(i > j)
-    return Bipartition(coloring)
+    return Bipartition(_OrderColoring(ordering))
 
 
 def _infeasible_core(ws: list[BitVector], k: int) -> list[BitVector]:

@@ -47,6 +47,14 @@ class TestParseCodeFile:
         with pytest.raises(ParseError, match="no codewords"):
             parse_code_file("# nothing\n")
 
+    @pytest.mark.parametrize("word", ["1_0", "+10", "-10", "0b1",
+                                      "\u0661\u0660"])
+    def test_words_int_would_take_are_rejected(self, word):
+        for text in ("10\n%s\n" % word, "10\n2 %s\n" % word):
+            with pytest.raises(ParseError) as err:
+                parse_code_file(text)
+            assert str(err.value) == "line 2: codeword must be a 0/1 string"
+
 
 class TestCheck:
     def test_feasible_line(self, capsys, tmp_path):

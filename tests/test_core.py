@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from convexcodes.core import (
     CCO,
@@ -39,6 +39,20 @@ class TestBitVector:
             s = w.to_string()
             assert s == "".join(str(w.bit(i)) for i in range(n))
             assert BitVector.from_string(s) == w
+            assert BitVector.from_bits(list(w)) == w
+
+    def test_only_zeros_and_ones_parse(self):
+        # int(s, 2) alone would take the underscore, signs, whitespace
+        # and the 0b prefix; non-ASCII digits once parsed through int()
+        for s in ("1_0", "+1", "-1", " 1", "1 ", "1\n", "0b1", "2", "x",
+                  "\u0661"):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                BitVector.from_string(s)
+        for bits in ([0, 2], [1, -1], [1, "1"]):
+            with pytest.raises(ValueError, match="bits must be 0 or 1"):
+                BitVector.from_bits(bits)
+        assert BitVector.from_bits([True, False]) == BitVector.from_string("10")
+        assert BitVector.from_bits(iter([])) == BitVector(0)
 
     def test_position_zero_is_first_character(self):
         w = BitVector.from_string("1100")
@@ -271,6 +285,110 @@ class TestSensorMatrix:
         )
         back = SensorMatrix.from_columns(m.columns, Geometry.LINE)
         assert back.rows == m.rows
+
+
+def _per_bit_transpose(vectors, length):
+    # reference: one step per bit, set or not
+    masks = [0] * length
+    for j, v in enumerate(vectors):
+        for i in range(v.n):
+            if v.bit(i):
+                masks[i] |= 1 << j
+    return tuple(BitVector(len(vectors), m) for m in masks)
+
+
+def _span(n):
+    # the bits [a, b) of an n-bit word, a <= b
+    return st.tuples(st.integers(0, n), st.integers(0, n)).map(
+        lambda ab: (1 << max(ab)) - (1 << min(ab)))
+
+
+@st.composite
+def _row_masks(draw, max_n=12):
+    """(n, row masks): dense, sparse, interval, wrapping-arc, suffix (the
+    last run ends at column n), all-ones, all-zero and random rows,
+    with k = 0 and n = 0 among the shapes."""
+    n = draw(st.integers(0, max_n))
+    full = (1 << n) - 1
+    word = st.integers(0, full)
+    row = st.one_of(
+        word,
+        st.tuples(word, word).map(lambda ab: ab[0] | ab[1]),
+        st.tuples(word, word, word).map(lambda abc: abc[0] & abc[1] & abc[2]),
+        _span(n),
+        _span(n).map(lambda m: full ^ m),
+        st.integers(0, n).map(lambda a: full ^ ((1 << a) - 1)),
+        st.just(full),
+        st.just(0),
+    )
+    return n, draw(st.lists(row, max_size=10))
+
+
+class TestRunTranspose:
+    """Both directions of the run-boundary transpose against the per-bit
+    reference."""
+
+    @given(_row_masks())
+    @settings(max_examples=400)
+    def test_columns_from_rows(self, shape):
+        n, masks = shape
+        rows = [BitVector(n, m) for m in masks]
+        m = SensorMatrix(rows, Geometry.LINE)
+        # a matrix given no rows has no columns either
+        assert m.columns == (_per_bit_transpose(rows, n) if rows else ())
+
+    @given(_row_masks())
+    @settings(max_examples=400)
+    def test_rows_from_columns(self, shape):
+        n, masks = shape
+        rows = tuple(BitVector(n, m) for m in masks)
+        cols = _per_bit_transpose(rows, n)
+        m = SensorMatrix.from_columns(cols, Geometry.CIRCLE, k=len(rows))
+        assert m.rows == rows
+        assert m.columns == cols
+        assert (m.k, m.n) == (len(rows), n)
+
+    @pytest.mark.parametrize("rows", [
+        ["1111"], ["0001", "0011", "1001"], ["1010101"], [""], ["", ""],
+    ])
+    def test_named_cases(self, rows):
+        m = SensorMatrix.from_strings(rows, Geometry.LINE)
+        vectors = [BitVector.from_string(r) for r in rows]
+        assert m.columns == _per_bit_transpose(vectors, len(rows[0]))
+        assert SensorMatrix.from_columns(m.columns, Geometry.LINE,
+                                         k=len(rows)).rows == m.rows
+
+    def test_constraints_are_the_per_bit_lists(self, monkeypatch):
+        # _pq_solve reduces, row by row, the indices of the words holding
+        # that row, stopping at the first failure
+        from convexcodes import ordering
+
+        calls = []
+        reduce = ordering.PQTree.reduce
+
+        def recorded(tree, labels):
+            calls.append(list(labels))
+            return reduce(tree, labels)
+
+        monkeypatch.setattr(ordering.PQTree, "reduce", recorded)
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(600):
+            k = rng.randint(0, 9)
+            ws = sorted({BitVector(k, rng.getrandbits(k) if k else 0)
+                         for _ in range(rng.randint(0, 14))},
+                        key=lambda w: w.mask)
+            expected = [[j for j, w in enumerate(ws) if w.bit(i)]
+                        for i in range(k)]
+            expected = [labels for labels in expected if len(labels) > 1]
+            calls.clear()
+            solved = ordering._pq_solve(ws, ws)
+            outcomes.add(solved is None)
+            if solved is None:
+                assert calls and calls == expected[:len(calls)]
+            else:
+                assert calls == expected
+        assert outcomes == {True, False}
 
 
 class TestRegimeCheck:

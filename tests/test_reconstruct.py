@@ -411,6 +411,27 @@ class TestCertificateScaling:
         assert len(cert.odd_cycle) == 3
         assert len(calls) <= 3 * (math.ceil(math.log2(n)) + 2)
 
+    def test_coloring_is_the_eager_map(self):
+        # the map the ordering stands for, built eagerly as it once was
+        for code in itertools.islice(
+                (c for c in _random_codes(47, 400) if co_order(c).feasible),
+                100):
+            cert = rejection_certificate(code)
+            order = co_order(code).ordering
+            ws = code.sorted_words()
+            if len(ws) > 1 and order.index(ws[0]) > order.index(ws[1]):
+                order = order[::-1]
+            eager = {(a, b): int(i > j)
+                     for i, a in enumerate(order)
+                     for j, b in enumerate(order) if i != j}
+            assert list(cert.coloring.items()) == list(eager.items())
+            assert cert.coloring == eager and len(cert.coloring) == len(eager)
+            a, other = ws[0], BitVector(code.k + 1, 0)
+            for key in ((a, a), (a, other), (other, a), (a,), a, "ab", None):
+                assert key not in cert.coloring
+                with pytest.raises(KeyError):
+                    cert.coloring[key]
+
     def test_large_infeasible_code_within_budget(self):
         budget = _Budget(3)
         cert = rejection_certificate(_staircase_with_triangle(2000))

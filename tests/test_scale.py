@@ -1,0 +1,114 @@
+"""Scale suite: public entry points on inputs of thousands of words or
+sensors, each within a runtime budget set at about three times the time
+it took when the budget was set (Python 3.11, one core).  A missed
+budget is a defect to report, not a bound to loosen."""
+
+import random
+
+import pytest
+
+from convexcodes.cli import parse_code_file
+from convexcodes.core import CO, BitVector, Code, CodeMultiset, Geometry, SensorMatrix
+from convexcodes.geometry import realize_matrix
+from convexcodes.reconstruct import (
+    Bipartition,
+    Multiordering,
+    reconstruct_dense_linear,
+    reconstruct_multiset_dense_linear,
+    reconstruct_sparse,
+    rejection_certificate,
+)
+from test_acceptance import _Budget
+
+
+def _staircase(n):
+    # n words: the k = n/2 + 1 singletons, then adjacent pairs
+    k = n // 2 + 1
+    masks = [1 << i for i in range(k)] + [0b11 << i for i in range(k - 1)]
+    return Code.of(BitVector(k, m) for m in masks[:n])
+
+
+def _dense_complete(k, rng):
+    # the regions between the 2k distinct endpoints of k intervals, each
+    # word with a surplus of 0-2 copies the dense reconstruction prunes
+    slots = list(range(2 * k))
+    rng.shuffle(slots)
+    regions = [0] * (2 * k + 1)
+    for i in range(k):
+        lo, hi = sorted(slots[2 * i: 2 * i + 2])
+        for r in range(lo + 1, hi + 1):
+            regions[r] |= 1 << i
+    entries = {}
+    for m in regions:
+        w = BitVector(k, m)
+        entries[w] = entries.get(w, 0) + 1
+    return CodeMultiset.of({w: c + rng.randrange(3) for w, c in entries.items()})
+
+
+def test_realize_random_intervals():
+    # an interval matrix holds about k*n/3 ones: ~1.7e7 here
+    rng = random.Random(5000)
+    k, n = 5000, 10**4
+    rows = []
+    for _ in range(k):
+        a, b = sorted((rng.randrange(n), rng.randrange(n)))
+        rows.append(BitVector(n, ((1 << (b - a + 1)) - 1) << a))
+    budget = _Budget(1.3)
+    arr, sensors = realize_matrix(SensorMatrix(rows, Geometry.LINE), CO)
+    budget.check()
+    assert len(arr.intervals) == k and len(sensors) == n
+
+
+@pytest.mark.parametrize("multiset", [False, True])
+def test_dense_linear_reconstruction(multiset):
+    ms = _dense_complete(1024, random.Random(1024))
+    budget = _Budget(4)
+    if multiset:
+        result = reconstruct_multiset_dense_linear(ms)
+    else:
+        result = reconstruct_dense_linear(ms.support)
+    budget.check()
+    assert isinstance(result, Multiordering)
+    if multiset:
+        assert len(result.columns) == ms.total()
+
+
+def test_sparse_nested():
+    n = 800
+    code = Code.of(BitVector(n, (1 << (i + 1)) - 1) for i in range(n))
+    budget = _Budget(1.2)
+    m = reconstruct_sparse(code, Geometry.LINE)
+    budget.check()
+    assert isinstance(m, SensorMatrix) and m.n == n
+
+
+@pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
+def test_sparse_staircase(geometry):
+    code = _staircase(10**4)
+    budget = _Budget(1)
+    m = reconstruct_sparse(code, geometry)
+    budget.check()
+    assert isinstance(m, SensorMatrix) and m.n == len(code)
+
+
+def test_feasible_certificate():
+    # n(n-1) ~ 10^8 colored pairs are answered on lookup, not stored
+    code = _staircase(10**4)
+    budget = _Budget(0.75)
+    cert = rejection_certificate(code)
+    budget.check()
+    assert isinstance(cert, Bipartition)
+    assert len(cert.coloring) == len(code) * (len(code) - 1)
+    first, second = code.sorted_words()[:2]
+    assert (cert.coloring[(first, second)],
+            cert.coloring[(second, first)]) == (0, 1)
+
+
+def test_parse_staircase_file():
+    # 2000 words of 1001 bits
+    words = _staircase(2000).sorted_words()
+    text = "".join(w.to_string() + "\n" for w in words)
+    budget = _Budget(0.25)
+    ms = parse_code_file(text)
+    budget.check()
+    assert ms.support == Code.of(words)
