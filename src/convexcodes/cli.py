@@ -70,6 +70,14 @@ EXIT_UNSUPPORTED = 2
 EXIT_SIZE_LIMIT = 3
 EXIT_PARSE = 64
 
+_EXIT_CODES = {"feasible": EXIT_FEASIBLE, "infeasible": EXIT_INFEASIBLE,
+               "unsupported": EXIT_UNSUPPORTED, "size-limit": EXIT_SIZE_LIMIT}
+
+# reconstruct_multiset_* lay out one column per counted word
+MAX_MULTISET_COLUMNS = 1 << 20
+# bytes of a structured certificate's bipartition map
+MAX_DOCUMENT_BYTES = 1 << 27
+
 
 class ParseError(Exception):
     pass
@@ -80,6 +88,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)
         raise SystemExit(EXIT_PARSE)
+
+
+def _ascii_int(text: str) -> int:
+    """int(text) for an optional '-' and ASCII digits only; int() alone
+    also takes '+2', '1_0', surrounding spaces and non-ASCII digits."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not an integer: %r" % text)
+    return int(text)
 
 
 def parse_code_file(text: str) -> CodeMultiset:
@@ -95,7 +112,7 @@ def parse_code_file(text: str) -> CodeMultiset:
             count, word = 1, parts[0]
         elif len(parts) == 2:
             try:
-                count = int(parts[0])
+                count = _ascii_int(parts[0])
             except ValueError:
                 raise ParseError("line %d: bad count %r" % (lineno, parts[0]))
             if count < 1:
@@ -185,57 +202,46 @@ def _regime(args) -> Regime:
     return Regime(geometry, density)
 
 
-def _reconstruct(args, ms: CodeMultiset):
-    """Dispatch to the right reconstruction; returns (result, regime)."""
-    regime = _regime(args)
-    if regime.geometry is Geometry.CIRCLE and regime.density is Density.DENSE:
-        return reconstruct_dense_circular(ms.support), regime
-    if args.multiset:
-        if regime.density is Density.SPARSE:
-            return reconstruct_multiset_sparse(ms, regime.geometry), regime
-        return reconstruct_multiset_dense_linear(ms), regime
-    words = ms.support
-    if regime.density is Density.SPARSE:
-        return reconstruct_sparse(words, regime.geometry), regime
-    return reconstruct_dense_linear(words), regime
-
-
 def _refuse(em: _Emitter, status: str, reason: str) -> None:
     em.set("status", status)
     em.set("reason", reason)
-    em.text("%s: %s" % (status, reason))
+    em.text("%s: %s" % (status.replace("-", " "), reason))
 
 
-def _run_reconstruction(args, emit_feasible, emit_infeasible=None) -> int:
-    """The flow of check, realize and normalize: parse and reconstruct,
-    then emit an Unsupported or Infeasible refusal, extended by
-    emit_infeasible(em, ms, regime) if given, or pass the feasible matrix
-    to emit_feasible(em, m, regime)."""
+def _reconstruct(args, em: _Emitter):
+    """Parse and reconstruct for check, realize and normalize.  Returns
+    (ms, regime, m): m is the feasible matrix, or None once an
+    unsupported or infeasible refusal is on em."""
     ms = parse_code_file(args.file.read())
-    result, regime = _reconstruct(args, ms)
-    em = _Emitter(args.format == "structured")
-    if isinstance(result, Unsupported):
-        status, code = "unsupported", EXIT_UNSUPPORTED
-    elif isinstance(result, Infeasible):
-        status, code = "infeasible", EXIT_INFEASIBLE
+    regime = _regime(args)
+    if regime.geometry is Geometry.CIRCLE and regime.density is Density.DENSE:
+        result = reconstruct_dense_circular(ms.support)
+    elif args.multiset:
+        if ms.total() > MAX_MULTISET_COLUMNS:
+            raise SizeLimit("--multiset is limited to 2^20 columns, the counts"
+                            " sum to %d" % ms.total())
+        result = (reconstruct_multiset_sparse(ms, regime.geometry)
+                  if regime.density is Density.SPARSE
+                  else reconstruct_multiset_dense_linear(ms))
+    elif regime.density is Density.SPARSE:
+        result = reconstruct_sparse(ms.support, regime.geometry)
     else:
-        m = (result.matrix(regime.geometry)
-             if isinstance(result, Multiordering) else result)
-        emit_feasible(em, m, regime)
-        em.flush()
-        return EXIT_FEASIBLE
-    _refuse(em, status, result.reason)
-    if code == EXIT_INFEASIBLE and emit_infeasible is not None:
-        emit_infeasible(em, ms, regime)
-    em.flush()
-    return code
+        result = reconstruct_dense_linear(ms.support)
+    if isinstance(result, (Unsupported, Infeasible)):
+        _refuse(em, "unsupported" if isinstance(result, Unsupported)
+                else "infeasible", result.reason)
+        return ms, regime, None
+    if isinstance(result, Multiordering):
+        result = result.matrix(regime.geometry)
+    return ms, regime, result
 
 
-def _emit_matrix(em: _Emitter, m: SensorMatrix, regime: Regime) -> None:
+def _emit_matrix(em: _Emitter, m: SensorMatrix) -> None:
+    rows = m.row_strings()
     em.set("status", "feasible")
-    em.set("matrix", m.row_strings())
+    em.set("matrix", rows)
     em.text("feasible")
-    for row in m.row_strings():
+    for row in rows:
         em.text(row)
 
 
@@ -247,51 +253,53 @@ def _emit_arrangement(em: _Emitter, arr: IntervalArrangement,
         em.text("interval %d: %s" % (i, _interval_text(iv)))
 
 
-def _emit_odd_cycle(em: _Emitter, ms: CodeMultiset, regime: Regime) -> None:
-    if regime != CO:
-        return
-    cert = rejection_certificate(ms.support)
-    ensure(isinstance(cert, RejectionCertificate),
-           "recognizer rejected a code with a bipartite incompatibility graph")
-    em.set("certificate", _certificate_doc(cert))
-    em.text("odd cycle (%d vertices):" % len(cert.odd_cycle))
-    for a, b in cert.odd_cycle:
-        em.text("  (%s, %s)" % (a.to_string(), b.to_string()))
+def cmd_check(args, em: _Emitter) -> None:
+    ms, regime, m = _reconstruct(args, em)
+    if m is not None:
+        _emit_matrix(em, m)
+    elif em.doc["status"] == "infeasible" and regime == CO:
+        cert = rejection_certificate(ms.support)
+        ensure(isinstance(cert, RejectionCertificate),
+               "recognizer rejected a code with a bipartite incompatibility"
+               " graph")
+        em.set("certificate", _certificate_doc(cert))
+        em.text("odd cycle (%d vertices):" % len(cert.odd_cycle))
+        for a, b in cert.odd_cycle:
+            em.text("  (%s, %s)" % (a.to_string(), b.to_string()))
 
 
-def cmd_check(args) -> int:
-    return _run_reconstruction(args, _emit_matrix, _emit_odd_cycle)
-
-
-def cmd_realize(args) -> int:
-    def emit(em, m, regime):
+def cmd_realize(args, em: _Emitter) -> None:
+    _, regime, m = _reconstruct(args, em)
+    if m is not None:
         arr, sensors = realize_matrix(m, regime)
-        _emit_matrix(em, m, regime)
+        _emit_matrix(em, m)
         _emit_arrangement(em, arr, sensors)
-    return _run_reconstruction(args, emit)
 
 
-def cmd_certificate(args) -> int:
+def cmd_certificate(args, em: _Emitter) -> None:
     ms = parse_code_file(args.file.read())
-    em = _Emitter(args.format == "structured")
     if args.geometry == "circle":
         _refuse(em, "unsupported",
                 "rejection certificates are implemented on the line only")
-        em.flush()
-        return EXIT_UNSUPPORTED
+        return
     cert = rejection_certificate(ms.support)
     if isinstance(cert, Bipartition):
         em.set("status", "feasible")
         if em.structured:
+            words = ms.support.words
+            n = len(words)
+            size = n * (n - 1) * (2 * ms.k + 16)
+            if size > MAX_DOCUMENT_BYTES:
+                raise SizeLimit("the structured bipartition of %d words would"
+                                " take about %d bytes, over 2^27" % (n, size))
             # n(n-1) keys: render each word once; json sorts the keys
-            name = {w: w.to_string() for w in ms.support.words}
+            name = {w: w.to_string() for w in words}
             em.set("bipartition", {
                 "%s,%s" % (name[a], name[b]): c
                 for (a, b), c in cert.coloring.items()
             })
         em.text("bipartite: the code is realizable on the line (sparse)")
-        em.flush()
-        return EXIT_FEASIBLE
+        return
     em.set("status", "infeasible")
     em.set("certificate", _certificate_doc(cert))
     em.text("not bipartite: odd cycle of %d ordering relations"
@@ -301,48 +309,38 @@ def cmd_certificate(args) -> int:
         wit = cert.witnesses.get(i)
         suffix = "" if wit is None else "  # witness row %d" % wit
         em.text("  (%s, %s)%s" % (a.to_string(), b.to_string(), suffix))
-    em.flush()
-    return EXIT_INFEASIBLE
 
 
-def cmd_enumerate(args) -> int:
+def cmd_enumerate(args, em: _Emitter) -> None:
     regime = _regime(args)
     N, K = args.max_n, args.max_k
-    em = _Emitter(args.format == "structured")
-    try:
-        if args.oracle and N > 12:
-            raise SizeLimit("brute_force_dense is limited to n <= 12"
-                            if regime.density is Density.DENSE
-                            else "sparse oracle is limited to n <= 12")
-        if regime.density is Density.SPARSE:
-            table = {
-                (n, k): count_sparse(n, k, regime.geometry)
-                for n in range(N + 1)
-                for k in range(K + 1)
-            }
-        else:
-            gf = (gf_dense_linear if regime.geometry is Geometry.LINE
-                  else gf_dense_circular)(N, K)
-            table = {(n, k): gf.count(n, k)
-                     for n in range(N + 1) for k in range(K + 1)}
-        if args.oracle:
-            for n in range(N + 1):
-                if regime.density is Density.DENSE:
-                    bf = brute_force_dense(n, regime.geometry)
-                    expected = [bf.count(n, k) for k in range(K + 1)]
-                else:
-                    rows = len(valid_dense_rows(n, regime.geometry))
-                    expected = [comb(rows, k) for k in range(K + 1)]
-                for k in range(K + 1):
-                    if expected[k] != table[(n, k)]:
-                        raise InternalError(
-                            "oracle mismatch at n=%d k=%d" % (n, k))
-    except SizeLimit as exc:
-        em.set("status", "size-limit")
-        em.set("reason", str(exc))
-        em.text("size limit: %s" % exc)
-        em.flush()
-        return EXIT_SIZE_LIMIT
+    if args.oracle and N > 12:
+        raise SizeLimit("brute_force_dense is limited to n <= 12"
+                        if regime.density is Density.DENSE
+                        else "sparse oracle is limited to n <= 12")
+    if regime.density is Density.SPARSE:
+        table = {
+            (n, k): count_sparse(n, k, regime.geometry)
+            for n in range(N + 1)
+            for k in range(K + 1)
+        }
+    else:
+        gf = (gf_dense_linear if regime.geometry is Geometry.LINE
+              else gf_dense_circular)(N, K)
+        table = {(n, k): gf.count(n, k)
+                 for n in range(N + 1) for k in range(K + 1)}
+    if args.oracle:
+        for n in range(N + 1):
+            if regime.density is Density.DENSE:
+                bf = brute_force_dense(n, regime.geometry)
+                expected = [bf.count(n, k) for k in range(K + 1)]
+            else:
+                rows = len(valid_dense_rows(n, regime.geometry))
+                expected = [comb(rows, k) for k in range(K + 1)]
+            for k in range(K + 1):
+                if expected[k] != table[(n, k)]:
+                    raise InternalError(
+                        "oracle mismatch at n=%d k=%d" % (n, k))
     em.set("status", "feasible")
     em.set("counts", {
         "%d,%d" % key: v for key, v in sorted(table.items())
@@ -352,31 +350,31 @@ def cmd_enumerate(args) -> int:
     for n in range(N + 1):
         em.text(str(n) + "\t" + "\t".join(
             str(table[(n, k)]) for k in range(K + 1)))
-    em.flush()
-    return EXIT_FEASIBLE
 
 
-def cmd_normalize(args) -> int:
-    def emit(em, m, regime):
-        arr, sensors = realize_matrix(m, regime)
-        if args.transform == "snap":
-            out = normalize_arbitrary(arr, sensors)
-        elif args.transform == "close":
-            out = open_to_closed(arr)
-        else:
-            out = closed_to_open(open_to_closed(arr))
-        _, back = extract_code_sparse(out, sensors)
-        ensure(back.column_set() == m.column_set(),
-               "normalization changed the sparse code")
-        em.set("status", "feasible")
-        em.text("feasible")
-        _emit_arrangement(em, out, sensors)
-    return _run_reconstruction(args, emit)
+def cmd_normalize(args, em: _Emitter) -> None:
+    _, regime, m = _reconstruct(args, em)
+    if m is None:
+        return
+    arr, sensors = realize_matrix(m, regime)
+    if args.transform == "snap":
+        out = normalize_arbitrary(arr, sensors)
+    elif args.transform == "close":
+        out = open_to_closed(arr, sensors=sensors)
+    else:
+        out = closed_to_open(open_to_closed(arr, sensors=sensors),
+                             sensors=sensors)
+    _, back = extract_code_sparse(out, sensors)
+    ensure(back.column_set() == m.column_set(),
+           "normalization changed the sparse code")
+    em.set("status", "feasible")
+    em.text("feasible")
+    _emit_arrangement(em, out, sensors)
 
 
 def _cap(text: str) -> int:
     try:
-        value = int(text)
+        value = _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text)
     if value < 0:
@@ -437,16 +435,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Commands only fill the emitter; the status it
+    holds picks the exit code.  A SizeLimit raised anywhere becomes a
+    size-limit refusal in place of whatever the command had emitted."""
+    args = build_parser().parse_args(argv)
+    em = _Emitter(args.format == "structured")
     try:
-        return args.fn(args)
+        args.fn(args, em)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE
     except SizeLimit as exc:
-        print("size limit: %s" % exc, file=sys.stderr)
-        return EXIT_SIZE_LIMIT
+        em = _Emitter(em.structured)
+        _refuse(em, "size-limit", str(exc))
+    em.flush()
+    return _EXIT_CODES[em.doc["status"]]
 
 
 if __name__ == "__main__":

@@ -307,16 +307,43 @@ def _line_gap_epsilon(arr: IntervalArrangement, lengths: Sequence[Fraction]):
     return min(candidates) / 4
 
 
+def _margin(arr: IntervalArrangement, lengths: Sequence[Fraction],
+            sensors: Optional[SensorSet]) -> Fraction:
+    """The swaps' margin: _line_gap_epsilon, capped with sensors at the
+    smallest positive distance from an endpoint to a sensor (cyclic on
+    the circle), so no sensor crosses an end.  A sensor the margin lands
+    on stays on the side it was: a closed end keeps it, an open end
+    leaves it out."""
+    eps = _line_gap_epsilon(arr, lengths)
+    if not sensors:
+        return eps
+    ps, n = sensors.positions, len(sensors)
+    circle = arr.geometry is Geometry.CIRCLE
+    dists = [eps]
+    for e in {e for iv in arr.intervals for e in iv.endpoints()}:
+        above, below = bisect_right(ps, e), bisect_left(ps, e) - 1
+        if above < n:
+            dists.append(ps[above] - e)
+        elif circle:
+            dists.append(ps[0] + 1 - e)
+        if below >= 0:
+            dists.append(e - ps[below])
+        elif circle:
+            dists.append(e + 1 - ps[-1])
+    return min(dists)
+
+
 def _arc_length(iv: Interval1D) -> Fraction:
     return (iv.hi - iv.lo) % 1
 
 
-def open_to_closed(arr: IntervalArrangement) -> IntervalArrangement:
+def open_to_closed(arr: IntervalArrangement, *,
+                   sensors: Optional[SensorSet] = None) -> IntervalArrangement:
     """Shrink every open interval slightly, then take closures.
 
     The shrink margin is chosen so that no right endpoint meets any left
     endpoint and every elementary region survives, which keeps the dense
-    code intact.
+    code intact.  Given sensors, it also keeps the code they see.
     """
     lengths = []
     for iv in arr.intervals:
@@ -329,7 +356,7 @@ def open_to_closed(arr: IntervalArrangement) -> IntervalArrangement:
                 lengths.append(iv.hi - iv.lo)
         else:
             lengths.append(_arc_length(iv))
-    eps = _line_gap_epsilon(arr, lengths)
+    eps = _margin(arr, lengths, sensors)
     out = []
     for iv in arr.intervals:
         if iv.kind is not Kind.PROPER:
@@ -348,10 +375,12 @@ def open_to_closed(arr: IntervalArrangement) -> IntervalArrangement:
     return result
 
 
-def closed_to_open(arr: IntervalArrangement) -> IntervalArrangement:
+def closed_to_open(arr: IntervalArrangement, *,
+                   sensors: Optional[SensorSet] = None) -> IntervalArrangement:
     """Enlarge every closed interval slightly, then take interiors.
 
-    Inverse of open_to_closed; the dense code is preserved.
+    Inverse of open_to_closed; the dense code is preserved, and given
+    sensors, so is the code they see.
     """
     for iv in arr.intervals:
         if iv.kind is Kind.PROPER:
@@ -359,7 +388,7 @@ def closed_to_open(arr: IntervalArrangement) -> IntervalArrangement:
                 iv.hi is not None and not iv.hi_closed
             ):
                 raise DegenerateInterval("expected an all-closed arrangement")
-    eps = _line_gap_epsilon(arr, [])
+    eps = _margin(arr, [], sensors)
     out = []
     for iv in arr.intervals:
         if iv.kind is not Kind.PROPER:

@@ -175,6 +175,38 @@ def _q_merge_heads(q1: _Node, q2: _Node) -> None:
     q1.nleaves += q2.nleaves
 
 
+def _full_block(p: _Node, fulls: list[_Node]) -> Optional[_Node]:
+    """Detach P node p's full children as one block: the child itself
+    when there is one, a new P node over them when there are more."""
+    for c in fulls:
+        p.pchildren.discard(c)
+    if len(fulls) > 1:
+        return _new_p(fulls)
+    return fulls[0] if fulls else None
+
+
+def _pertinent_run(fulls: list[_Node], partials: list[_Node]) -> list[_Node]:
+    """The pertinent children of a Q node in sibling order.  Raises
+    ReductionFailed unless they are consecutive, with partial children
+    only at the two ends of the run."""
+    pert = set(fulls)
+    pert.update(partials)
+    start = fulls[0] if fulls else partials[0]
+    run = [start]
+    for first in (start.nb1, start.nb2):
+        run.reverse()
+        prev, cur = start, first
+        while cur is not None and cur in pert:
+            run.append(cur)
+            prev, cur = cur, cur.other_nb(prev)
+    if len(run) != len(pert):
+        raise ReductionFailed("Q: pertinent children not consecutive")
+    for c in partials:
+        if c is not run[0] and c is not run[-1]:
+            raise ReductionFailed("Q: partial child inside the pertinent run")
+    return run
+
+
 def _bubble(leaves: list[_Node]) -> tuple[dict[_Node, _Node],
                                            dict[_Node, list[_Node]]]:
     """Bubble pass of a reduction: FIFO from the pertinent leaves upward,
@@ -270,13 +302,7 @@ class PQTree:
             # capture node's slot before surgery: node may survive inside the
             # replacement as the block of empty children
             slot = self._capture_slot(node)
-            for c in fulls:
-                node.pchildren.discard(c)
-            fblock: Optional[_Node] = None
-            if len(fulls) == 1:
-                fblock = fulls[0]
-            elif len(fulls) > 1:
-                fblock = _new_p(fulls)
+            fblock = _full_block(node, fulls)
             if partials:
                 node.pchildren.discard(partials[0])
             # remaining P children are all empty
@@ -309,42 +335,28 @@ class PQTree:
             self._install_slot(slot, node, q)
             return PARTIAL, q
         if node.kind == QNODE:
-            pert = set(fulls) | set(partials)
-            # pertinent children must form a run anchored at one end
-            if node.head in pert:
-                start = node.head
-            elif node.tail in pert:
-                node.head, node.tail = node.tail, node.head
-                start = node.head
+            run = _pertinent_run(fulls, partials)
+            # the run must start at an end of the child list with only its
+            # other end partial (a lone partial child is both ends)
+            for _ in range(2):
+                if (run[0] is node.head or run[0] is node.tail) and (
+                        len(run) == 1 or run[0] not in partials):
+                    break
+                run.reverse()
             else:
-                raise ReductionFailed("partial Q: pertinent run not at an end")
-            run = []
-            prev, cur = None, start
-            while cur is not None and cur in pert:
-                run.append(cur)
-                prev, cur = cur, cur.other_nb(prev)
-            whole_list = cur is None
-            if len(run) != len(pert):
-                raise ReductionFailed("partial Q: pertinent children not consecutive")
-            partial_set = set(partials)
-            at_tail = run[-1] in partial_set
-            at_head = len(run) > 1 and run[0] in partial_set
-            for i, c in enumerate(run):
-                if c in partial_set and 0 < i < len(run) - 1:
-                    raise ReductionFailed("partial Q: partial child inside full run")
-            if at_head and (at_tail or not whole_list):
-                # a head-side partial is only orientable when the run spans
-                # the whole child list and the other end is not partial too
-                raise ReductionFailed("partial Q: empty parts on both sides")
-            if at_tail:
+                raise ReductionFailed("partial Q: pertinent run not at an end,"
+                                      " or empty parts on both sides")
+            if run[0] is node.tail:
+                node.head, node.tail = node.tail, node.head
+            if run[-1] in partials:
                 self._splice_into_q(node, run[-1],
                                     full_toward=run[-2] if len(run) > 1 else None)
-            elif at_head:
-                self._splice_into_q(node, run[0], full_toward=run[1])
-                node.head, node.tail = node.tail, node.head
             return PARTIAL, node
         raise InternalError("leaf cannot be partial")
 
+    # The pertinent root r holds every pertinent leaf and has at least two
+    # pertinent children: a child holding all of them would be the root,
+    # and reduce returns early for fewer than two leaves.
     def _reduce_root(self, r: _Node, pc: int, fulls: list[_Node],
                      partials: list[_Node]) -> None:
         if pc == r.nleaves:
@@ -352,22 +364,16 @@ class PQTree:
         if r.kind == PNODE:
             if len(partials) > 2:
                 raise ReductionFailed("root P with >2 partial children")
+            fblock = _full_block(r, fulls)
             if not partials:
-                if len(fulls) > 1:
-                    for c in fulls:
-                        r.pchildren.discard(c)
-                    _adopt_into_p(r, _new_p(fulls))
+                _adopt_into_p(r, fblock)
                 return
-            for c in fulls:
-                r.pchildren.discard(c)
             # merge everything into the first partial child's Q, in place:
             # full block joins at its full (head) end, a second partial
             # joins full-end to full-end
             p1 = partials[0]
-            if len(fulls) == 1:
-                _q_prepend(p1, fulls[0])
-            elif len(fulls) > 1:
-                _q_prepend(p1, _new_p(fulls))
+            if fblock is not None:
+                _q_prepend(p1, fblock)
             if len(partials) == 2:
                 p2 = partials[1]
                 r.pchildren.discard(p2)
@@ -377,35 +383,14 @@ class PQTree:
                 r.anchor.owner = None
             return
         if r.kind == QNODE:
-            pert = set(fulls) | set(partials)
-            partial_set = set(partials)
-            anynode = next(iter(pert))
-            run = [anynode]
-            for first_dir in (anynode.nb1, anynode.nb2):
-                prev, cur = anynode, first_dir
-                while cur is not None and cur in pert:
-                    run.append(cur)
-                    prev, cur = cur, cur.other_nb(prev)
-                run.reverse()
-            if len(run) != len(pert):
-                raise ReductionFailed("root Q: pertinent children not consecutive")
-            for i, c in enumerate(run):
-                if c in partial_set and i not in (0, len(run) - 1):
-                    raise ReductionFailed("root Q: partial child inside full run")
-            last = run[-1] if run[-1] in partial_set else None
-            outer_last = last.other_nb(run[-2]) if last and len(run) > 1 else None
-            if len(run) >= 2 and run[0] in partial_set:
-                self._splice_into_q(r, run[0], full_toward=run[1])
-            if last is not None:
-                if len(run) > 1:
-                    # the inner neighbor may just have been rewritten by the
-                    # first splice, so recompute it from the stable outer one
-                    toward = last.other_nb(outer_last)
-                else:
-                    # lone partial at the root: orientation is free, but the
-                    # splice must reconnect both of its neighbors
-                    toward = last.nb1 if last.nb1 is not None else last.nb2
-                self._splice_into_q(r, last, full_toward=toward)
+            run = _pertinent_run(fulls, partials)
+            first, last = run[0], run[-1]
+            # last's outer neighbor stays put while first is spliced in
+            outer = last.other_nb(run[-2])
+            if first in partials:
+                self._splice_into_q(r, first, full_toward=run[1])
+            if last in partials:
+                self._splice_into_q(r, last, full_toward=last.other_nb(outer))
             return
         raise InternalError("root leaf with pc < nleaves")
 

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,11 +14,21 @@ from convexcodes.cli import (
     main,
     parse_code_file,
 )
-from convexcodes.core import BitVector
+from convexcodes.core import BitVector, Geometry, SizeLimit
+from convexcodes.geometry import (
+    Interval1D,
+    IntervalArrangement,
+    SensorSet,
+    extract_code_sparse,
+)
 
 WALKTHROUGH = "1100\n1000\n0100\n0000\n0001\n0110\n"
 ODD_CYCLE = "1100\n1010\n0101\n1111\n"
 PADDING = "100\n010\n001\n2 000\n"
+
+# the exit code each printed status must come with
+EXIT_OF_STATUS = {"feasible": EXIT_FEASIBLE, "infeasible": EXIT_INFEASIBLE,
+                  "unsupported": EXIT_UNSUPPORTED, "size-limit": EXIT_SIZE_LIMIT}
 
 
 def run(capsys, *argv):
@@ -46,6 +58,20 @@ class TestParseCodeFile:
             parse_code_file("0 110\n")
         with pytest.raises(ParseError, match="no codewords"):
             parse_code_file("# nothing\n")
+
+    @pytest.mark.parametrize("count", ["+2", "1_0", "\u0662", "\uff12", "-+2",
+                                       "-"])
+    def test_counts_are_ascii_digits(self, count):
+        # int() reads the first four as 2, 10, 2 and 2
+        with pytest.raises(ParseError) as err:
+            parse_code_file("10\n%s 01\n" % count)
+        assert str(err.value) == "line 2: bad count %r" % count
+
+    @pytest.mark.parametrize("count", ["0", "-3", "-0", "00"])
+    def test_counts_must_be_positive(self, count):
+        with pytest.raises(ParseError) as err:
+            parse_code_file("10\n%s 01\n" % count)
+        assert str(err.value) == "line 2: count must be positive"
 
     @pytest.mark.parametrize("word", ["1_0", "+10", "-10", "0b1",
                                       "\u0661\u0660"])
@@ -345,6 +371,16 @@ class TestEnumerate:
         assert out.out == ""
         assert "must be nonnegative" in out.err
 
+    @pytest.mark.parametrize("value", ["+2", "1_0", "\u0662", "\uff12", " 2"])
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-k"])
+    def test_caps_are_ascii_digits(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", flag, value])
+        assert exc.value.code == EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "invalid int value: %r" % value in out.err
+
 
 class TestNormalize:
     @pytest.mark.parametrize("transform", ["snap", "close", "open"])
@@ -384,6 +420,7 @@ class TestUsageErrors:
         path = write(tmp_path, "c.txt", "abc\n")
         code, out, err = run(capsys, "check", path)
         assert code == EXIT_PARSE
+        assert out == ""
         assert "parse error" in err
 
 
@@ -402,3 +439,184 @@ class TestDeterminism:
             first = run(capsys, *argv)
             second = run(capsys, *argv)
             assert first == second
+
+
+def _staircase_text(n):
+    # n words: the k = n/2 + 1 singletons, then adjacent pairs
+    k = n // 2 + 1
+    masks = [1 << i for i in range(k)] + [0b11 << i for i in range(k - 1)]
+    return "".join(BitVector(k, m).to_string() + "\n" for m in masks[:n])
+
+
+def _sensor_rows(doc):
+    """The rows that the sensors of a structured arrangement see."""
+    def frac(x):
+        return None if x is None else Fraction(x)
+
+    intervals = []
+    for iv in doc["intervals"]:
+        if iv["kind"] == "proper":
+            intervals.append(Interval1D.proper(
+                frac(iv["lo"]), frac(iv["hi"]), iv["lo_closed"],
+                iv["hi_closed"]))
+        else:
+            intervals.append(getattr(Interval1D, iv["kind"])())
+    arr = IntervalArrangement(tuple(intervals), Geometry(doc["geometry"]))
+    sensors = SensorSet.of(Fraction(p) for p in doc["sensors"])
+    return extract_code_sparse(arr, sensors)[1].row_strings()
+
+
+class TestNormalizeMultiset:
+    # the margin of close/open used to ignore the sensors: repeated
+    # adjacent columns leave runs with no interval end, and a shrink by
+    # more than realize_matrix's 1/4 moved an end past sensors
+    @pytest.mark.parametrize("text, transform", [
+        ("1 1011\n2 1111\n", "close"),
+        ("3 10\n3 11\n3 01\n", "open"),
+    ], ids=["close", "open"])
+    def test_repros(self, capsys, tmp_path, text, transform):
+        path = write(tmp_path, "c.txt", text)
+        code, out, err = run(capsys, "normalize", path, "--multiset",
+                             "--transform", transform, "--format",
+                             "structured")
+        assert (code, err) == (EXIT_FEASIBLE, "")
+        _, matrix, _ = run(capsys, "check", path, "--multiset", "--format",
+                           "structured")
+        assert (_sensor_rows(json.loads(out)["arrangement"])
+                == json.loads(matrix)["matrix"])
+
+    def test_keeps_the_sparse_code(self, capsys, tmp_path):
+        rng = random.Random(8)
+        feasible = 0
+        for trial in range(60):
+            k = rng.randint(1, 4)
+            masks = rng.sample(range(1 << k), rng.randint(1, min(4, 1 << k)))
+            path = write(tmp_path, "c%d.txt" % trial, "".join(
+                "%d %s\n" % (rng.randint(1, 3), format(m, "0%db" % k))
+                for m in masks))
+            for geometry in ("line", "circle"):
+                for regime in ("sparse", "dense"):
+                    opts = ["--multiset", "--geometry", geometry, "--regime",
+                            regime, "--format", "structured"]
+                    _, matrix, _ = run(capsys, "check", path, *opts)
+                    matrix = json.loads(matrix)
+                    for transform in ("close", "open"):
+                        code, out, err = run(capsys, "normalize", path, *opts,
+                                             "--transform", transform)
+                        assert err == ""
+                        assert code == EXIT_OF_STATUS[matrix["status"]]
+                        if code == EXIT_FEASIBLE:
+                            feasible += 1
+                            assert (_sensor_rows(json.loads(out)["arrangement"])
+                                    == matrix["matrix"])
+        assert feasible > 100
+
+
+class TestOneResultPath:
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("command, target", [
+        ("check", "reconstruct_sparse"),
+        ("realize", "realize_matrix"),
+        ("certificate", "rejection_certificate"),
+        ("normalize", "normalize_arbitrary"),
+        ("enumerate", "count_sparse"),
+    ])
+    def test_size_limit_raised_anywhere(self, capsys, tmp_path, monkeypatch,
+                                        command, target, fmt):
+        def refuse(*args, **kwargs):
+            raise SizeLimit("X")
+
+        monkeypatch.setattr("convexcodes.cli." + target, refuse)
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        argv = [command] + ([] if command == "enumerate" else [path])
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (EXIT_SIZE_LIMIT, "")
+        assert out == {
+            "text": "size limit: X\n",
+            "structured": '{\n  "reason": "X",\n  "status": "size-limit"\n}\n',
+        }[fmt]
+
+    def test_exit_code_is_the_printed_status(self, capsys, tmp_path):
+        seen = set()
+        argvs = [["enumerate", "--regime", "dense", "--max-n", "13",
+                  "--max-k", "2", "--oracle"],
+                 ["enumerate", "--max-n", "3", "--max-k", "3"]]
+        for i, text in enumerate((WALKTHROUGH, ODD_CYCLE, PADDING,
+                                  "100\n010\n001\n000\n", "110\n011\n010\n")):
+            path = write(tmp_path, "c%d.txt" % i, text)
+            for geometry in ("line", "circle"):
+                argvs.append(["certificate", path, "--geometry", geometry])
+                for regime in ("sparse", "dense"):
+                    for multiset in ([], ["--multiset"]):
+                        for command in ("check", "realize", "normalize"):
+                            argvs.append([command, path, "--geometry",
+                                          geometry, "--regime", regime,
+                                          *multiset])
+        for argv in argvs:
+            code, out, err = run(capsys, *argv, "--format", "structured")
+            status = json.loads(out)["status"]
+            assert (code, err) == (EXIT_OF_STATUS[status], ""), argv
+            text_code, text, _ = run(capsys, *argv)
+            assert text_code == code, argv
+            if code in (EXIT_UNSUPPORTED, EXIT_SIZE_LIMIT):
+                assert text.startswith(status.replace("-", " ") + ": "), argv
+            seen.add(status)
+        assert seen == set(EXIT_OF_STATUS)
+
+    def test_parse_error_in_every_command(self, capsys, tmp_path):
+        path = write(tmp_path, "c.txt", "10\n+2 01\n")
+        for command in ("check", "realize", "certificate", "normalize"):
+            code, out, err = run(capsys, command, path)
+            assert (code, out) == (EXIT_PARSE, "")
+            assert err == "parse error: line 2: bad count '+2'\n"
+
+
+class TestSizeGuards:
+    def test_multiset_columns(self, capsys, tmp_path, monkeypatch):
+        path = write(tmp_path, "c.txt", "1048577 10\n")
+        reason = ("--multiset is limited to 2^20 columns, the counts sum to"
+                  " 1048577")
+        for command in ("check", "realize", "normalize"):
+            code, out, err = run(capsys, command, path, "--multiset")
+            assert (code, out, err) == (EXIT_SIZE_LIMIT,
+                                        "size limit: %s\n" % reason, "")
+        code, out, _ = run(capsys, "check", path, "--multiset", "--format",
+                           "structured")
+        assert json.loads(out) == {"status": "size-limit", "reason": reason}
+        # without --multiset only the support is reconstructed
+        assert run(capsys, "check", path)[0] == EXIT_FEASIBLE
+        monkeypatch.setattr("convexcodes.cli.MAX_MULTISET_COLUMNS", 5)
+        at_cap = write(tmp_path, "d.txt", "2 10\n3 11\n")
+        assert run(capsys, "check", at_cap, "--multiset")[0] == EXIT_FEASIBLE
+        over = write(tmp_path, "e.txt", "2 10\n4 11\n")
+        assert run(capsys, "check", over, "--multiset")[0] == EXIT_SIZE_LIMIT
+
+    def test_structured_bipartition(self, capsys, tmp_path):
+        # 510 words of 256 bits: 510 * 509 * (2 * 256 + 16) bytes > 2^27
+        path = write(tmp_path, "c.txt", _staircase_text(510))
+        code, out, err = run(capsys, "certificate", path, "--format",
+                             "structured")
+        assert (code, err) == (EXIT_SIZE_LIMIT, "")
+        assert json.loads(out) == {
+            "status": "size-limit",
+            "reason": "the structured bipartition of 510 words would take"
+                      " about 137063520 bytes, over 2^27",
+        }
+        code, out, _ = run(capsys, "certificate", path)
+        assert (code, out) == (
+            EXIT_FEASIBLE,
+            "bipartite: the code is realizable on the line (sparse)\n")
+
+    def test_structured_bipartition_at_the_cap(self, capsys, tmp_path,
+                                               monkeypatch):
+        # 6 words of 4 bits: 6 * 5 * (2 * 4 + 16) = 720 bytes
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        monkeypatch.setattr("convexcodes.cli.MAX_DOCUMENT_BYTES", 720)
+        code, out, _ = run(capsys, "certificate", path, "--format",
+                           "structured")
+        assert code == EXIT_FEASIBLE
+        assert len(json.loads(out)["bipartition"]) == 30
+        monkeypatch.setattr("convexcodes.cli.MAX_DOCUMENT_BYTES", 719)
+        code, out, _ = run(capsys, "certificate", path, "--format",
+                           "structured")
+        assert code == EXIT_SIZE_LIMIT

@@ -180,3 +180,28 @@ def test_deep_trees_need_no_recursion():
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_pertinent_root_has_two_pertinent_children(monkeypatch):
+    # _reduce_root has no case for a lone pertinent child: a child holding
+    # every pertinent leaf would itself be the pertinent root
+    seen = []
+    reduce_root = PQTree._reduce_root
+
+    def checked(self, r, pc, fulls, partials):
+        seen.append(len(fulls) + len(partials))
+        return reduce_root(self, r, pc, fulls, partials)
+
+    monkeypatch.setattr(PQTree, "_reduce_root", checked)
+    rng = random.Random(17)
+    cases = [(n, _family(n, rng)) for n in range(2, 9) for _ in range(100)]
+    cases += [(60, family(60)) for family in (_nested, _two_ended, _staircase)]
+    for n, constraints in cases:
+        tree = PQTree(n)
+        try:
+            for c in constraints:
+                tree.reduce(c)
+        except ReductionFailed:
+            pass
+    assert len(seen) > 1000
+    assert min(seen) >= 2
