@@ -77,6 +77,9 @@ _EXIT_CODES = {"feasible": EXIT_FEASIBLE, "infeasible": EXIT_INFEASIBLE,
 MAX_MULTISET_COLUMNS = 1 << 20
 # bytes of a structured certificate's bipartition map
 MAX_DOCUMENT_BYTES = 1 << 27
+# enumerate: (max_n + 1)(max_k + 1) table cells, and max_n of a dense table
+MAX_ENUMERATE_CELLS = 1 << 16
+MAX_DENSE_N = 64
 
 
 class ParseError(Exception):
@@ -212,7 +215,7 @@ def _reconstruct(args, em: _Emitter):
     """Parse and reconstruct for check, realize and normalize.  Returns
     (ms, regime, m): m is the feasible matrix, or None once an
     unsupported or infeasible refusal is on em."""
-    ms = parse_code_file(args.file.read())
+    ms = parse_code_file(args.file)
     regime = _regime(args)
     if regime.geometry is Geometry.CIRCLE and regime.density is Density.DENSE:
         result = reconstruct_dense_circular(ms.support)
@@ -277,7 +280,7 @@ def cmd_realize(args, em: _Emitter) -> None:
 
 
 def cmd_certificate(args, em: _Emitter) -> None:
-    ms = parse_code_file(args.file.read())
+    ms = parse_code_file(args.file)
     if args.geometry == "circle":
         _refuse(em, "unsupported",
                 "rejection certificates are implemented on the line only")
@@ -318,6 +321,12 @@ def cmd_enumerate(args, em: _Emitter) -> None:
         raise SizeLimit("brute_force_dense is limited to n <= 12"
                         if regime.density is Density.DENSE
                         else "sparse oracle is limited to n <= 12")
+    if (N + 1) * (K + 1) > MAX_ENUMERATE_CELLS:
+        raise SizeLimit("enumerate is limited to 2^16 table cells,"
+                        " (max-n + 1)(max-k + 1) = %d" % ((N + 1) * (K + 1)))
+    if regime.density is Density.DENSE and N > MAX_DENSE_N:
+        raise SizeLimit("dense enumerate is limited to max-n <= %d"
+                        % MAX_DENSE_N)
     if regime.density is Density.SPARSE:
         table = {
             (n, k): count_sparse(n, k, regime.geometry)
@@ -372,6 +381,20 @@ def cmd_normalize(args, em: _Emitter) -> None:
     _emit_arrangement(em, out, sensors)
 
 
+def _code_text(path: str) -> str:
+    """The text of the code file at path, or of stdin for '-'; a file is
+    closed once read."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as f:
+            return f.read()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError("can't open '%s': %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise argparse.ArgumentTypeError("can't read '%s': %s" % (path, exc))
+
+
 def _cap(text: str) -> int:
     try:
         value = _ascii_int(text)
@@ -389,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, with_file=True, with_regime=True):
         if with_file:
-            sp.add_argument("file", type=argparse.FileType("r"),
+            sp.add_argument("file", type=_code_text,
                             help="code file: one codeword per line, or"
                                  " 'count codeword'; '#' starts a comment")
         sp.add_argument("--geometry", choices=["line", "circle"],

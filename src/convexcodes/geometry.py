@@ -295,32 +295,28 @@ def normalize_arbitrary(
     return result
 
 
-def _line_gap_epsilon(arr: IntervalArrangement, lengths: Sequence[Fraction]):
-    vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    if arr.geometry is Geometry.CIRCLE and vals:
-        gaps.append(1 - vals[-1] + vals[0])
-        gaps = [g for g in gaps if g > 0]
-    candidates = list(gaps) + [l for l in lengths if l > 0]
-    if not candidates:
-        return Fraction(1, 4)
-    return min(candidates) / 4
-
-
-def _margin(arr: IntervalArrangement, lengths: Sequence[Fraction],
+def _margin(arr: IntervalArrangement,
             sensors: Optional[SensorSet]) -> Fraction:
-    """The swaps' margin: _line_gap_epsilon, capped with sensors at the
-    smallest positive distance from an endpoint to a sensor (cyclic on
-    the circle), so no sensor crosses an end.  A sensor the margin lands
-    on stays on the side it was: a closed end keeps it, an open end
-    leaves it out."""
-    eps = _line_gap_epsilon(arr, lengths)
+    """The swaps' margin: a quarter of the smallest gap between distinct
+    endpoints (cyclic on the circle; 1/4 with none), capped with sensors
+    at the smallest positive distance from an endpoint to a sensor
+    (cyclic on the circle), so no sensor crosses an end.  A sensor the
+    margin lands on stays on the side it was: a closed end keeps it, an
+    open end leaves it out.  Each interval's length, and each closed
+    arc's complement, is a sum of gaps (the wrap gap included) or, for a
+    point arc, 1: the margin is at most a quarter of each, so no swap
+    overruns an interval."""
+    vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
+    circle = arr.geometry is Geometry.CIRCLE
+    gaps = [b - a for a, b in zip(vals, vals[1:])]
+    if circle and vals:
+        gaps.append(1 - vals[-1] + vals[0])
+    eps = min(gaps) / 4 if gaps else Fraction(1, 4)
     if not sensors:
         return eps
     ps, n = sensors.positions, len(sensors)
-    circle = arr.geometry is Geometry.CIRCLE
     dists = [eps]
-    for e in {e for iv in arr.intervals for e in iv.endpoints()}:
+    for e in vals:
         above, below = bisect_right(ps, e), bisect_left(ps, e) - 1
         if above < n:
             dists.append(ps[above] - e)
@@ -333,10 +329,6 @@ def _margin(arr: IntervalArrangement, lengths: Sequence[Fraction],
     return min(dists)
 
 
-def _arc_length(iv: Interval1D) -> Fraction:
-    return (iv.hi - iv.lo) % 1
-
-
 def open_to_closed(arr: IntervalArrangement, *,
                    sensors: Optional[SensorSet] = None) -> IntervalArrangement:
     """Shrink every open interval slightly, then take closures.
@@ -345,18 +337,10 @@ def open_to_closed(arr: IntervalArrangement, *,
     endpoint and every elementary region survives, which keeps the dense
     code intact.  Given sensors, it also keeps the code they see.
     """
-    lengths = []
     for iv in arr.intervals:
-        if iv.kind is not Kind.PROPER:
-            continue
-        if iv.lo_closed or iv.hi_closed:
+        if iv.kind is Kind.PROPER and (iv.lo_closed or iv.hi_closed):
             raise DegenerateInterval("expected an all-open arrangement")
-        if arr.geometry is Geometry.LINE:
-            if iv.lo is not None and iv.hi is not None:
-                lengths.append(iv.hi - iv.lo)
-        else:
-            lengths.append(_arc_length(iv))
-    eps = _margin(arr, lengths, sensors)
+    eps = _margin(arr, sensors)
     out = []
     for iv in arr.intervals:
         if iv.kind is not Kind.PROPER:
@@ -366,8 +350,6 @@ def open_to_closed(arr: IntervalArrangement, *,
         hi = None if iv.hi is None else iv.hi - eps
         if arr.geometry is Geometry.CIRCLE:
             lo, hi = lo % 1, hi % 1
-        elif lo is not None and hi is not None and lo > hi:
-            raise DegenerateInterval("interval too short to shrink")
         out.append(Interval1D.proper(lo, hi, lo is not None, hi is not None))
     result = IntervalArrangement(tuple(out), arr.geometry)
     ensure(extract_code_dense(result) == extract_code_dense(arr),
@@ -388,7 +370,7 @@ def closed_to_open(arr: IntervalArrangement, *,
                 iv.hi is not None and not iv.hi_closed
             ):
                 raise DegenerateInterval("expected an all-closed arrangement")
-    eps = _margin(arr, [], sensors)
+    eps = _margin(arr, sensors)
     out = []
     for iv in arr.intervals:
         if iv.kind is not Kind.PROPER:
@@ -397,8 +379,6 @@ def closed_to_open(arr: IntervalArrangement, *,
         lo = None if iv.lo is None else iv.lo - eps
         hi = None if iv.hi is None else iv.hi + eps
         if arr.geometry is Geometry.CIRCLE:
-            if (1 - _arc_length(iv)) <= 2 * eps:
-                raise DegenerateInterval("arc too long to enlarge")
             lo, hi = lo % 1, hi % 1
         out.append(Interval1D.proper(lo, hi, False, False))
     result = IntervalArrangement(tuple(out), arr.geometry)

@@ -246,7 +246,8 @@ def _infeasible_core(ws: list[BitVector], k: int) -> list[BitVector]:
 
 def _odd_cycle(ws: list[BitVector]) -> Optional[RejectionCertificate]:
     """An odd cycle of the incompatibility graph of ws by breadth-first
-    search, or None if the graph is bipartite."""
+    search, or None if the graph is bipartite.  A vertex's color is the
+    parity of its BFS depth."""
     adj: dict[Vertex, list[tuple[Vertex, Optional[int]]]] = {}
     for a in ws:
         for b in ws:
@@ -256,63 +257,41 @@ def _odd_cycle(ws: list[BitVector]) -> Optional[RejectionCertificate]:
         adj[u].append((v, row))
         adj[v].append((u, row))
 
-    color: dict[Vertex, int] = {}
-    parent: dict[Vertex, Optional[tuple[Vertex, Optional[int]]]] = {}
+    depth: dict[Vertex, int] = {}
+    parent: dict[Vertex, tuple[Vertex, Optional[int]]] = {}
     for start in adj:
-        if start in color:
+        if start in depth:
             continue
-        color[start] = 0
-        parent[start] = None
+        depth[start] = 0
         queue = deque([start])
         while queue:
             u = queue.popleft()
             for v, row in adj[u]:
-                if v not in color:
-                    color[v] = 1 - color[u]
+                if v not in depth:
+                    depth[v] = depth[u] + 1
                     parent[v] = (u, row)
                     queue.append(v)
-                elif color[v] == color[u]:
-                    return _extract_odd_cycle(u, v, row, parent)
+                elif (depth[v] - depth[u]) % 2 == 0:
+                    return _cycle_through(u, v, row, depth, parent)
     return None
 
 
-def _extract_odd_cycle(u: Vertex, v: Vertex, row, parent) -> RejectionCertificate:
-    # walk both endpoints of the conflicting edge up to their lowest
-    # common ancestor in the BFS forest; the two paths plus the edge
-    # close an odd cycle
-    def path(x):
-        out = [(x, None)]
-        while parent[x] is not None:
-            p, r = parent[x]
-            out.append((p, r))
-            x = p
-        return out
-
-    pu, pv = path(u), path(v)
-    seen = {x for x, _ in pu}
-    i = next(i for i, (x, _) in enumerate(pv) if x in seen)
-    lca = pv[i][0]
-    j = next(j for j, (x, _) in enumerate(pu) if x == lca)
-
-    # cycle: u .. lca (upward), then lca .. v (downward), closed by (v,u);
-    # the witness index i refers to the edge {vertices[i], vertices[i+1]}
-    vertices: list[Vertex] = []
-    witnesses: dict[int, int] = {}
-    for idx in range(j):
-        vertices.append(pu[idx][0])
-        r = parent[pu[idx][0]][1] if parent[pu[idx][0]] else None
-        if r is not None:
-            witnesses[len(vertices) - 1] = r
-    vertices.append(lca)
-    down = [pv[idx][0] for idx in range(i)]
-    for x in reversed(down):
-        r = parent[x][1] if parent[x] else None
-        if r is not None:
-            witnesses[len(vertices) - 1] = r
-        vertices.append(x)
-    if row is not None:
-        witnesses[len(vertices) - 1] = row
-    cert = RejectionCertificate(tuple(vertices), witnesses)
+def _cycle_through(u: Vertex, v: Vertex, row, depth, parent) -> RejectionCertificate:
+    # climb the deeper end of the same-parity edge (u, v) until the ends
+    # meet; the two tree paths and the edge close an odd cycle, whose
+    # edge i, vertices[i] to vertices[i + 1], has row rows[i] (or None)
+    left, right = [u], [v]
+    left_rows, right_rows = [], []
+    while left[-1] != right[-1]:
+        path, rows = ((left, left_rows) if depth[left[-1]] >= depth[right[-1]]
+                      else (right, right_rows))
+        up, r = parent[path[-1]]
+        path.append(up)
+        rows.append(r)
+    vertices = left + right[-2::-1]
+    rows = left_rows + right_rows[::-1] + [row]
+    cert = RejectionCertificate(
+        tuple(vertices), {i: r for i, r in enumerate(rows) if r is not None})
     ensure(cert.verify(), "extracted cycle failed self-verification")
     return cert
 

@@ -1,5 +1,11 @@
+import gc
 import json
+import locale
+import os
 import random
+import subprocess
+import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -424,6 +430,56 @@ class TestUsageErrors:
         assert "parse error" in err
 
 
+class TestCodeFiles:
+    @pytest.mark.parametrize("command",
+                             ["check", "realize", "certificate", "normalize"])
+    def test_file_is_closed(self, capsys, tmp_path, command):
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(capsys, command, path)[0] == EXIT_FEASIBLE
+            gc.collect()
+        assert [w for w in caught if w.category is ResourceWarning] == []
+
+    @pytest.mark.parametrize("command",
+                             ["check", "realize", "certificate", "normalize"])
+    def test_missing_file(self, capsys, tmp_path, command):
+        path = str(tmp_path / "absent.txt")
+        with pytest.raises(SystemExit) as exc:
+            main([command, path])
+        assert exc.value.code == EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.splitlines()[-1] == (
+            "convexcodes %s: error: argument file: can't open '%s': [Errno 2]"
+            " No such file or directory: '%s'" % (command, path, path))
+
+    @pytest.mark.skipif(locale.getpreferredencoding(False).lower()
+                        not in ("utf-8", "utf8"),
+                        reason="the bytes below decode in this locale")
+    def test_undecodable_file(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_bytes(b"\xff\xfe10\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["check", str(path)])
+        assert exc.value.code == EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "argument file: can't read '%s': 'utf-8' codec can't decode" \
+            % path in out.err
+
+    def test_dash_reads_stdin(self, capsys, tmp_path):
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "convexcodes.cli", "check", "-"],
+            input=WALKTHROUGH, env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_FEASIBLE, "")
+        assert proc.stdout == run(capsys, "check", path)[1]
+
+
 class TestDeterminism:
     def test_identical_bytes_across_runs(self, capsys, tmp_path):
         path = write(tmp_path, "c.txt", WALKTHROUGH)
@@ -590,6 +646,53 @@ class TestSizeGuards:
         assert run(capsys, "check", at_cap, "--multiset")[0] == EXIT_FEASIBLE
         over = write(tmp_path, "e.txt", "2 10\n4 11\n")
         assert run(capsys, "check", over, "--multiset")[0] == EXIT_SIZE_LIMIT
+
+    @pytest.mark.parametrize("regime, max_n, max_k, reason", [
+        ("sparse", 0, 65536, "enumerate is limited to 2^16 table cells,"
+                             " (max-n + 1)(max-k + 1) = 65537"),
+        ("dense", 0, 65536, "enumerate is limited to 2^16 table cells,"
+                            " (max-n + 1)(max-k + 1) = 65537"),
+        ("dense", 65, 0, "dense enumerate is limited to max-n <= 64"),
+    ], ids=["sparse-cells", "dense-cells", "dense-n"])
+    @pytest.mark.parametrize("geometry", ["line", "circle"])
+    def test_enumerate_over_the_caps(self, capsys, monkeypatch, geometry,
+                                     regime, max_n, max_k, reason):
+        def refuse(*args):
+            raise AssertionError("counted before checking the size limits")
+
+        for name in ("count_sparse", "gf_dense_linear", "gf_dense_circular",
+                     "brute_force_dense", "valid_dense_rows"):
+            monkeypatch.setattr("convexcodes.cli." + name, refuse)
+        argv = ["enumerate", "--geometry", geometry, "--regime", regime,
+                "--max-n", str(max_n), "--max-k", str(max_k)]
+        assert run(capsys, *argv) == (EXIT_SIZE_LIMIT,
+                                      "size limit: %s\n" % reason, "")
+        code, out, err = run(capsys, *argv, "--format", "structured")
+        assert (code, err) == (EXIT_SIZE_LIMIT, "")
+        assert json.loads(out) == {"status": "size-limit", "reason": reason}
+
+    @pytest.mark.parametrize("regime, max_n, max_k", [
+        ("sparse", 255, 255), ("sparse", 0, 65535), ("sparse", 65, 0),
+        ("dense", 64, 1007), ("dense", 0, 65535),
+    ])
+    def test_enumerate_at_the_caps(self, capsys, monkeypatch, regime, max_n,
+                                   max_k):
+        class Zero:
+            def count(self, n, k):
+                return 0
+
+        monkeypatch.setattr("convexcodes.cli.count_sparse",
+                            lambda n, k, geometry: 0)
+        monkeypatch.setattr("convexcodes.cli.gf_dense_linear",
+                            lambda N, K: Zero())
+        argv = ["enumerate", "--regime", regime, "--max-n", str(max_n),
+                "--max-k", str(max_k)]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_FEASIBLE, "")
+        assert len(out.splitlines()) == max_n + 2
+        code, out, _ = run(capsys, *argv, "--format", "structured")
+        assert code == EXIT_FEASIBLE
+        assert len(json.loads(out)["counts"]) == (max_n + 1) * (max_k + 1)
 
     def test_structured_bipartition(self, capsys, tmp_path):
         # 510 words of 256 bits: 510 * 509 * (2 * 256 + 16) bytes > 2^27

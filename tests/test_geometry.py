@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
@@ -397,6 +398,176 @@ class TestOpenClosedSwap:
             closed_to_open(arr)
 
 
+def _reference_gap_epsilon(arr, lengths):
+    vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
+    gaps = [b - a for a, b in zip(vals, vals[1:])]
+    if arr.geometry is Geometry.CIRCLE and vals:
+        gaps.append(1 - vals[-1] + vals[0])
+        gaps = [g for g in gaps if g > 0]
+    candidates = list(gaps) + [l for l in lengths if l > 0]
+    if not candidates:
+        return F(1, 4)
+    return min(candidates) / 4
+
+
+def _reference_margin(arr, lengths, sensors):
+    eps = _reference_gap_epsilon(arr, lengths)
+    if not sensors:
+        return eps
+    ps, n = sensors.positions, len(sensors)
+    circle = arr.geometry is Geometry.CIRCLE
+    dists = [eps]
+    for e in {e for iv in arr.intervals for e in iv.endpoints()}:
+        above, below = bisect_right(ps, e), bisect_left(ps, e) - 1
+        if above < n:
+            dists.append(ps[above] - e)
+        elif circle:
+            dists.append(ps[0] + 1 - e)
+        if below >= 0:
+            dists.append(e - ps[below])
+        elif circle:
+            dists.append(e + 1 - ps[-1])
+    return min(dists)
+
+
+def _reference_open_to_closed(arr, sensors=None):
+    # the swaps as they were before one margin replaced the interval
+    # lengths and the two size checks
+    lengths = []
+    for iv in arr.intervals:
+        if iv.kind is not Kind.PROPER:
+            continue
+        if iv.lo_closed or iv.hi_closed:
+            raise DegenerateInterval("expected an all-open arrangement")
+        if arr.geometry is Geometry.LINE:
+            if iv.lo is not None and iv.hi is not None:
+                lengths.append(iv.hi - iv.lo)
+        else:
+            lengths.append((iv.hi - iv.lo) % 1)
+    eps = _reference_margin(arr, lengths, sensors)
+    out = []
+    for iv in arr.intervals:
+        if iv.kind is not Kind.PROPER:
+            out.append(iv)
+            continue
+        lo = None if iv.lo is None else iv.lo + eps
+        hi = None if iv.hi is None else iv.hi - eps
+        if arr.geometry is Geometry.CIRCLE:
+            lo, hi = lo % 1, hi % 1
+        elif lo is not None and hi is not None and lo > hi:
+            raise DegenerateInterval("interval too short to shrink")
+        out.append(Interval1D.proper(lo, hi, lo is not None, hi is not None))
+    result = IntervalArrangement(tuple(out), arr.geometry)
+    assert extract_code_dense(result) == extract_code_dense(arr)
+    return result
+
+
+def _reference_closed_to_open(arr, sensors=None):
+    for iv in arr.intervals:
+        if iv.kind is Kind.PROPER:
+            if (iv.lo is not None and not iv.lo_closed) or (
+                iv.hi is not None and not iv.hi_closed
+            ):
+                raise DegenerateInterval("expected an all-closed arrangement")
+    eps = _reference_margin(arr, [], sensors)
+    out = []
+    for iv in arr.intervals:
+        if iv.kind is not Kind.PROPER:
+            out.append(iv)
+            continue
+        lo = None if iv.lo is None else iv.lo - eps
+        hi = None if iv.hi is None else iv.hi + eps
+        if arr.geometry is Geometry.CIRCLE:
+            if (1 - (iv.hi - iv.lo) % 1) <= 2 * eps:
+                raise DegenerateInterval("arc too long to enlarge")
+            lo, hi = lo % 1, hi % 1
+        out.append(Interval1D.proper(lo, hi, False, False))
+    result = IntervalArrangement(tuple(out), arr.geometry)
+    assert extract_code_dense(result) == extract_code_dense(arr)
+    return result
+
+
+def rand_swap_case(rng, closed):
+    """An all-open (closed=False) or all-closed arrangement on a coarse
+    grid, so endpoints often coincide, with rays, wrapping and point
+    arcs and now and then one half-open interval, plus no sensors,
+    sensors anywhere, or sensors on endpoints."""
+    geometry = rng.choice([Geometry.LINE, Geometry.CIRCLE])
+    circle = geometry is Geometry.CIRCLE
+
+    def point():
+        if circle:
+            return F(rng.randrange(12), 12)
+        return F(rng.randint(-12, 12), rng.choice([1, 2, 3]))
+
+    ivs = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.randrange(10)
+        if roll < 2:
+            ivs.append(Interval1D.empty() if roll else Interval1D.whole())
+            continue
+        lo, hi = point(), point()
+        if lo == hi and not (closed and roll < 5):
+            hi = (hi + F(1, 12)) % 1 if circle else hi + F(1, 12)
+        if not circle:
+            lo, hi = min(lo, hi), max(lo, hi)
+            if roll == 8:
+                lo = None
+            elif roll == 9:
+                hi = None
+        lo_closed, hi_closed = closed and lo is not None, closed and hi is not None
+        if rng.random() < 0.03 and lo != hi:
+            lo_closed = lo is not None and not lo_closed
+        ivs.append(Interval1D.proper(lo, hi, lo_closed, hi_closed))
+    arr = IntervalArrangement(tuple(ivs), geometry)
+    roll = rng.randrange(3)
+    if roll == 0:
+        return arr, None
+    grid = [F(i, 24) for i in range(24)] if circle else [
+        F(i, 6) for i in range(-80, 81)]
+    ps = set(rng.sample(grid, rng.randint(0, 6)))
+    if roll == 2:
+        ends = sorted({e for iv in ivs for e in iv.endpoints()})
+        ps |= set(rng.sample(ends, min(len(ends), rng.randint(1, 3))))
+    return arr, SensorSet.of(ps)
+
+
+def _outcome(swap, arr, sensors):
+    try:
+        return swap(arr, sensors=sensors)
+    except DegenerateInterval as exc:
+        return str(exc)
+
+
+def test_swaps_equal_the_reference():
+    rng = random.Random(71)
+    kinds = set()
+    for i in range(2000):
+        closed = i % 2 == 1
+        arr, sensors = rand_swap_case(rng, closed)
+        new, ref = ((closed_to_open, _reference_closed_to_open) if closed
+                    else (open_to_closed, _reference_open_to_closed))
+        out = _outcome(new, arr, sensors)
+        assert out == _outcome(ref, arr, sensors), (arr, sensors)
+        if not isinstance(out, str) and not closed:
+            # the round trip, on the same sensors
+            assert (_outcome(closed_to_open, out, sensors)
+                    == _outcome(_reference_closed_to_open, out, sensors))
+        kinds.add((arr.geometry, closed, isinstance(out, str),
+                   sensors is None))
+    assert len(kinds) == 16
+
+
+def test_reversed_line_interval_closes():
+    # an open line interval with lo > hi contains no point; its closure
+    # is a closed interval with lo > hi, which contains none either
+    arr = IntervalArrangement((Interval1D.open(3, 1),), Geometry.LINE)
+    closed = open_to_closed(arr)
+    assert closed.intervals == (Interval1D.closed(F(7, 2), F(1, 2)),)
+    reopened = closed_to_open(closed)
+    assert extract_code_dense(reopened) == extract_code_dense(arr)
+
+
 def test_self_checks_survive_optimize_flag():
     # python -O strips assert statements; the round-trip checks of
     # realize_matrix, normalize_arbitrary and the open/closed swaps must
@@ -430,9 +601,9 @@ def test_self_checks_survive_optimize_flag():
             (g.Interval1D.open(0, 1), g.Interval1D.open(2, 3)), Geometry.LINE)
         closed = g.open_to_closed(two)
         # margins that grow the intervals into each other
-        g._line_gap_epsilon = lambda arr, lengths: F(-1)
+        g._margin = lambda arr, sensors: F(-1)
         failed.append(not raises(g.open_to_closed, two))
-        g._line_gap_epsilon = lambda arr, lengths: F(1)
+        g._margin = lambda arr, sensors: F(1)
         failed.append(not raises(g.closed_to_open, closed))
         sys.exit("unchecked: %r" % failed if any(failed) else 0)
     """)

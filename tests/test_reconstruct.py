@@ -453,6 +453,89 @@ class TestCertificateScaling:
             rejection_certificate(code)
 
 
+def _reference_odd_cycle(ws):
+    # the search as it was before it climbed by BFS depth: a color map,
+    # and the two root paths of the conflicting edge intersected
+    from collections import deque
+
+    from convexcodes.reconstruct import _incompatibility_edges
+
+    adj = {(a, b): [] for a in ws for b in ws if a is not b}
+    for u, v, row in _incompatibility_edges(ws):
+        adj[u].append((v, row))
+        adj[v].append((u, row))
+    color, parent = {}, {}
+    for start in adj:
+        if start in color:
+            continue
+        color[start] = 0
+        parent[start] = None
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v, row in adj[u]:
+                if v not in color:
+                    color[v] = 1 - color[u]
+                    parent[v] = (u, row)
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return _reference_extract(u, v, row, parent)
+    return None
+
+
+def _reference_extract(u, v, row, parent):
+    def path(x):
+        out = [(x, None)]
+        while parent[x] is not None:
+            p, r = parent[x]
+            out.append((p, r))
+            x = p
+        return out
+
+    pu, pv = path(u), path(v)
+    seen = {x for x, _ in pu}
+    i = next(i for i, (x, _) in enumerate(pv) if x in seen)
+    lca = pv[i][0]
+    j = next(j for j, (x, _) in enumerate(pu) if x == lca)
+    vertices, witnesses = [], {}
+    for idx in range(j):
+        vertices.append(pu[idx][0])
+        r = parent[pu[idx][0]][1] if parent[pu[idx][0]] else None
+        if r is not None:
+            witnesses[len(vertices) - 1] = r
+    vertices.append(lca)
+    for x in reversed([pv[idx][0] for idx in range(i)]):
+        r = parent[x][1] if parent[x] else None
+        if r is not None:
+            witnesses[len(vertices) - 1] = r
+        vertices.append(x)
+    if row is not None:
+        witnesses[len(vertices) - 1] = row
+    return RejectionCertificate(tuple(vertices), witnesses)
+
+
+def test_odd_cycle_equals_the_reference():
+    from convexcodes.reconstruct import _odd_cycle
+
+    rng = random.Random(67)
+    found = bipartite = 0
+    for _ in range(2000):
+        k = rng.randint(2, 6)
+        # distinct words in random order: the order steers the search
+        ws = [BitVector(k, m) for m in
+              rng.sample(range(1 << k), rng.randint(1, min(8, 1 << k)))]
+        cert, reference = _odd_cycle(ws), _reference_odd_cycle(ws)
+        if reference is None:
+            assert cert is None
+            bipartite += 1
+            continue
+        assert cert.odd_cycle == reference.odd_cycle
+        assert list(cert.witnesses.items()) == list(reference.witnesses.items())
+        assert cert.verify()
+        found += 1
+    assert found >= 300 and bipartite >= 300
+
+
 class TestMultiset:
     def test_sparse_duplicates_columns(self):
         ms = CodeMultiset.of({_bv("110"): 2, _bv("011"): 1, _bv("010"): 3})

@@ -9,16 +9,18 @@ import pytest
 
 from convexcodes.cli import parse_code_file
 from convexcodes.core import CO, BitVector, Code, CodeMultiset, Geometry, SensorMatrix
-from convexcodes.geometry import realize_matrix
+from convexcodes.geometry import closed_to_open, open_to_closed, realize_matrix
 from convexcodes.reconstruct import (
     Bipartition,
     Multiordering,
+    RejectionCertificate,
     reconstruct_dense_linear,
     reconstruct_multiset_dense_linear,
     reconstruct_sparse,
     rejection_certificate,
 )
 from test_acceptance import _Budget
+from test_reconstruct import _staircase_with_triangle
 
 
 def _staircase(n):
@@ -45,18 +47,36 @@ def _dense_complete(k, rng):
     return CodeMultiset.of({w: c + rng.randrange(3) for w, c in entries.items()})
 
 
-def test_realize_random_intervals():
-    # an interval matrix holds about k*n/3 ones: ~1.7e7 here
+def _random_intervals(k, n):
+    # an interval matrix holds about k*n/3 ones
     rng = random.Random(5000)
-    k, n = 5000, 10**4
     rows = []
     for _ in range(k):
         a, b = sorted((rng.randrange(n), rng.randrange(n)))
         rows.append(BitVector(n, ((1 << (b - a + 1)) - 1) << a))
+    return SensorMatrix(rows, Geometry.LINE)
+
+
+def test_realize_random_intervals():
+    m = _random_intervals(5000, 10**4)
     budget = _Budget(1.3)
-    arr, sensors = realize_matrix(SensorMatrix(rows, Geometry.LINE), CO)
+    arr, sensors = realize_matrix(m, CO)
     budget.check()
-    assert len(arr.intervals) == k and len(sensors) == n
+    assert len(arr.intervals) == 5000 and len(sensors) == 10**4
+
+
+def test_open_closed_swaps_with_sensors():
+    # each swap bisects the 10^4 sensors from every endpoint and checks
+    # the dense code over ~2 * 10^4 sample points
+    arr, sensors = realize_matrix(_random_intervals(5000, 10**4), CO)
+    budget = _Budget(3.3)
+    closed = open_to_closed(arr, sensors=sensors)
+    budget.check()
+    budget = _Budget(3.3)
+    reopened = closed_to_open(closed, sensors=sensors)
+    budget.check()
+    assert all(iv.lo_closed for iv in closed.intervals if iv.lo is not None)
+    assert not any(iv.lo_closed for iv in reopened.intervals)
 
 
 @pytest.mark.parametrize("multiset", [False, True])
@@ -102,6 +122,16 @@ def test_feasible_certificate():
     first, second = code.sorted_words()[:2]
     assert (cert.coloring[(first, second)],
             cert.coloring[(second, first)]) == (0, 1)
+
+
+def test_infeasible_certificate():
+    # the core search runs O(log n) recognitions per core word
+    code = _staircase_with_triangle(10**4)
+    budget = _Budget(24)
+    cert = rejection_certificate(code)
+    budget.check()
+    assert isinstance(cert, RejectionCertificate) and cert.verify()
+    assert len(cert.odd_cycle) == 3
 
 
 def test_parse_staircase_file():
