@@ -9,12 +9,14 @@ subtree (over a sequence of reductions, O(n + sum of |S|) nodes in total,
 as in Booth & Lueker 1976) and no code path recurses, so tree depth is
 bounded by memory, not by the interpreter stack:
 
-- A reduction runs in two passes.  The bubble pass climbs from the
-  pertinent leaves in FIFO order, visiting each node once, until all
-  paths meet.  The labeling pass then works bottom-up from the leaves,
-  labeling a node once all its pertinent children are labeled and
-  applying the P/Q templates, and stops at the first node that holds
-  every pertinent leaf: the pertinent root.
+- A reduction runs in two passes over a leaf layer.  One loop over the
+  labels groups the pertinent leaves by parent; a group counts as its
+  size in full leaves, so no leaf enters either pass.  The bubble pass
+  climbs from the group parents in FIFO order, visiting each node once,
+  until all paths meet.  The labeling pass then works bottom-up from
+  the group parents, labeling a node once all its pertinent children
+  are labeled and applying the P/Q templates, and stops at the first
+  node that holds every pertinent leaf: the pertinent root.
 - Q children sit in an orientation-agnostic doubly linked list: each child
   stores its two neighbors in unordered slots, so reversing a Q node is an
   O(1) head/tail swap.
@@ -207,19 +209,20 @@ def _pertinent_run(fulls: list[_Node], partials: list[_Node]) -> list[_Node]:
     return run
 
 
-def _bubble(leaves: list[_Node]) -> tuple[dict[_Node, _Node],
+def _bubble(starts: list[_Node]) -> tuple[dict[_Node, _Node],
                                            dict[_Node, list[_Node]]]:
-    """Bubble pass of a reduction: FIFO from the pertinent leaves upward,
-    each node visited once, until every path has merged into one node.
+    """Bubble pass of a reduction: FIFO from the pertinent leaves' parents
+    upward, each node visited once, until every path has merged into one.
 
-    Returns each visited node's parent and each parent's pertinent
-    children.  The merge node may lie above the pertinent root, but FIFO
-    order pops a node of a still-open path between any two steps above
-    it, so the pass costs O(size of the pertinent subtree).
+    Returns each visited node's parent and each node's pertinent
+    children that are not leaves.  The merge node may lie above the
+    pertinent root, but FIFO order pops a node of a still-open path
+    between any two steps above it, so the pass costs O(size of the
+    pertinent subtree).
     """
     up: dict[_Node, _Node] = {}
-    pert_children: dict[_Node, list[_Node]] = {}
-    queue = deque(leaves)
+    pert_children: dict[_Node, list[_Node]] = {node: [] for node in starts}
+    queue = deque(starts)
     while len(queue) > 1:
         node = queue.popleft()
         par = node.parent()
@@ -255,28 +258,43 @@ class PQTree:
     def reduce(self, labels: Iterable[int]) -> None:
         """Constrain the leaves in `labels` to be consecutive.
 
-        Raises ReductionFailed if no ordering satisfies all constraints
-        reduced so far (the tree is unusable afterwards).
+        Raises ValueError for a label outside 0..n-1, and ReductionFailed
+        if no ordering satisfies all constraints reduced so far (the tree
+        is unusable afterwards).
         """
         s = set(labels)
+        if s and (min(s) < 0 or max(s) >= self.n):
+            raise ValueError("leaf label out of range for %d leaves" % self.n)
         m = len(s)
         if m <= 1 or m >= self.n:
             return
-        leaves = [self.leaves[lab] for lab in s]
-        up, pert_children = _bubble(leaves)
+        # Leaf layer: group the pertinent leaves by parent, one union-find
+        # step each, compressed into the leaf's own pointer.  A group is
+        # |group| full leaves, each standing for itself.
+        groups: dict[_Node, list[_Node]] = {}
+        leaves = self.leaves
+        for lab in s:
+            leaf = leaves[lab]
+            cell = leaf.up
+            if cell.link is not None:
+                cell = leaf.up = _find(cell)
+            kids = groups.get(cell.owner)
+            if kids is None:
+                groups[cell.owner] = [leaf]
+            else:
+                kids.append(leaf)
+        up, pert_children = _bubble(list(groups))
         # Labeling pass, bottom-up: a node is labeled once all its pertinent
         # children are, and the first one holding all m leaves is the
         # pertinent root.  labeled maps a node to (pertinent leaf count,
         # FULL/PARTIAL, the node that now stands in its place).
         waiting = {par: len(kids) for par, kids in pert_children.items()}
-        labeled = {leaf: (1, FULL, leaf) for leaf in leaves}
-        ready = leaves
+        labeled = {}
+        ready = [par for par, kids in pert_children.items() if not kids]
         while ready:
-            par = up[ready.pop()]
-            waiting[par] -= 1
-            if waiting[par]:
-                continue
-            pc, fulls, partials = 0, [], []
+            par = ready.pop()
+            fulls = groups.get(par, [])
+            pc, partials = len(fulls), []
             for child in pert_children[par]:
                 child_pc, label, rep = labeled[child]
                 pc += child_pc
@@ -285,7 +303,10 @@ class PQTree:
                 self._reduce_root(par, pc, fulls, partials)
                 return
             labeled[par] = (pc, *self._label(par, pc, fulls, partials))
-            ready.append(par)
+            grand = up[par]
+            waiting[grand] -= 1
+            if not waiting[grand]:
+                ready.append(grand)
         raise InternalError("pertinent leaves have no common ancestor")
 
     # Non-root labeling of a node whose pertinent children are labeled.

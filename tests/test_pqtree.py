@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import deque
 
 import pytest
 
@@ -96,16 +97,24 @@ def _staircase(n: int) -> list[list[int]]:
 
 @pytest.fixture
 def visits(monkeypatch):
-    """Counts parent lookups: one per node the bubble pass visits, plus
-    one per partial P node the templates replace."""
+    """Counts parent lookups: one per pertinent leaf, one per node the
+    bubble pass visits, plus one per partial P node the templates
+    replace.  The leaf layer looks the leaves' parents up without
+    _Node.parent, so each reduction adds its |S| by hand."""
     count = [0]
     parent = pqtree._Node.parent
+    reduce = PQTree.reduce
 
     def counting(node):
         count[0] += 1
         return parent(node)
 
+    def counting_leaves(tree, labels):
+        count[0] += len(set(labels))
+        return reduce(tree, labels)
+
     monkeypatch.setattr(pqtree._Node, "parent", counting)
+    monkeypatch.setattr(PQTree, "reduce", counting_leaves)
     return count
 
 
@@ -205,3 +214,139 @@ def test_pertinent_root_has_two_pertinent_children(monkeypatch):
             pass
     assert len(seen) > 1000
     assert min(seen) >= 2
+
+
+class TestLabelCheck:
+    @pytest.mark.parametrize("labels", [[-1, 0], [0, 1, 2, 3, 5], [0, 7],
+                                        [4], [-1]])
+    def test_out_of_range_labels_raise(self, labels):
+        tree = PQTree(4)
+        with pytest.raises(ValueError):
+            tree.reduce(labels)
+        assert tree.summary() == "{0 1 2 3}"
+
+    def test_empty_tree_takes_no_label(self):
+        PQTree(0).reduce([])
+        with pytest.raises(ValueError):
+            PQTree(0).reduce([0])
+
+
+def _reference_bubble(leaves):
+    up, pert_children = {}, {}
+    queue = deque(leaves)
+    while len(queue) > 1:
+        node = queue.popleft()
+        par = node.parent()
+        if par is None:
+            queue.append(node)
+            continue
+        up[node] = par
+        kids = pert_children.get(par)
+        if kids is None:
+            pert_children[par] = [node]
+            queue.append(par)
+        else:
+            kids.append(node)
+    return up, pert_children
+
+
+class _ReferenceTree(PQTree):
+    """The reduction before the leaf layer: every pertinent leaf enters
+    the bubble queue and the labeling pass.  The templates are shared."""
+
+    def reduce(self, labels):
+        s = set(labels)
+        m = len(s)
+        if m <= 1 or m >= self.n:
+            return
+        leaves = [self.leaves[lab] for lab in s]
+        up, pert_children = _reference_bubble(leaves)
+        waiting = {par: len(kids) for par, kids in pert_children.items()}
+        labeled = {leaf: (1, pqtree.FULL, leaf) for leaf in leaves}
+        ready = leaves
+        while ready:
+            par = up[ready.pop()]
+            waiting[par] -= 1
+            if waiting[par]:
+                continue
+            pc, fulls, partials = 0, [], []
+            for child in pert_children[par]:
+                child_pc, label, rep = labeled[child]
+                pc += child_pc
+                (fulls if label == pqtree.FULL else partials).append(rep)
+            if pc == m:
+                self._reduce_root(par, pc, fulls, partials)
+                return
+            labeled[par] = (pc, *self._label(par, pc, fulls, partials))
+            ready.append(par)
+        raise pqtree.InternalError("pertinent leaves have no common ancestor")
+
+
+def _mixed_family(n, rng):
+    """Intervals, nested and two-ended runs of a hidden order, and random
+    subsets, in random proportions; some constraints repeated later,
+    interleaved with the rest."""
+    hidden = rng.sample(range(n), n)
+    out = []
+    for _ in range(rng.randint(0, 2 * n)):
+        kind = rng.random()
+        a = rng.randrange(n)
+        if kind < 0.35:
+            out.append(hidden[a:rng.randint(a + 1, n)])
+        elif kind < 0.55:
+            out.append(hidden[a:])
+        elif kind < 0.75:
+            out.append(hidden[:a + 1])
+        elif kind < 0.9:
+            out.append(rng.sample(range(n), rng.randint(0, n)))
+    if rng.random() < 0.8:
+        # nested runs first build deep chains the later ones cut across
+        out.sort(key=len, reverse=rng.random() < 0.5)
+    for _ in range(rng.randint(0, len(out))):
+        out.insert(rng.randint(0, len(out)), rng.choice(out))
+    return out
+
+
+def _depth(tree, leaf):
+    depth, node = 0, leaf
+    while node is not tree.root:
+        node, depth = node.parent(), depth + 1
+    return depth
+
+
+def _run(tree, constraints):
+    """Index of the first constraint that fails, or None."""
+    for i, c in enumerate(constraints):
+        try:
+            tree.reduce(c)
+        except ReductionFailed:
+            return i
+    return None
+
+
+class TestAgainstReference:
+    def test_same_trees(self):
+        rng = random.Random(2024)
+        outcomes, deep = set(), 0
+        for case in range(2400):
+            n = 2 + case % 11
+            constraints = _mixed_family(n, rng)
+            ref = _ReferenceTree(n)
+            for i, c in enumerate(constraints):
+                if 1 < len(set(c)) < n:
+                    deep += len({_depth(ref, ref.leaves[lab]) for lab in c}) > 1
+                try:
+                    ref.reduce(c)
+                except ReductionFailed:
+                    failed_at = i
+                    break
+            else:
+                failed_at = None
+            tree = PQTree(n)
+            assert _run(tree, constraints) == failed_at, constraints
+            outcomes.add(failed_at is None)
+            if failed_at is None:
+                assert tree.frontier() == ref.frontier(), constraints
+                assert tree.summary() == ref.summary(), constraints
+        assert outcomes == {True, False}
+        assert deep > 3000

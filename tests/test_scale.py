@@ -10,6 +10,7 @@ import pytest
 from convexcodes.cli import parse_code_file
 from convexcodes.core import CO, BitVector, Code, CodeMultiset, Geometry, SensorMatrix
 from convexcodes.geometry import closed_to_open, open_to_closed, realize_matrix
+from convexcodes.pqtree import PQTree
 from convexcodes.reconstruct import (
     Bipartition,
     Multiordering,
@@ -100,6 +101,32 @@ def test_sparse_nested():
     m = reconstruct_sparse(code, Geometry.LINE)
     budget.check()
     assert isinstance(m, SensorMatrix) and m.n == n
+
+
+def test_sparse_nested_million_ones():
+    # 1400 nested words hold about 10^6 ones; each of the 1400 rows is
+    # one reduction
+    n = 1400
+    code = Code.of(BitVector(n, (1 << (i + 1)) - 1) for i in range(n))
+    budget = _Budget(1.6)
+    m = reconstruct_sparse(code, Geometry.LINE)
+    budget.check()
+    assert isinstance(m, SensorMatrix) and m.n == n
+
+
+def test_pq_two_ended_deep_q_node():
+    # the nested suffixes build a chain n deep, and the prefixes then fold
+    # it into one Q node: 1.96 * 10^6 labels in 2 * (n - 1) reductions
+    n = 1400
+    constraints = ([list(range(i + 1, n)) for i in range(n - 1)]
+                   + [list(range(j + 1)) for j in range(n - 1)])
+    tree = PQTree(n)
+    budget = _Budget(2.7)
+    for c in constraints:
+        tree.reduce(c)
+    budget.check()
+    assert tree.frontier() == list(range(n))
+    assert tree.summary() == "[" + " ".join(map(str, range(n))) + "]"
 
 
 @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
