@@ -2,8 +2,9 @@
 
 The circle is modeled as [0, 1) with unit circumference; an arc runs
 clockwise from lo to hi and may wrap around.  On the line an endpoint of
-None denotes a ray (unbounded on that side).  All arithmetic is done
-with fractions.Fraction; there are no tolerances anywhere.
+None denotes a ray (unbounded on that side), and a ray side is never
+closed.  All arithmetic is done with fractions.Fraction; there are no
+tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ class Interval1D:
 
     @classmethod
     def proper(cls, lo, hi, lo_closed=False, hi_closed=False) -> "Interval1D":
+        if (lo is None and lo_closed) or (hi is None and hi_closed):
+            raise DegenerateInterval("a ray side cannot be closed")
         lo = None if lo is None else _frac(lo)
         hi = None if hi is None else _frac(hi)
         if lo is not None and hi is not None and lo == hi:
@@ -193,26 +196,23 @@ def extract_code_sparse(
 
 
 def _sample_points(arr: IntervalArrangement) -> list[Fraction]:
-    """One representative per elementary region, plus every endpoint."""
+    """One representative per elementary region, plus every endpoint,
+    in increasing order."""
     vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
     if not vals:
         return [Fraction(0)]
-    pts = list(vals)
+    pts = [p for a, b in zip(vals, vals[1:]) for p in (a, (a + b) / 2)]
+    pts.append(vals[-1])
     if arr.geometry is Geometry.LINE:
-        pts.append(vals[0] - 1)
-        pts.append(vals[-1] + 1)
-        for a, b in zip(vals, vals[1:]):
-            pts.append((a + b) / 2)
-    else:
-        for a, b in zip(vals, vals[1:]):
-            pts.append((a + b) / 2)
-        pts.append(((vals[-1] + vals[0] + 1) / 2) % 1)
-    return pts
+        return [vals[0] - 1] + pts + [vals[-1] + 1]
+    # the region across 0: its midpoint, less 1 if past 1, comes last or first
+    wrap = (vals[-1] + vals[0] + 1) / 2
+    return pts + [wrap] if wrap < 1 else [wrap - 1] + pts
 
 
 def extract_code_dense(arr: IntervalArrangement) -> Code:
     """The full image of the codeword map over the ambient space."""
-    return extract_code_sparse(arr, SensorSet.of(_sample_points(arr)))[0]
+    return extract_code_sparse(arr, SensorSet(tuple(_sample_points(arr))))[0]
 
 
 def realize_matrix(
@@ -329,6 +329,36 @@ def _margin(arr: IntervalArrangement,
     return min(dists)
 
 
+def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
+          close: bool) -> IntervalArrangement:
+    """Both swaps: move each finite end by the margin, inward to close and
+    outward to open.  A ray side is never closed, so no finite end may
+    already have the target closedness."""
+    for iv in arr.intervals:
+        if iv.kind is Kind.PROPER and (
+                (iv.lo is not None and iv.lo_closed == close)
+                or (iv.hi is not None and iv.hi_closed == close)):
+            raise DegenerateInterval("expected an all-%s arrangement"
+                                     % ("open" if close else "closed"))
+    eps = _margin(arr, sensors)
+    shift = eps if close else -eps
+    out = []
+    for iv in arr.intervals:
+        if iv.kind is not Kind.PROPER:
+            out.append(iv)
+            continue
+        lo = None if iv.lo is None else iv.lo + shift
+        hi = None if iv.hi is None else iv.hi - shift
+        if arr.geometry is Geometry.CIRCLE:
+            lo, hi = lo % 1, hi % 1
+        out.append(Interval1D.proper(lo, hi, close and lo is not None,
+                                     close and hi is not None))
+    result = IntervalArrangement(tuple(out), arr.geometry)
+    ensure(extract_code_dense(result) == extract_code_dense(arr),
+           "%s changed the dense code" % ("closure" if close else "interior"))
+    return result
+
+
 def open_to_closed(arr: IntervalArrangement, *,
                    sensors: Optional[SensorSet] = None) -> IntervalArrangement:
     """Shrink every open interval slightly, then take closures.
@@ -337,24 +367,7 @@ def open_to_closed(arr: IntervalArrangement, *,
     endpoint and every elementary region survives, which keeps the dense
     code intact.  Given sensors, it also keeps the code they see.
     """
-    for iv in arr.intervals:
-        if iv.kind is Kind.PROPER and (iv.lo_closed or iv.hi_closed):
-            raise DegenerateInterval("expected an all-open arrangement")
-    eps = _margin(arr, sensors)
-    out = []
-    for iv in arr.intervals:
-        if iv.kind is not Kind.PROPER:
-            out.append(iv)
-            continue
-        lo = None if iv.lo is None else iv.lo + eps
-        hi = None if iv.hi is None else iv.hi - eps
-        if arr.geometry is Geometry.CIRCLE:
-            lo, hi = lo % 1, hi % 1
-        out.append(Interval1D.proper(lo, hi, lo is not None, hi is not None))
-    result = IntervalArrangement(tuple(out), arr.geometry)
-    ensure(extract_code_dense(result) == extract_code_dense(arr),
-           "closure changed the dense code")
-    return result
+    return _swap(arr, sensors, True)
 
 
 def closed_to_open(arr: IntervalArrangement, *,
@@ -364,34 +377,12 @@ def closed_to_open(arr: IntervalArrangement, *,
     Inverse of open_to_closed; the dense code is preserved, and given
     sensors, so is the code they see.
     """
-    for iv in arr.intervals:
-        if iv.kind is Kind.PROPER:
-            if (iv.lo is not None and not iv.lo_closed) or (
-                iv.hi is not None and not iv.hi_closed
-            ):
-                raise DegenerateInterval("expected an all-closed arrangement")
-    eps = _margin(arr, sensors)
-    out = []
-    for iv in arr.intervals:
-        if iv.kind is not Kind.PROPER:
-            out.append(iv)
-            continue
-        lo = None if iv.lo is None else iv.lo - eps
-        hi = None if iv.hi is None else iv.hi + eps
-        if arr.geometry is Geometry.CIRCLE:
-            lo, hi = lo % 1, hi % 1
-        out.append(Interval1D.proper(lo, hi, False, False))
-    result = IntervalArrangement(tuple(out), arr.geometry)
-    ensure(extract_code_dense(result) == extract_code_dense(arr),
-           "interior changed the dense code")
-    return result
+    return _swap(arr, sensors, False)
 
 
 def open_closed_swap(arr: IntervalArrangement) -> IntervalArrangement:
-    """Dispatch to open_to_closed or closed_to_open by inspection."""
+    """open_to_closed or closed_to_open, by the first proper interval."""
     for iv in arr.intervals:
         if iv.kind is Kind.PROPER:
-            if iv.lo_closed or iv.hi_closed:
-                return closed_to_open(arr)
-            return open_to_closed(arr)
+            return _swap(arr, None, not (iv.lo_closed or iv.hi_closed))
     return arr

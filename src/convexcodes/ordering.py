@@ -7,8 +7,10 @@ position in which the anchor is 1 (i.e. XOR all words with the anchor);
 the complemented set is CO-orderable iff the original is CCO-orderable,
 and any CO ordering maps back to a circular one by XOR-ing again.
 
-A feasible result keeps its PQ-tree and renders tree_summary from it on
-first read, so callers that only want the ordering never build it.
+Both are one construction, whose only self-check is verify_matrix: the
+regime's signature and exactly the given words as columns.  A feasible
+result keeps its PQ-tree and renders tree_summary from it on first
+read, so callers that only want the ordering never build it.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from .core import (
     CO,
     BitVector,
     Code,
+    Regime,
     SensorMatrix,
     _row_runs,
-    ensure,
-    regime_check,
+    verify_matrix,
 )
 from .pqtree import PQTree, ReductionFailed
 
@@ -86,30 +88,29 @@ def _pq_solve(words: list[BitVector],
     return tree.frontier(), tree
 
 
-def co_order(words: Code) -> OrderingResult:
-    """A canonical CO column ordering of the codeword set, or infeasible."""
-    ws = words.sorted_words()
-    solved = _pq_solve(ws, ws)
+def _order(words: Code, regime: Regime) -> OrderingResult:
+    # on the circle, complement by the anchor, the last word (the empty
+    # code has none and needs none), and name the leaves by the originals
+    ws = names = words.sorted_words()
+    if regime == CCO and ws:
+        anchor = ws[-1]
+        ws = sorted((w ^ anchor for w in ws), key=lambda w: w.mask)
+        names = [w ^ anchor for w in ws]
+    solved = _pq_solve(ws, names)
     if solved is None:
         return INFEASIBLE_ORDERING
     order, tree = solved
-    cols = tuple(ws[j] for j in order)
-    m = SensorMatrix.from_columns(cols, CO.geometry, k=words.k)
-    ensure(regime_check(m, CO), "PQ-tree produced a non-CO ordering")
+    cols = tuple(names[j] for j in order)
+    m = SensorMatrix.from_columns(cols, regime.geometry, k=words.k)
+    verify_matrix(m, regime, words)
     return OrderingResult(True, cols, tree, m)
+
+
+def co_order(words: Code) -> OrderingResult:
+    """A canonical CO column ordering of the codeword set, or infeasible."""
+    return _order(words, CO)
 
 
 def cco_order(words: Code) -> OrderingResult:
     """A canonical CCO column ordering of the codeword set, or infeasible."""
-    ws = words.sorted_words()
-    # the last word is the anchor; the empty code has none and needs none
-    flipped = sorted((w ^ ws[-1] for w in ws), key=lambda w: w.mask)
-    originals = [w ^ ws[-1] for w in flipped]
-    solved = _pq_solve(flipped, originals)
-    if solved is None:
-        return INFEASIBLE_ORDERING
-    order, tree = solved
-    cols = tuple(originals[j] for j in order)
-    m = SensorMatrix.from_columns(cols, CCO.geometry, k=words.k)
-    ensure(regime_check(m, CCO), "complementation produced a non-CCO ordering")
-    return OrderingResult(True, cols, tree, m)
+    return _order(words, CCO)

@@ -56,13 +56,10 @@ class Multiordering:
     support: Code
 
     def __post_init__(self):
-        present = set(self.columns)
-        missing = [w for w in self.support.words if w not in present]
-        if missing:
-            raise ValueError("support word absent from columns")
-        for c in self.columns:
-            if c.n != self.support.k and self.support.words:
-                raise ValueError("column length differs from support length")
+        if set(self.columns) != self.support.words:
+            raise ValueError("columns are not exactly the support words")
+        if any(c.n != self.support.k for c in self.columns):
+            raise ValueError("column length differs from support length")
 
     def matrix(self, geometry: Geometry = Geometry.LINE) -> SensorMatrix:
         return SensorMatrix.from_columns(self.columns, geometry,
@@ -303,11 +300,8 @@ def reconstruct_sparse(words: Code, geometry: Geometry):
     if not result.feasible:
         return Infeasible("no %s column ordering exists"
                           % ("CO" if geometry is Geometry.LINE else "CCO"))
-    # the ordering's matrix and regime signature were checked where it
-    # was produced
-    m = result.matrix
-    ensure(m.column_set() == words, "ordering has the wrong column set")
-    return m
+    # the ordering checked its matrix's signature and columns
+    return result.matrix
 
 
 def _prune_surplus(cols: list[BitVector], target: Mapping[BitVector, int]) -> None:

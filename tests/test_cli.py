@@ -1,4 +1,5 @@
 import gc
+import io
 import json
 import locale
 import os
@@ -17,10 +18,11 @@ from convexcodes.cli import (
     EXIT_SIZE_LIMIT,
     EXIT_UNSUPPORTED,
     ParseError,
+    count_sparse,
     main,
     parse_code_file,
 )
-from convexcodes.core import BitVector, Geometry, SizeLimit
+from convexcodes.core import BitVector, Geometry, InternalError, SizeLimit
 from convexcodes.geometry import (
     Interval1D,
     IntervalArrangement,
@@ -64,6 +66,12 @@ class TestParseCodeFile:
             parse_code_file("0 110\n")
         with pytest.raises(ParseError, match="no codewords"):
             parse_code_file("# nothing\n")
+
+    def test_three_fields_rejected(self):
+        with pytest.raises(ParseError) as err:
+            parse_code_file("10\n2 01 11\n")
+        assert str(err.value) == (
+            "line 2: expected 'codeword' or 'count codeword'")
 
     @pytest.mark.parametrize("count", ["+2", "1_0", "\u0662", "\uff12", "-+2",
                                        "-"])
@@ -332,6 +340,23 @@ class TestEnumerate:
         )
         assert code == EXIT_FEASIBLE
 
+    @pytest.mark.parametrize("geometry", ["line", "circle"])
+    def test_sparse_oracle(self, capsys, geometry):
+        argv = ["enumerate", "--geometry", geometry, "--max-n", "5",
+                "--max-k", "4"]
+        code, out, err = run(capsys, *argv, "--oracle")
+        assert (code, err) == (EXIT_FEASIBLE, "")
+        assert out == run(capsys, *argv)[1]
+
+    def test_sparse_oracle_mismatch(self, capsys, monkeypatch):
+        # one cell of the table off by one
+        monkeypatch.setattr(
+            "convexcodes.cli.count_sparse",
+            lambda n, k, geometry: count_sparse(n, k, geometry)
+            + (n == 2 and k == 3))
+        with pytest.raises(InternalError, match="oracle mismatch at n=2 k=3"):
+            main(["enumerate", "--max-n", "3", "--max-k", "3", "--oracle"])
+
     def test_oracle_size_limit(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--regime", "dense",
@@ -478,6 +503,13 @@ class TestCodeFiles:
         )
         assert (proc.returncode, proc.stderr) == (EXIT_FEASIBLE, "")
         assert proc.stdout == run(capsys, "check", path)[1]
+
+    def test_dash_reads_stdin_in_process(self, capsys, tmp_path,
+                                         monkeypatch):
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        want = run(capsys, "check", path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(WALKTHROUGH))
+        assert run(capsys, "check", "-") == want
 
 
 class TestDeterminism:

@@ -152,6 +152,32 @@ class TestRowMask:
         words = {evaluate_codeword(arr, p) for p in _sample_points(arr)}
         assert extract_code_dense(arr) == Code.of(words)
 
+    @settings(max_examples=300, deadline=None)
+    @given(_arrangements())
+    def test_sample_points_come_in_order(self, case):
+        arr, _ = case
+        # reference: the same points, made in any order, then sorted
+        vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
+        mids = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+        if not vals:
+            want = [F(0)]
+        elif arr.geometry is Geometry.LINE:
+            want = sorted(vals + mids + [vals[0] - 1, vals[-1] + 1])
+        else:
+            want = sorted(vals + mids + [((vals[-1] + vals[0] + 1) / 2) % 1])
+        assert _sample_points(arr) == want
+
+    def test_wrap_point_first_or_last(self):
+        def points(*ends):
+            arc = Interval1D.open(*ends)
+            return _sample_points(IntervalArrangement((arc,), Geometry.CIRCLE))
+
+        # the midpoint across 0 is 7/8, below 1: it comes last
+        assert points(F(1, 4), F(1, 2)) == [F(1, 4), F(3, 8), F(1, 2), F(7, 8)]
+        # it is 21/16, past 1: as 5/16 it comes first
+        assert points(F(3, 4), F(7, 8)) == [F(5, 16), F(3, 4), F(13, 16),
+                                            F(7, 8)]
+
     def test_named_cases(self):
         line, circle = Geometry.LINE, Geometry.CIRCLE
         ps = (F(0), F(1, 4), F(1, 2), F(3, 4))
@@ -195,6 +221,19 @@ class TestInterval:
         assert left.contains(-1000, Geometry.LINE)
         assert left.contains(2, Geometry.LINE)
         assert not left.contains(3, Geometry.LINE)
+
+    def test_ray_side_is_never_closed(self):
+        for lo, hi, lo_closed, hi_closed in ((None, 3, True, False),
+                                             (None, 3, True, True),
+                                             (3, None, False, True),
+                                             (3, None, True, True),
+                                             (None, None, False, True)):
+            with pytest.raises(DegenerateInterval,
+                               match="a ray side cannot be closed"):
+                Interval1D.proper(lo, hi, lo_closed, hi_closed)
+        # the finite side of a ray may be closed
+        assert Interval1D.proper(None, 3, False, True).hi_closed
+        assert Interval1D.proper(3, None, True, False).lo_closed
 
     def test_empty_whole(self):
         assert not Interval1D.empty().contains(0, Geometry.LINE)
@@ -271,6 +310,12 @@ class TestRealizeRoundTrip:
         with pytest.raises(RegimeViolation):
             realize_matrix(m, CO)
 
+    def test_zero_column_circle_rejected(self):
+        m = SensorMatrix.from_columns([], Geometry.CIRCLE, k=2)
+        with pytest.raises(RegimeViolation,
+                           match="cannot realize a zero-column circular"):
+            realize_matrix(m, CCO)
+
     def test_circle_wrap_row(self):
         m = SensorMatrix.from_strings(["1001"], Geometry.CIRCLE)
         arr, sensors = realize_matrix(m, CCO)
@@ -313,6 +358,11 @@ class TestNormalize:
         assert iv.kind is Kind.PROPER
         assert (iv.lo, iv.lo_closed) == (F(2), True)
         assert (iv.hi, iv.hi_closed) == (F(3), False)
+
+    def test_empty_sensor_set_rejected(self):
+        arr = IntervalArrangement((Interval1D.open(0, 1),), Geometry.LINE)
+        with pytest.raises(ValueError, match="sensor set must be nonempty"):
+            normalize_arbitrary(arr, SensorSet(()))
 
     def test_no_sensor_becomes_empty_all_becomes_whole(self):
         arr = IntervalArrangement(
@@ -387,6 +437,12 @@ class TestOpenClosedSwap:
         assert closed.intervals[0].lo_closed and closed.intervals[0].hi_closed
         back = open_closed_swap(closed)
         assert not back.intervals[0].lo_closed
+
+    def test_no_proper_interval_is_returned_as_is(self):
+        for geometry in (Geometry.LINE, Geometry.CIRCLE):
+            for ivs in ((), (Interval1D.empty(), Interval1D.whole())):
+                arr = IntervalArrangement(ivs, geometry)
+                assert open_closed_swap(arr) is arr
 
     def test_mixed_arrangement_rejected(self):
         arr = IntervalArrangement(

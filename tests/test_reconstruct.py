@@ -123,23 +123,34 @@ class TestSparse:
 
     def test_self_checks_survive_optimize_flag(self):
         # python -O strips assert statements; a solver that returns a
-        # non-CO order must still be caught
+        # non-CO order, or a CO order of the wrong words, must still be
+        # caught, by every caller of the ordering
         script = textwrap.dedent("""
             import sys
             import convexcodes.ordering as ordering
-            from convexcodes import Code, Geometry, reconstruct_sparse
+            from convexcodes import (Code, Geometry, reconstruct_sparse,
+                                     rejection_certificate)
             from convexcodes.core import InternalError
 
             if not sys.flags.optimize:
                 sys.exit("not running under -O")
-            # words sort as 100, 110, 001, 011; this order splits row 0
-            ordering._pq_solve = lambda *args: ([0, 2, 1, 3], None)
+
+            def raises(call, *args):
+                try:
+                    call(*args)
+                except InternalError:
+                    return True
+                return False
+
+            # words sort as 100, 110, 001, 011
             code = Code.from_strings(["100", "110", "011", "001"])
-            try:
-                reconstruct_sparse(code, Geometry.LINE)
-            except InternalError:
-                sys.exit(0)
-            sys.exit("non-CO order accepted")
+            # this order splits row 0
+            ordering._pq_solve = lambda *args: ([0, 2, 1, 3], None)
+            failed = [not raises(reconstruct_sparse, code, Geometry.LINE)]
+            # CO, but 100 twice and no 011
+            ordering._pq_solve = lambda *args: ([0, 0, 1, 2], None)
+            failed.append(not raises(rejection_certificate, code))
+            sys.exit("unchecked: %r" % failed if any(failed) else 0)
         """)
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         proc = subprocess.run(
@@ -148,6 +159,27 @@ class TestSparse:
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestMultiordering:
+    @pytest.mark.parametrize("columns, support", [
+        (["10", "01"], ["10"]),
+        (["10"], []),
+        (["10"], ["10", "01"]),
+    ], ids=["column-outside-support", "empty-support", "support-word-absent"])
+    def test_columns_must_be_the_support(self, columns, support):
+        with pytest.raises(ValueError, match="not exactly the support words"):
+            Multiordering(tuple(_bv(c) for c in columns), _code(support))
+
+    def test_columns_must_have_the_support_length(self):
+        with pytest.raises(ValueError, match="column length differs"):
+            Multiordering((_bv("10"),), Code(frozenset([_bv("10")]), 3))
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_empty(self, k):
+        mo = Multiordering((), Code(frozenset(), k))
+        m = mo.matrix()
+        assert (m.k, m.n) == (k, 0)
 
 
 class TestDenseLinear:
