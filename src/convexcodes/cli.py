@@ -152,14 +152,12 @@ def _interval_doc(iv: Interval1D) -> dict:
     return doc
 
 
-def _arrangement_doc(arr: IntervalArrangement, sensors: Optional[SensorSet]):
-    doc = {
+def _arrangement_doc(arr: IntervalArrangement, sensors: SensorSet):
+    return {
         "geometry": arr.geometry.value,
         "intervals": [_interval_doc(iv) for iv in arr.intervals],
+        "sensors": [_frac_str(p) for p in sensors.positions],
     }
-    if sensors is not None:
-        doc["sensors"] = [_frac_str(p) for p in sensors.positions]
-    return doc
 
 
 def _interval_text(iv: Interval1D) -> str:

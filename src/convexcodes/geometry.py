@@ -181,6 +181,11 @@ def _row_mask(iv: Interval1D, ps: Sequence[Fraction], geometry: Geometry) -> int
     return ((1 << (j - i)) - 1) << i if j > i else 0
 
 
+def _rows(arr: IntervalArrangement, ps: Sequence[Fraction]) -> list[int]:
+    """The row masks of arr at the sorted sensor positions ps."""
+    return [_row_mask(iv, ps, arr.geometry) for iv in arr.intervals]
+
+
 def extract_code_sparse(
     arr: IntervalArrangement, sensors: SensorSet
 ) -> tuple[Code, SensorMatrix]:
@@ -188,8 +193,7 @@ def extract_code_sparse(
     cost O(k log n) bisections for k intervals and n sensors; the columns
     are their transpose."""
     ps = sensors.positions
-    rows = [BitVector(len(ps), _row_mask(iv, ps, arr.geometry))
-            for iv in arr.intervals]
+    rows = [BitVector(len(ps), mask) for mask in _rows(arr, ps)]
     m = (SensorMatrix(rows, arr.geometry) if rows else  # k = 0 keeps n columns
          SensorMatrix.from_columns([BitVector(0)] * len(ps), arr.geometry, k=0))
     return m.column_set(), m
@@ -252,8 +256,8 @@ def realize_matrix(
                 lo, hi = lo % 1, hi % 1
             ivs.append(Interval1D.open(lo, hi))
     arr = IntervalArrangement(tuple(ivs), regime.geometry)
-    _, back = extract_code_sparse(arr, sensors)
-    ensure(back.rows == m.rows, "sparse round trip failed")
+    ensure(_rows(arr, ps) == [r.mask for r in m.rows],
+           "sparse round trip failed")
     return arr, sensors
 
 
@@ -274,15 +278,16 @@ def normalize_arbitrary(
         raise ValueError("sensor set must be nonempty")
     ps = sensors.positions
     n = len(ps)
-    _, before = extract_code_sparse(arr, sensors)
+    full = (1 << n) - 1
+    before = _rows(arr, ps)
     out: list[Interval1D] = []
-    for row in before.rows:
-        if row.is_zero:
+    for mask in before:
+        if mask == 0:
             out.append(Interval1D.empty())
-        elif row.is_ones:
+        elif mask == full:
             out.append(Interval1D.whole())
         else:
-            f, g = row_stats(row, arr.geometry)
+            f, g = row_stats(BitVector(n, mask), arr.geometry)
             if arr.geometry is Geometry.LINE:
                 lo = None if g == 0 else ps[g]
                 hi = None if f == n else ps[f]
@@ -290,8 +295,8 @@ def normalize_arbitrary(
                 lo, hi = ps[g % n], ps[f % n]
             out.append(Interval1D.proper(lo, hi, lo is not None, False))
     result = IntervalArrangement(tuple(out), arr.geometry)
-    _, after = extract_code_sparse(result, sensors)
-    ensure(after.rows == before.rows, "normalization changed the sparse code")
+    ensure(_rows(result, ps) == before,
+           "normalization changed the sparse code")
     return result
 
 

@@ -23,6 +23,11 @@ bounded by memory, not by the interpreter stack:
 - Parent pointers go through union-find cells.  Splicing all children of a
   Q node into another Q node redirects one cell instead of re-parenting
   each child.
+- The templates rewrite nodes in place; no node takes another's place in
+  its parent, so the root never changes.  A partial P node becomes the Q
+  node itself, taking over its partial child's chain through one cell,
+  and its empty children move as one block to a new P node that takes
+  over its child set and cell.
 - P children are an unordered set; empty children are never enumerated
   during a reduction.
 """
@@ -129,13 +134,6 @@ def _new_p(children: Iterable[_Node]) -> _Node:
     return p
 
 
-def _new_q(children: list[_Node]) -> _Node:
-    q = _Node(QNODE)
-    _link_chain(q, children)
-    q.nleaves = sum(c.nleaves for c in children)
-    return q
-
-
 def _fill_free_nb(node: _Node, new: _Node) -> None:
     if node.nb1 is None:
         node.nb1 = new
@@ -177,6 +175,15 @@ def _q_merge_heads(q1: _Node, q2: _Node) -> None:
     q1.nleaves += q2.nleaves
 
 
+def _take_chain(node: _Node, q: _Node) -> None:
+    """Make node a Q node over q's children, which re-parent to node
+    through a single union-find link.  O(1); q leaves the tree."""
+    node.kind, node.pchildren = QNODE, None
+    node.head, node.tail = q.head, q.tail
+    q.anchor.link = node.anchor
+    q.anchor.owner = None
+
+
 def _full_block(p: _Node, fulls: list[_Node]) -> Optional[_Node]:
     """Detach P node p's full children as one block: the child itself
     when there is one, a new P node over them when there are more."""
@@ -185,6 +192,21 @@ def _full_block(p: _Node, fulls: list[_Node]) -> Optional[_Node]:
     if len(fulls) > 1:
         return _new_p(fulls)
     return fulls[0] if fulls else None
+
+
+def _empty_block(p: _Node, nleaves: int) -> Optional[_Node]:
+    """Detach the rest of P node p's children, `nleaves` leaves in all,
+    as one block: the child itself when there is one, a new P node when
+    there are more.  That node takes over p's child set and anchor cell,
+    so the children re-parent in O(1), and p takes its fresh cell."""
+    rest = p.pchildren
+    if len(rest) <= 1:
+        return next(iter(rest), None)
+    e = _Node(PNODE)
+    e.pchildren, e.nleaves = rest, nleaves
+    e.anchor, p.anchor = p.anchor, e.anchor
+    e.anchor.owner, p.anchor.owner = e, p
+    return e
 
 
 def _pertinent_run(fulls: list[_Node], partials: list[_Node]) -> list[_Node]:
@@ -287,7 +309,7 @@ class PQTree:
         # Labeling pass, bottom-up: a node is labeled once all its pertinent
         # children are, and the first one holding all m leaves is the
         # pertinent root.  labeled maps a node to (pertinent leaf count,
-        # FULL/PARTIAL, the node that now stands in its place).
+        # FULL/PARTIAL); the templates rewrite a node in place.
         waiting = {par: len(kids) for par, kids in pert_children.items()}
         labeled = {}
         ready = [par for par, kids in pert_children.items() if not kids]
@@ -296,13 +318,13 @@ class PQTree:
             fulls = groups.get(par, [])
             pc, partials = len(fulls), []
             for child in pert_children[par]:
-                child_pc, label, rep = labeled[child]
+                child_pc, label = labeled[child]
                 pc += child_pc
-                (fulls if label == FULL else partials).append(rep)
+                (fulls if label == FULL else partials).append(child)
             if pc == m:
                 self._reduce_root(par, pc, fulls, partials)
                 return
-            labeled[par] = (pc, *self._label(par, pc, fulls, partials))
+            labeled[par] = (pc, self._label(par, pc, fulls, partials))
             grand = up[par]
             waiting[grand] -= 1
             if not waiting[grand]:
@@ -310,51 +332,38 @@ class PQTree:
         raise InternalError("pertinent leaves have no common ancestor")
 
     # Non-root labeling of a node whose pertinent children are labeled.
-    # On PARTIAL the returned node is a Q node whose children run
-    # full-side-first from head; it has already replaced `node` in the
-    # parent's child structure if it is a different object.
+    # A PARTIAL node is left a Q node whose children run full-side-first
+    # from head, in its own place in its parent.
     def _label(self, node: _Node, pc: int, fulls: list[_Node],
-               partials: list[_Node]) -> tuple[int, _Node]:
+               partials: list[_Node]) -> int:
         if pc == node.nleaves:
-            return FULL, node
+            return FULL
         if node.kind == PNODE:
             if len(partials) > 1:
                 raise ReductionFailed("P node with >1 partial child")
-            # capture node's slot before surgery: node may survive inside the
-            # replacement as the block of empty children
-            slot = self._capture_slot(node)
             fblock = _full_block(node, fulls)
+            for c in partials:
+                node.pchildren.discard(c)
+            # the children left are the empty ones: subtract the pertinent
+            # children's leaves instead of summing the empty ones
+            eblock = _empty_block(node, node.nleaves - sum(
+                c.nleaves for c in fulls + partials))
             if partials:
-                node.pchildren.discard(partials[0])
-            # remaining P children are all empty
-            rest = node.pchildren
-            eblock: Optional[_Node] = None
-            if len(rest) == 1:
-                (eblock,) = rest
-                node.anchor.owner = None
-            elif len(rest) > 1:
-                # the leaves left are the empty ones: subtract the
-                # pertinent children's instead of summing the empty ones
-                node.nleaves -= sum(c.nleaves for c in fulls)
-                if partials:
-                    node.nleaves -= partials[0].nleaves
-                eblock = node
-            else:
-                node.anchor.owner = None
-            if partials:
-                # grow the partial child's own Q in place: full block at its
-                # full (head) end, empty block at its empty (tail) end
+                # grow the partial child's own Q in place, full block at its
+                # full (head) end, empty block at its empty (tail) end, and
+                # turn node into that Q
                 q = partials[0]
                 if fblock is not None:
                     _q_prepend(q, fblock)
                 if eblock is not None:
                     _q_append(q, eblock)
+                _take_chain(node, q)
             else:
                 ensure(fblock is not None and eblock is not None,
                        "partial P node without full and empty children")
-                q = _new_q([fblock, eblock])
-            self._install_slot(slot, node, q)
-            return PARTIAL, q
+                node.kind, node.pchildren = QNODE, None
+                _link_chain(node, [fblock, eblock])
+            return PARTIAL
         if node.kind == QNODE:
             run = _pertinent_run(fulls, partials)
             # the run must start at an end of the child list with only its
@@ -372,7 +381,7 @@ class PQTree:
             if run[-1] in partials:
                 self._splice_into_q(node, run[-1],
                                     full_toward=run[-2] if len(run) > 1 else None)
-            return PARTIAL, node
+            return PARTIAL
         raise InternalError("leaf cannot be partial")
 
     # The pertinent root r holds every pertinent leaf and has at least two
@@ -400,8 +409,7 @@ class PQTree:
                 r.pchildren.discard(p2)
                 _q_merge_heads(p1, p2)
             if len(r.pchildren) == 1:
-                self._replace_child(r, p1)
-                r.anchor.owner = None
+                _take_chain(r, p1)
             return
         if r.kind == QNODE:
             run = _pertinent_run(fulls, partials)
@@ -416,38 +424,6 @@ class PQTree:
         raise InternalError("root leaf with pc < nleaves")
 
     # -- structural surgery ----------------------------------------------
-
-    def _capture_slot(self, node: _Node):
-        """Snapshot node's attachment point before surgery may clobber it."""
-        par = node.parent()
-        if par is None or par.kind == PNODE:
-            return (par, None, None, False, False)
-        return (par, node.nb1, node.nb2, par.head is node, par.tail is node)
-
-    def _install_slot(self, slot, old: _Node, new: _Node) -> None:
-        par, nb1, nb2, was_head, was_tail = slot
-        if par is None:
-            self.root = new
-            new.up = None
-            new.nb1 = new.nb2 = None
-            return
-        if par.kind == PNODE:
-            par.pchildren.discard(old)
-            _adopt_into_p(par, new)
-            return
-        new.nb1, new.nb2 = nb1, nb2
-        for nb in (nb1, nb2):
-            if nb is not None:
-                nb.replace_nb(old, new)
-        if was_head:
-            par.head = new
-        if was_tail:
-            par.tail = new
-        new.up = par.anchor
-
-    def _replace_child(self, old: _Node, new: _Node) -> None:
-        """Put `new` where `old` sits in old's parent (or at the root)."""
-        self._install_slot(self._capture_slot(old), old, new)
 
     def _splice_into_q(self, q: _Node, part: _Node,
                        full_toward: Optional[_Node]) -> None:

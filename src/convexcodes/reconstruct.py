@@ -124,6 +124,10 @@ class RejectionCertificate:
         m = len(self.odd_cycle)
         if m < 3 or m % 2 == 0:
             return False
+        # a vertex pairs two distinct words of one length; (a, a) is no
+        # vertex, though the reversal rule would join it to itself
+        if any(a == b or a.n != b.n for a, b in self.odd_cycle):
+            return False
         for i in range(m):
             u = self.odd_cycle[i]
             v = self.odd_cycle[(i + 1) % m]

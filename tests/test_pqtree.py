@@ -66,9 +66,11 @@ class TestPermutationOracle:
             constraints = _family(n, rng)
             expected = _brute_count(n, constraints)
             tree = PQTree(n)
+            root = tree.root
             try:
                 for c in constraints:
                     tree.reduce(c)
+                    assert tree.root is root, constraints
             except ReductionFailed:
                 assert expected == 0, constraints
                 outcomes.add("infeasible")
@@ -97,10 +99,10 @@ def _staircase(n: int) -> list[list[int]]:
 
 @pytest.fixture
 def visits(monkeypatch):
-    """Counts parent lookups: one per pertinent leaf, one per node the
-    bubble pass visits, plus one per partial P node the templates
-    replace.  The leaf layer looks the leaves' parents up without
-    _Node.parent, so each reduction adds its |S| by hand."""
+    """Counts parent lookups: one per pertinent leaf and one per node the
+    bubble pass visits; the templates look no parent up.  The leaf layer
+    looks the leaves' parents up without _Node.parent, so each reduction
+    adds its |S| by hand."""
     count = [0]
     parent = pqtree._Node.parent
     reduce = PQTree.reduce
@@ -250,9 +252,19 @@ def _reference_bubble(leaves):
     return up, pert_children
 
 
+def _reference_new_q(children):
+    q = pqtree._Node(pqtree.QNODE)
+    pqtree._link_chain(q, children)
+    q.nleaves = sum(c.nleaves for c in children)
+    return q
+
+
 class _ReferenceTree(PQTree):
     """The reduction before the leaf layer: every pertinent leaf enters
-    the bubble queue and the labeling pass.  The templates are shared."""
+    the bubble queue and the labeling pass.  The templates are the ones
+    before nodes were rewritten in place: a partial P node is replaced by
+    a Q node put in its snapshot slot, and the labeling pass carries the
+    node that stands in for each labeled one."""
 
     def reduce(self, labels):
         s = set(labels)
@@ -280,6 +292,120 @@ class _ReferenceTree(PQTree):
             labeled[par] = (pc, *self._label(par, pc, fulls, partials))
             ready.append(par)
         raise pqtree.InternalError("pertinent leaves have no common ancestor")
+
+    def _label(self, node, pc, fulls, partials):
+        if pc == node.nleaves:
+            return pqtree.FULL, node
+        if node.kind == PNODE:
+            if len(partials) > 1:
+                raise ReductionFailed("P node with >1 partial child")
+            slot = self._capture_slot(node)
+            fblock = pqtree._full_block(node, fulls)
+            if partials:
+                node.pchildren.discard(partials[0])
+            rest = node.pchildren
+            eblock = None
+            if len(rest) == 1:
+                (eblock,) = rest
+                node.anchor.owner = None
+            elif len(rest) > 1:
+                node.nleaves -= sum(c.nleaves for c in fulls)
+                if partials:
+                    node.nleaves -= partials[0].nleaves
+                eblock = node
+            else:
+                node.anchor.owner = None
+            if partials:
+                q = partials[0]
+                if fblock is not None:
+                    pqtree._q_prepend(q, fblock)
+                if eblock is not None:
+                    pqtree._q_append(q, eblock)
+            else:
+                pqtree.ensure(fblock is not None and eblock is not None,
+                              "partial P node without full and empty children")
+                q = _reference_new_q([fblock, eblock])
+            self._install_slot(slot, node, q)
+            return pqtree.PARTIAL, q
+        if node.kind == pqtree.QNODE:
+            run = pqtree._pertinent_run(fulls, partials)
+            for _ in range(2):
+                if (run[0] is node.head or run[0] is node.tail) and (
+                        len(run) == 1 or run[0] not in partials):
+                    break
+                run.reverse()
+            else:
+                raise ReductionFailed("partial Q: pertinent run not at an end,"
+                                      " or empty parts on both sides")
+            if run[0] is node.tail:
+                node.head, node.tail = node.tail, node.head
+            if run[-1] in partials:
+                self._splice_into_q(node, run[-1],
+                                    full_toward=run[-2] if len(run) > 1 else None)
+            return pqtree.PARTIAL, node
+        raise pqtree.InternalError("leaf cannot be partial")
+
+    def _reduce_root(self, r, pc, fulls, partials):
+        if pc == r.nleaves:
+            return
+        if r.kind == PNODE:
+            if len(partials) > 2:
+                raise ReductionFailed("root P with >2 partial children")
+            fblock = pqtree._full_block(r, fulls)
+            if not partials:
+                pqtree._adopt_into_p(r, fblock)
+                return
+            p1 = partials[0]
+            if fblock is not None:
+                pqtree._q_prepend(p1, fblock)
+            if len(partials) == 2:
+                p2 = partials[1]
+                r.pchildren.discard(p2)
+                pqtree._q_merge_heads(p1, p2)
+            if len(r.pchildren) == 1:
+                self._replace_child(r, p1)
+                r.anchor.owner = None
+            return
+        if r.kind == pqtree.QNODE:
+            run = pqtree._pertinent_run(fulls, partials)
+            first, last = run[0], run[-1]
+            outer = last.other_nb(run[-2])
+            if first in partials:
+                self._splice_into_q(r, first, full_toward=run[1])
+            if last in partials:
+                self._splice_into_q(r, last, full_toward=last.other_nb(outer))
+            return
+        raise pqtree.InternalError("root leaf with pc < nleaves")
+
+    def _capture_slot(self, node):
+        par = node.parent()
+        if par is None or par.kind == PNODE:
+            return (par, None, None, False, False)
+        return (par, node.nb1, node.nb2, par.head is node, par.tail is node)
+
+    def _install_slot(self, slot, old, new):
+        par, nb1, nb2, was_head, was_tail = slot
+        if par is None:
+            self.root = new
+            new.up = None
+            new.nb1 = new.nb2 = None
+            return
+        if par.kind == PNODE:
+            par.pchildren.discard(old)
+            pqtree._adopt_into_p(par, new)
+            return
+        new.nb1, new.nb2 = nb1, nb2
+        for nb in (nb1, nb2):
+            if nb is not None:
+                nb.replace_nb(old, new)
+        if was_head:
+            par.head = new
+        if was_tail:
+            par.tail = new
+        new.up = par.anchor
+
+    def _replace_child(self, old, new):
+        self._install_slot(self._capture_slot(old), old, new)
 
 
 def _mixed_family(n, rng):
@@ -315,12 +441,15 @@ def _depth(tree, leaf):
 
 
 def _run(tree, constraints):
-    """Index of the first constraint that fails, or None."""
+    """Index of the first constraint that fails, or None.  The root
+    node stays the same object through every reduction."""
+    root = tree.root
     for i, c in enumerate(constraints):
         try:
             tree.reduce(c)
         except ReductionFailed:
             return i
+        assert tree.root is root, constraints[:i + 1]
     return None
 
 

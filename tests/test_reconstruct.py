@@ -308,6 +308,25 @@ class TestCertificates:
             ((a, b), (c, d), (a, c)), {0: 0, 1: 0, 2: 0}
         ).verify()
 
+    def test_self_pairs_fail(self):
+        # (a, a) is no vertex of the incompatibility graph: an odd run of
+        # one would otherwise "refute" every code, feasible ones included
+        a, _, _, d = map(_bv, ODD_CYCLE_CODE)
+        assert not RejectionCertificate(((a, a),) * 3).verify()
+        assert not RejectionCertificate(((d, d),) * 5).verify()
+
+    def test_differing_lengths_fail(self):
+        # the words of one code share a length; a mismatch must not raise
+        x, y, z = _bv("110"), _bv("011"), _bv("101")
+        witnesses = {0: 0, 1: 1, 2: 2}
+        assert RejectionCertificate(((x, y), (y, z), (z, x)), witnesses).verify()
+        longer = _bv("1010")
+        assert not RejectionCertificate(
+            ((x, y), (y, longer), (longer, x)), witnesses).verify()
+        a, b, c = _bv("101"), _bv("0"), _bv("1")
+        assert not RejectionCertificate(
+            ((a, b), (b, c), (c, a)), {0: 2, 1: 2, 2: 2}).verify()
+
     def test_rejection_for_odd_cycle_code(self):
         cert = rejection_certificate(_code(ODD_CYCLE_CODE))
         assert isinstance(cert, RejectionCertificate)
