@@ -359,8 +359,13 @@ def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
         out.append(Interval1D.proper(lo, hi, close and lo is not None,
                                      close and hi is not None))
     result = IntervalArrangement(tuple(out), arr.geometry)
+    name = "closure" if close else "interior"
     ensure(extract_code_dense(result) == extract_code_dense(arr),
-           "%s changed the dense code" % ("closure" if close else "interior"))
+           "%s changed the dense code" % name)
+    if sensors is not None:
+        ps = sensors.positions
+        ensure(_rows(result, ps) == _rows(arr, ps),
+               "%s changed the sparse code" % name)
     return result
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .core import (
     CCO,
@@ -68,24 +68,26 @@ class OrderingResult:
 INFEASIBLE_ORDERING = OrderingResult(False)
 
 
-def _pq_solve(words: list[BitVector],
-              names: list[BitVector]) -> Optional[tuple[list[int], PQTree]]:
-    """Canonical consecutive-ones order of word indices and its tree, or None."""
-    k = words[0].n if words else 0
-    # row i constrains the words holding bit i: its runs, cut from one
-    # shared index list at C speed
+def _row_constraints(words: list[BitVector]) -> Iterator[list[int]]:
+    """For each row i of the words, the indices of the words holding bit
+    i: its runs, cut from one shared index list at C speed."""
     index = list(range(len(words)))
-    tree = _WordTree(names)
-    try:
-        for bounds in _row_runs(words, k):
-            labels = []
-            for lo, hi in zip(bounds[::2], bounds[1::2]):
-                labels += index[lo:hi]
-            if len(labels) > 1:
+    for bounds in _row_runs(words, words[0].n if words else 0):
+        labels = []
+        for lo, hi in zip(bounds[::2], bounds[1::2]):
+            labels += index[lo:hi]
+        yield labels
+
+
+def _first_failure(tree: PQTree, constraints: Iterable) -> Optional[int]:
+    """Reduce in order; the index of the first constraint to fail, or None."""
+    for i, labels in enumerate(constraints):
+        if len(labels) > 1:
+            try:
                 tree.reduce(labels)
-    except ReductionFailed:
-        return None
-    return tree.frontier(), tree
+            except ReductionFailed:
+                return i
+    return None
 
 
 def _order(words: Code, regime: Regime) -> OrderingResult:
@@ -96,11 +98,10 @@ def _order(words: Code, regime: Regime) -> OrderingResult:
         anchor = ws[-1]
         ws = sorted((w ^ anchor for w in ws), key=lambda w: w.mask)
         names = [w ^ anchor for w in ws]
-    solved = _pq_solve(ws, names)
-    if solved is None:
+    tree = _WordTree(names)
+    if _first_failure(tree, _row_constraints(ws)) is not None:
         return INFEASIBLE_ORDERING
-    order, tree = solved
-    cols = tuple(names[j] for j in order)
+    cols = tuple(names[j] for j in tree.frontier())
     m = SensorMatrix.from_columns(cols, regime.geometry, k=words.k)
     verify_matrix(m, regime, words)
     return OrderingResult(True, cols, tree, m)

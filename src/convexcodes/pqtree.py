@@ -134,20 +134,11 @@ def _new_p(children: Iterable[_Node]) -> _Node:
     return p
 
 
-def _fill_free_nb(node: _Node, new: _Node) -> None:
-    if node.nb1 is None:
-        node.nb1 = new
-    elif node.nb2 is None:
-        node.nb2 = new
-    else:
-        raise InternalError("no free sibling slot")
-
-
 def _q_prepend(q: _Node, child: _Node) -> None:
     """Attach a detached node (nb slots None) before q's head.  O(1)."""
     old = q.head
     child.nb1, child.nb2 = None, old
-    _fill_free_nb(old, child)
+    old.replace_nb(None, child)
     q.head = child
     child.up = q.anchor
     q.nleaves += child.nleaves
@@ -157,7 +148,7 @@ def _q_append(q: _Node, child: _Node) -> None:
     """Attach a detached node (nb slots None) after q's tail.  O(1)."""
     old = q.tail
     child.nb1, child.nb2 = old, None
-    _fill_free_nb(old, child)
+    old.replace_nb(None, child)
     q.tail = child
     child.up = q.anchor
     q.nleaves += child.nleaves
@@ -167,8 +158,8 @@ def _q_merge_heads(q1: _Node, q2: _Node) -> None:
     """Concatenate q2's chain onto q1, joining the two heads.  O(1):
     q2's children re-parent to q1 through a single union-find link."""
     h1, h2 = q1.head, q2.head
-    _fill_free_nb(h1, h2)
-    _fill_free_nb(h2, h1)
+    h1.replace_nb(None, h2)
+    h2.replace_nb(None, h1)
     q1.head, q1.tail = q1.tail, q2.tail
     q2.anchor.link = q1.anchor
     q2.anchor.owner = None

@@ -8,8 +8,9 @@ between every adjacent inharmonious pair.  The circular dense problem is
 open and deliberately unimplemented; asking for it yields Unsupported.
 
 The module also produces rejection certificates for the sparse line
-case: an explicit odd cycle in the incompatibility graph, checkable
-without trusting the recognizer.
+case: an explicit odd cycle in the incompatibility graph of a minimal
+core, which the recognizer's own row constraints pick out; the cycle is
+checkable without trusting the recognizer.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .core import (
     inharmonious,
     verify_matrix,
 )
-from .ordering import cco_order, co_order
+from .ordering import _first_failure, _row_constraints, cco_order, co_order
+from .pqtree import PQTree
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,8 @@ class Multiordering:
         if any(c.n != self.support.k for c in self.columns):
             raise ValueError("column length differs from support length")
 
-    def matrix(self, geometry: Geometry = Geometry.LINE) -> SensorMatrix:
-        return SensorMatrix.from_columns(self.columns, geometry,
+    def matrix(self) -> SensorMatrix:
+        return SensorMatrix.from_columns(self.columns, Geometry.LINE,
                                          k=self.support.k)
 
 
@@ -158,11 +160,8 @@ def _incompatibility_edges(words: list[BitVector]):
 
     Yields (u, v, row) where row is None for a type-1 edge.
     """
-    for a in words:
-        for b in words:
-            if a is b:
-                continue
-            yield (a, b), (b, a), None
+    yield from (((a, b), (b, a), None)
+                for a in words for b in words if a is not b)
     for a in words:
         for b in words:
             if b is a:
@@ -186,8 +185,9 @@ def rejection_certificate(words: Code):
 
     The recognizer does the heavy work.  A feasible code is colored from
     its CO ordering.  An infeasible code is first shrunk to a minimal
-    infeasible core, and only the core's graph, O(c^3) edges for c core
-    words, is searched for an odd cycle.
+    infeasible core: r + 1 row passes for r core rows, then at most 4r
+    recognitions of at most 4r words.  Only the core's graph, O(c^3)
+    edges for c core words, is searched for an odd cycle.
     """
     ws = words.sorted_words()
     result = co_order(words)
@@ -217,43 +217,41 @@ def _ordering_bipartition(ws: list[BitVector],
 def _infeasible_core(ws: list[BitVector], k: int) -> list[BitVector]:
     """A minimal CO-infeasible subset of the CO-infeasible words ws.
 
-    Deletion filter by bisection: find the shortest prefix of the
-    remaining words that is infeasible together with the core found so
-    far, move its last word into the core and drop the words after it.
-    Adding columns keeps a code infeasible, so the invariant "core plus
-    remaining is infeasible" holds, and each core word w was needed:
-    the other core words lie in a set that was feasible without w.  For
-    a core of c words this takes O(c log n) recognitions.
+    Row filter: reduce the core rows, then the others in order, until one
+    fails; it joins the core and the rows after it go, until the core
+    rows fail alone.  One word per nonzero pattern on the r core rows,
+    at most 4r, is infeasible too; a deletion filter, last word first,
+    drops each word whose removal leaves the rest infeasible.
     """
-    def infeasible(cols):
-        return not co_order(Code(frozenset(cols), k)).feasible
-
-    core: list[BitVector] = []
-    rest = ws
-    # at most two columns are always CO-orderable
-    while len(core) < 3 or not infeasible(core):
-        ensure(rest, "recognizer contradicted itself in the core search")
-        lo, hi = 1, len(rest)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if infeasible(core + rest[:mid]):
-                hi = mid
-            else:
-                lo = mid + 1
-        core.append(rest[hi - 1])
-        rest = rest[:hi - 1]
-    return core
+    rows = list(_row_constraints(ws))
+    core: list[int] = []
+    while True:
+        rest = rows[:core[-1]] if core else rows
+        failed = _first_failure(PQTree(len(ws)), [rows[i] for i in core] + rest)
+        ensure(failed is not None,
+               "recognizer contradicted itself in the core search")
+        if failed < len(core):
+            break
+        core.append(failed - len(core))
+    on_core = sum(1 << i for i in core)
+    firsts: dict[int, BitVector] = {}
+    for w in ws:
+        firsts.setdefault(w.mask & on_core, w)
+    firsts.pop(0, None)
+    kept = list(firsts.values())
+    for w in kept[::-1]:
+        others = [x for x in kept if x is not w]
+        if not co_order(Code(frozenset(others), k)).feasible:
+            kept = others
+    return kept
 
 
 def _odd_cycle(ws: list[BitVector]) -> Optional[RejectionCertificate]:
     """An odd cycle of the incompatibility graph of ws by breadth-first
     search, or None if the graph is bipartite.  A vertex's color is the
     parity of its BFS depth."""
-    adj: dict[Vertex, list[tuple[Vertex, Optional[int]]]] = {}
-    for a in ws:
-        for b in ws:
-            if a is not b:
-                adj[(a, b)] = []
+    adj: dict[Vertex, list[tuple[Vertex, Optional[int]]]] = {
+        (a, b): [] for a in ws for b in ws if a is not b}
     for u, v, row in _incompatibility_edges(ws):
         adj[u].append((v, row))
         adj[v].append((u, row))

@@ -359,8 +359,8 @@ class TestRunTranspose:
                                          k=len(rows)).rows == m.rows
 
     def test_constraints_are_the_per_bit_lists(self, monkeypatch):
-        # _pq_solve reduces, row by row, the indices of the words holding
-        # that row, stopping at the first failure
+        # the ordering reduces, row by row, the indices of the words
+        # holding that row, stopping at the first failure, which it names
         from convexcodes import ordering
 
         calls = []
@@ -378,14 +378,19 @@ class TestRunTranspose:
             ws = sorted({BitVector(k, rng.getrandbits(k) if k else 0)
                          for _ in range(rng.randint(0, 14))},
                         key=lambda w: w.mask)
-            expected = [[j for j, w in enumerate(ws) if w.bit(i)]
-                        for i in range(k)]
-            expected = [labels for labels in expected if len(labels) > 1]
+            # no words, no rows: the words carry their length
+            rows = [[j for j, w in enumerate(ws) if w.bit(i)]
+                    for i in range(k if ws else 0)]
+            expected = [labels for labels in rows if len(labels) > 1]
+            constraints = list(ordering._row_constraints(ws))
+            assert constraints == rows
             calls.clear()
-            solved = ordering._pq_solve(ws, ws)
-            outcomes.add(solved is None)
-            if solved is None:
+            failed = ordering._first_failure(ordering.PQTree(len(ws)),
+                                             constraints)
+            outcomes.add(failed is None)
+            if failed is not None:
                 assert calls and calls == expected[:len(calls)]
+                assert calls[-1] == constraints[failed]
             else:
                 assert calls == expected
         assert outcomes == {True, False}

@@ -18,6 +18,7 @@ from convexcodes.core import (
     Code,
     Density,
     Geometry,
+    InternalError,
     Regime,
     RegimeViolation,
     SensorMatrix,
@@ -443,6 +444,22 @@ class TestOpenClosedSwap:
             for ivs in ((), (Interval1D.empty(), Interval1D.whole())):
                 arr = IntervalArrangement(ivs, geometry)
                 assert open_closed_swap(arr) is arr
+
+    def test_swap_checks_the_sensor_code(self, monkeypatch):
+        # a margin blind to the sensors, 1/4 here, closes (0, 1) past the
+        # sensor at 1/100: the dense code stays, the sensor code does not
+        import convexcodes.geometry as g
+
+        arr = IntervalArrangement((Interval1D.open(0, 1), Interval1D.open(2, 3)),
+                                  Geometry.LINE)
+        sensors = SensorSet.of([F(1, 100), F(5, 2)])
+        _, seen = extract_code_sparse(open_to_closed(arr, sensors=sensors),
+                                      sensors)
+        assert [r.mask for r in seen.rows] == [1, 2]
+        margin = g._margin
+        monkeypatch.setattr(g, "_margin", lambda arr, sensors: margin(arr, None))
+        with pytest.raises(InternalError):
+            open_to_closed(arr, sensors=sensors)
 
     def test_mixed_arrangement_rejected(self):
         arr = IntervalArrangement(

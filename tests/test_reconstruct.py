@@ -122,9 +122,9 @@ class TestSparse:
             assert m.geometry is geometry and m.column_set() == code
 
     def test_self_checks_survive_optimize_flag(self):
-        # python -O strips assert statements; a solver that returns a
-        # non-CO order, or a CO order of the wrong words, must still be
-        # caught, by every caller of the ordering
+        # python -O strips assert statements; a reduced tree whose
+        # frontier is a non-CO order, or a CO order of the wrong words,
+        # must still be caught, by every caller of the ordering
         script = textwrap.dedent("""
             import sys
             import convexcodes.ordering as ordering
@@ -145,10 +145,10 @@ class TestSparse:
             # words sort as 100, 110, 001, 011
             code = Code.from_strings(["100", "110", "011", "001"])
             # this order splits row 0
-            ordering._pq_solve = lambda *args: ([0, 2, 1, 3], None)
+            ordering._WordTree.frontier = lambda tree: [0, 2, 1, 3]
             failed = [not raises(reconstruct_sparse, code, Geometry.LINE)]
             # CO, but 100 twice and no 011
-            ordering._pq_solve = lambda *args: ([0, 0, 1, 2], None)
+            ordering._WordTree.frontier = lambda tree: [0, 0, 1, 2]
             failed.append(not raises(rejection_certificate, code))
             sys.exit("unchecked: %r" % failed if any(failed) else 0)
         """)
@@ -374,6 +374,27 @@ def _staircase_with_triangle(n):
     return Code.of(BitVector(k, m) for m in words)
 
 
+def _bisecting_core(ws, k):
+    # the core search the row filter replaced: the shortest prefix of the
+    # remaining words that is infeasible with the core found so far gives
+    # the core its last word, and the words after it are dropped
+    def infeasible(cols):
+        return not co_order(Code(frozenset(cols), k)).feasible
+
+    core, rest = [], ws
+    while len(core) < 3 or not infeasible(core):
+        lo, hi = 1, len(rest)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if infeasible(core + rest[:mid]):
+                hi = mid
+            else:
+                lo = mid + 1
+        core.append(rest[hi - 1])
+        rest = rest[:hi - 1]
+    return core
+
+
 def _random_codes(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
@@ -447,6 +468,31 @@ class TestCertificateScaling:
             assert isinstance(cert, RejectionCertificate) and cert.verify()
             assert {x for pair in cert.odd_cycle for x in pair} <= set(core)
         assert checked >= 100
+
+    def test_row_filter_against_the_bisecting_core(self):
+        # the word-prefix bisection the row filter replaced: both cores
+        # must hold a verified odd cycle, and the filter's must be minimal
+        from convexcodes.reconstruct import _infeasible_core, _odd_cycle
+
+        def minimal(core):
+            return (not co_order(Code.of(core)).feasible
+                    and all(co_order(Code.of(set(core) - {w})).feasible
+                            for w in core))
+
+        codes = [c for c in _random_codes(53, 400)
+                 if not co_order(c).feasible]
+        codes += [_staircase_with_triangle(n) for n in (1, 2, 40, 41)]
+        same = 0
+        for code in codes:
+            ws = code.sorted_words()
+            core = _infeasible_core(ws, code.k)
+            reference = _bisecting_core(ws, code.k)
+            assert minimal(core) and minimal(reference)
+            for c in (core, reference):
+                cert = _odd_cycle(sorted(c, key=lambda w: w.mask))
+                assert cert is not None and cert.verify()
+            same += set(core) == set(reference)
+        assert len(codes) >= 100 and same >= len(codes) // 2
 
     def test_recognitions_grow_like_log_n(self, monkeypatch):
         calls = []

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from convexcodes.cli import parse_code_file
+from convexcodes.cli import EXIT_INFEASIBLE, main, parse_code_file
 from convexcodes.core import CO, BitVector, Code, CodeMultiset, Geometry, SensorMatrix
 from convexcodes.geometry import closed_to_open, open_to_closed, realize_matrix
 from convexcodes.pqtree import PQTree
@@ -152,13 +152,44 @@ def test_feasible_certificate():
 
 
 def test_infeasible_certificate():
-    # the core search runs O(log n) recognitions per core word
+    # the core search reduces every row once per core row, plus one pass,
+    # and then only recognizes the core rows' few pattern words
     code = _staircase_with_triangle(10**4)
     budget = _Budget(24)
     cert = rejection_certificate(code)
     budget.check()
     assert isinstance(cert, RejectionCertificate) and cert.verify()
     assert len(cert.odd_cycle) == 3
+
+
+def test_certificate_of_a_planted_odd_cycle():
+    # Tucker's M_I(31) on 31 new rows, word j holding rows j and j - 1
+    # (mod 31), beside a 2000-word staircase: 32 row passes
+    stairs, c = _staircase(2000), 31
+    k = stairs.k + c
+    cycle = [BitVector(k, (1 << (stairs.k + j))
+                       | (1 << (stairs.k + (j - 1) % c))) for j in range(c)]
+    code = Code.of([BitVector(k, w.mask) for w in stairs.words] + cycle)
+    budget = _Budget(2.7)
+    cert = rejection_certificate(code)
+    budget.check()
+    assert isinstance(cert, RejectionCertificate) and cert.verify()
+    assert {w for pair in cert.odd_cycle for w in pair} == set(cycle)
+
+
+def test_cli_check_of_a_large_infeasible_file(tmp_path, capsys):
+    # 10^4 words of 5004 bits, about 50 MB: parsing and the two passes of
+    # the triangle's three rows
+    path = tmp_path / "bad.txt"
+    path.write_text("".join(w.to_string() + "\n" for w in
+                            _staircase_with_triangle(10**4).sorted_words()))
+    budget = _Budget(7)
+    status = main(["check", str(path)])
+    budget.check()
+    out = capsys.readouterr().out.splitlines()
+    assert status == EXIT_INFEASIBLE
+    assert out[:2] == ["infeasible: no CO column ordering exists",
+                       "odd cycle (3 vertices):"]
 
 
 def test_parse_staircase_file():
