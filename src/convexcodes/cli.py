@@ -123,14 +123,15 @@ def parse_code_file(text: str) -> CodeMultiset:
         else:
             raise ParseError("line %d: expected 'codeword' or 'count codeword'"
                              % lineno)
-        if not word or word.strip("01"):
+        try:
+            w = BitVector.from_string(word)
+        except ValueError:
             raise ParseError("line %d: codeword must be a 0/1 string" % lineno)
         if length is None:
-            length = len(word)
-        elif len(word) != length:
+            length = w.n
+        elif w.n != length:
             raise ParseError("line %d: codeword length %d differs from %d"
-                             % (lineno, len(word), length))
-        w = BitVector.from_string(word)
+                             % (lineno, w.n, length))
         entries[w] = entries.get(w, 0) + count
     if not entries:
         raise ParseError("no codewords in input")

@@ -4,7 +4,9 @@ The circle is modeled as [0, 1) with unit circumference; an arc runs
 clockwise from lo to hi and may wrap around.  On the line an endpoint of
 None denotes a ray (unbounded on that side), and a ray side is never
 closed.  All arithmetic is done with fractions.Fraction; there are no
-tolerances anywhere.
+tolerances anywhere.  Dense extraction compares only the order of the
+endpoints: it reads integer places, one per endpoint and one per region
+between and beyond them, and makes no Fraction.
 """
 
 from __future__ import annotations
@@ -183,7 +185,19 @@ def _row_mask(iv: Interval1D, ps: Sequence[Fraction], geometry: Geometry) -> int
 
 def _rows(arr: IntervalArrangement, ps: Sequence[Fraction]) -> list[int]:
     """The row masks of arr at the sorted sensor positions ps."""
+    circle = arr.geometry is Geometry.CIRCLE
+    if circle and ps and not (0 <= ps[0] and ps[-1] < 1):
+        raise ValueError("circle sensor positions must lie in [0, 1)")
     return [_row_mask(iv, ps, arr.geometry) for iv in arr.intervals]
+
+
+def _code(rows: list[int], n: int,
+          geometry: Geometry) -> tuple[Code, SensorMatrix]:
+    """The code of the row masks over n sensors, with its matrix."""
+    bits = [BitVector(n, mask) for mask in rows]
+    m = (SensorMatrix(bits, geometry) if bits else  # k = 0 keeps n columns
+         SensorMatrix.from_columns([BitVector(0)] * n, geometry, k=0))
+    return m.column_set(), m
 
 
 def extract_code_sparse(
@@ -193,30 +207,21 @@ def extract_code_sparse(
     cost O(k log n) bisections for k intervals and n sensors; the columns
     are their transpose."""
     ps = sensors.positions
-    rows = [BitVector(len(ps), mask) for mask in _rows(arr, ps)]
-    m = (SensorMatrix(rows, arr.geometry) if rows else  # k = 0 keeps n columns
-         SensorMatrix.from_columns([BitVector(0)] * len(ps), arr.geometry, k=0))
-    return m.column_set(), m
-
-
-def _sample_points(arr: IntervalArrangement) -> list[Fraction]:
-    """One representative per elementary region, plus every endpoint,
-    in increasing order."""
-    vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
-    if not vals:
-        return [Fraction(0)]
-    pts = [p for a, b in zip(vals, vals[1:]) for p in (a, (a + b) / 2)]
-    pts.append(vals[-1])
-    if arr.geometry is Geometry.LINE:
-        return [vals[0] - 1] + pts + [vals[-1] + 1]
-    # the region across 0: its midpoint, less 1 if past 1, comes last or first
-    wrap = (vals[-1] + vals[0] + 1) / 2
-    return pts + [wrap] if wrap < 1 else [wrap - 1] + pts
+    return _code(_rows(arr, ps), len(ps), arr.geometry)
 
 
 def extract_code_dense(arr: IntervalArrangement) -> Code:
-    """The full image of the codeword map over the ambient space."""
-    return extract_code_sparse(arr, SensorSet(tuple(_sample_points(arr))))[0]
+    """The full image of the codeword map over the ambient space.  The
+    i-th of the m sorted distinct endpoints (from 0) becomes the place
+    2i + 1, and _row_mask reads the places 0..2m: each endpoint and each
+    region beside one.  On the circle, 0 and 2m are the region across 0."""
+    vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
+    place = {e: 2 * i + 1 for i, e in enumerate(vals)}
+    ps = range(2 * len(vals) + 1)
+    rows = [_row_mask(Interval1D(iv.kind, place.get(iv.lo), place.get(iv.hi),
+                                 iv.lo_closed, iv.hi_closed), ps, arr.geometry)
+            for iv in arr.intervals]
+    return _code(rows, len(ps), arr.geometry)[0]
 
 
 def realize_matrix(
@@ -345,6 +350,9 @@ def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
                 or (iv.hi is not None and iv.hi_closed == close)):
             raise DegenerateInterval("expected an all-%s arrangement"
                                      % ("open" if close else "closed"))
+    # read first: circle sensors off the circle are refused before the
+    # margin measures distances to them
+    before = None if sensors is None else _rows(arr, sensors.positions)
     eps = _margin(arr, sensors)
     shift = eps if close else -eps
     out = []
@@ -362,9 +370,8 @@ def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
     name = "closure" if close else "interior"
     ensure(extract_code_dense(result) == extract_code_dense(arr),
            "%s changed the dense code" % name)
-    if sensors is not None:
-        ps = sensors.positions
-        ensure(_rows(result, ps) == _rows(arr, ps),
+    if before is not None:
+        ensure(_rows(result, sensors.positions) == before,
                "%s changed the sparse code" % name)
     return result
 

@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from convexcodes.core import (
     CCO,
@@ -32,7 +32,6 @@ from convexcodes.geometry import (
     Kind,
     SensorSet,
     _row_mask,
-    _sample_points,
     closed_to_open,
     evaluate_codeword,
     extract_code_dense,
@@ -132,6 +131,21 @@ def _arrangements(draw):
     return IntervalArrangement(tuple(ivs), geometry), sensors
 
 
+def _sample_points(arr):
+    """Reference: one point per elementary region, plus every endpoint,
+    in increasing order, as dense extraction once read them."""
+    vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
+    if not vals:
+        return [F(0)]
+    pts = [p for a, b in zip(vals, vals[1:]) for p in (a, (a + b) / 2)]
+    pts.append(vals[-1])
+    if arr.geometry is Geometry.LINE:
+        return [vals[0] - 1] + pts + [vals[-1] + 1]
+    # the region across 0: its midpoint, less 1 if past 1
+    wrap = (vals[-1] + vals[0] + 1) / 2
+    return pts + [wrap] if wrap < 1 else [wrap - 1] + pts
+
+
 class TestRowMask:
     @settings(max_examples=300, deadline=None)
     @given(_arrangements())
@@ -148,6 +162,10 @@ class TestRowMask:
 
     @settings(max_examples=300, deadline=None)
     @given(_arrangements())
+    @example((IntervalArrangement((), Geometry.LINE), SensorSet(())))
+    @example((IntervalArrangement((), Geometry.CIRCLE), SensorSet(())))
+    @example((IntervalArrangement((Interval1D.whole(), Interval1D.empty()),
+                                  Geometry.CIRCLE), SensorSet(())))
     def test_dense_extraction_is_every_sample_point(self, case):
         arr, _ = case
         words = {evaluate_codeword(arr, p) for p in _sample_points(arr)}
@@ -155,29 +173,29 @@ class TestRowMask:
 
     @settings(max_examples=300, deadline=None)
     @given(_arrangements())
-    def test_sample_points_come_in_order(self, case):
+    @example((IntervalArrangement((Interval1D.proper(None, F(1, 4), False, True),
+                                   Interval1D.closed(F(1, 2), F(1, 2)),
+                                   Interval1D.open(F(3, 8), None)),
+                                  Geometry.LINE), SensorSet(())))
+    @example((IntervalArrangement((Interval1D.open(F(3, 4), F(1, 4)),
+                                   Interval1D.closed(F(1, 8), F(1, 8)),
+                                   Interval1D.closed(F(1, 4), F(5, 8))),
+                                  Geometry.CIRCLE), SensorSet(())))
+    def test_dense_code_depends_on_endpoint_order_only(self, case):
+        # x -> (2x - 1)^3 on the line and x -> x^2 on [0, 1) keep the
+        # order of the endpoints and change every gap between them
         arr, _ = case
-        # reference: the same points, made in any order, then sorted
-        vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
-        mids = [(a + b) / 2 for a, b in zip(vals, vals[1:])]
-        if not vals:
-            want = [F(0)]
-        elif arr.geometry is Geometry.LINE:
-            want = sorted(vals + mids + [vals[0] - 1, vals[-1] + 1])
-        else:
-            want = sorted(vals + mids + [((vals[-1] + vals[0] + 1) / 2) % 1])
-        assert _sample_points(arr) == want
+        line = arr.geometry is Geometry.LINE
 
-    def test_wrap_point_first_or_last(self):
-        def points(*ends):
-            arc = Interval1D.open(*ends)
-            return _sample_points(IntervalArrangement((arc,), Geometry.CIRCLE))
+        def f(x):
+            return (2 * x - 1) ** 3 if line else x * x
 
-        # the midpoint across 0 is 7/8, below 1: it comes last
-        assert points(F(1, 4), F(1, 2)) == [F(1, 4), F(3, 8), F(1, 2), F(7, 8)]
-        # it is 21/16, past 1: as 5/16 it comes first
-        assert points(F(3, 4), F(7, 8)) == [F(5, 16), F(3, 4), F(13, 16),
-                                            F(7, 8)]
+        moved = IntervalArrangement(tuple(
+            Interval1D(iv.kind, None if iv.lo is None else f(iv.lo),
+                       None if iv.hi is None else f(iv.hi),
+                       iv.lo_closed, iv.hi_closed)
+            for iv in arr.intervals), arr.geometry)
+        assert extract_code_dense(moved) == extract_code_dense(arr)
 
     def test_named_cases(self):
         line, circle = Geometry.LINE, Geometry.CIRCLE
@@ -207,6 +225,25 @@ class TestRowMask:
         code, m = extract_code_sparse(arr, SensorSet.of([0, F(1, 2)]))
         assert (m.k, m.n) == (0, 2)
         assert code == Code.of([BitVector(0)])
+
+    def test_circle_sensors_must_lie_on_the_circle(self):
+        arcs = (Interval1D.open(F(1, 4), F(3, 4)),
+                Interval1D.open(F(3, 4), F(1, 4)))
+        circle = IntervalArrangement(arcs, Geometry.CIRCLE)
+        for off in (F(3, 2), F(-1, 2)):
+            sensors = SensorSet.of([F(1, 2), off])
+            for call in (lambda: open_to_closed(circle, sensors=sensors),
+                         lambda: normalize_arbitrary(circle, sensors),
+                         lambda: extract_code_sparse(circle, sensors)):
+                with pytest.raises(ValueError,
+                                   match=r"circle sensor positions must lie"
+                                         r" in \[0, 1\)"):
+                    call()
+        # line sensors stay unrestricted
+        line = IntervalArrangement(arcs[:1], Geometry.LINE)
+        _, m = extract_code_sparse(line, SensorSet.of([F(-1, 2), F(1, 2),
+                                                       F(3, 2)]))
+        assert [r.mask for r in m.rows] == [0b010]
 
 
 class TestInterval:
