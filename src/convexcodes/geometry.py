@@ -4,9 +4,13 @@ The circle is modeled as [0, 1) with unit circumference; an arc runs
 clockwise from lo to hi and may wrap around.  On the line an endpoint of
 None denotes a ray (unbounded on that side), and a ray side is never
 closed.  All arithmetic is done with fractions.Fraction; there are no
-tolerances anywhere.  Dense extraction compares only the order of the
-endpoints: it reads integer places, one per endpoint and one per region
-between and beyond them, and makes no Fraction.
+tolerances anywhere.  Row reads, endpoint sorts, bisections and the
+swaps' margin order rationals by one exact integer key, _key, and tell
+distinct values apart by their lowest terms: none compares or hashes a
+Fraction unless two values lie within 2^-64 of each other.  Dense
+extraction compares only the order of the endpoints: it reads integer
+places, one per endpoint and one per region between and beyond them,
+and makes no Fraction.
 """
 
 from __future__ import annotations
@@ -43,6 +47,13 @@ class Kind(Enum):
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _key(x) -> tuple[int, Fraction]:
+    """The exact order key of a rational x: floor(x * 2^64) never
+    decreases as x grows, so the keys compare as the rationals do, in C,
+    and x itself is compared only against a value within 2^-64 of it."""
+    return (x.numerator << 64) // x.denominator, x
 
 
 @dataclass(frozen=True)
@@ -148,8 +159,8 @@ class SensorSet:
 
     def __post_init__(self):
         # strictly increasing: the bisections of _row_mask rely on it
-        ps = self.positions
-        if any(a >= b for a, b in zip(ps, ps[1:])):
+        keys = [_key(p) for p in self.positions]
+        if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("sensor positions must be distinct and sorted")
 
     @classmethod
@@ -183,12 +194,34 @@ def _row_mask(iv: Interval1D, ps: Sequence[Fraction], geometry: Geometry) -> int
     return ((1 << (j - i)) - 1) << i if j > i else 0
 
 
+def _mapped(iv: Interval1D, f) -> Interval1D:
+    """iv with each finite endpoint x replaced by f(x), for an f that
+    keeps the order of the endpoints and sensors _row_mask compares."""
+    if iv.kind is not Kind.PROPER:
+        return iv
+    return Interval1D(iv.kind, None if iv.lo is None else f(iv.lo),
+                      None if iv.hi is None else f(iv.hi),
+                      iv.lo_closed, iv.hi_closed)
+
+
+def _ends(arr: IntervalArrangement) -> list[tuple[int, Fraction]]:
+    """The keys of the distinct endpoints of arr, sorted.  A Fraction is
+    in lowest terms, so (numerator, denominator) tells values apart
+    exactly without hashing them."""
+    ends = {(e.numerator, e.denominator): e
+            for iv in arr.intervals for e in iv.endpoints()}
+    return sorted(map(_key, ends.values()))
+
+
 def _rows(arr: IntervalArrangement, ps: Sequence[Fraction]) -> list[int]:
-    """The row masks of arr at the sorted sensor positions ps."""
+    """The row masks of arr at the sorted sensor positions ps, read at
+    their keys."""
     circle = arr.geometry is Geometry.CIRCLE
     if circle and ps and not (0 <= ps[0] and ps[-1] < 1):
         raise ValueError("circle sensor positions must lie in [0, 1)")
-    return [_row_mask(iv, ps, arr.geometry) for iv in arr.intervals]
+    keys = [_key(p) for p in ps]
+    return [_row_mask(_mapped(iv, _key), keys, arr.geometry)
+            for iv in arr.intervals]
 
 
 def _code(rows: list[int], n: int,
@@ -215,11 +248,12 @@ def extract_code_dense(arr: IntervalArrangement) -> Code:
     i-th of the m sorted distinct endpoints (from 0) becomes the place
     2i + 1, and _row_mask reads the places 0..2m: each endpoint and each
     region beside one.  On the circle, 0 and 2m are the region across 0."""
-    vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
-    place = {e: 2 * i + 1 for i, e in enumerate(vals)}
-    ps = range(2 * len(vals) + 1)
-    rows = [_row_mask(Interval1D(iv.kind, place.get(iv.lo), place.get(iv.hi),
-                                 iv.lo_closed, iv.hi_closed), ps, arr.geometry)
+    ends = _ends(arr)
+    place = {(e.numerator, e.denominator): 2 * i + 1
+             for i, (_, e) in enumerate(ends)}
+    ps = range(2 * len(ends) + 1)
+    rows = [_row_mask(_mapped(iv, lambda e: place[e.numerator, e.denominator]),
+                      ps, arr.geometry)
             for iv in arr.intervals]
     return _code(rows, len(ps), arr.geometry)[0]
 
@@ -316,18 +350,21 @@ def _margin(arr: IntervalArrangement,
     arc's complement, is a sum of gaps (the wrap gap included) or, for a
     point arc, 1: the margin is at most a quarter of each, so no swap
     overruns an interval."""
-    vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
+    ends = _ends(arr)
+    vals = [e for _, e in ends]
     circle = arr.geometry is Geometry.CIRCLE
     gaps = [b - a for a, b in zip(vals, vals[1:])]
     if circle and vals:
         gaps.append(1 - vals[-1] + vals[0])
-    eps = min(gaps) / 4 if gaps else Fraction(1, 4)
+    eps = min(gaps, key=_key) / 4 if gaps else Fraction(1, 4)
     if not sensors:
         return eps
     ps, n = sensors.positions, len(sensors)
+    keys = [_key(p) for p in ps]
     dists = [eps]
-    for e in vals:
-        above, below = bisect_right(ps, e), bisect_left(ps, e) - 1
+    for k in ends:
+        e = k[1]
+        above, below = bisect_right(keys, k), bisect_left(keys, k) - 1
         if above < n:
             dists.append(ps[above] - e)
         elif circle:
@@ -336,7 +373,7 @@ def _margin(arr: IntervalArrangement,
             dists.append(e - ps[below])
         elif circle:
             dists.append(e + 1 - ps[-1])
-    return min(dists)
+    return min(dists, key=_key)
 
 
 def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],

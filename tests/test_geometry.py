@@ -31,6 +31,7 @@ from convexcodes.geometry import (
     IntervalArrangement,
     Kind,
     SensorSet,
+    _key,
     _row_mask,
     closed_to_open,
     evaluate_codeword,
@@ -102,15 +103,20 @@ def rand_open_arrangement(rng, geometry, k_max=10, k_min=0):
 # Points on a grid of eighths in [0, 1), so sensors often sit on endpoints.
 _points = st.integers(0, 7).map(lambda i: F(i, 8))
 
+# The eighths moved by up to two steps of 2^-70 either way (mod 1): nearby
+# points share floor(x * 2^64), so only the exact tie-break orders them.
+_close_points = st.builds(lambda i, j: (F(i, 8) + F(j, 2**70)) % 1,
+                          st.integers(0, 7), st.integers(-2, 2))
+
 
 @st.composite
-def _intervals(draw, geometry):
+def _intervals(draw, geometry, points=_points):
     roll = draw(st.integers(0, 9))
     if roll == 0:
         return Interval1D.empty()
     if roll == 1:
         return Interval1D.whole()
-    lo, hi = draw(_points), draw(_points)
+    lo, hi = draw(points), draw(points)
     lo_closed, hi_closed = draw(st.booleans()), draw(st.booleans())
     if lo == hi:  # a point, or a point arc
         return Interval1D.closed(lo, hi)
@@ -124,10 +130,10 @@ def _intervals(draw, geometry):
 
 
 @st.composite
-def _arrangements(draw):
+def _arrangements(draw, points=_points):
     geometry = draw(st.sampled_from([Geometry.LINE, Geometry.CIRCLE]))
-    ivs = draw(st.lists(_intervals(geometry), max_size=6))
-    sensors = SensorSet.of(draw(st.sets(_points, max_size=8)))
+    ivs = draw(st.lists(_intervals(geometry, points), max_size=6))
+    sensors = SensorSet.of(draw(st.sets(points, max_size=8)))
     return IntervalArrangement(tuple(ivs), geometry), sensors
 
 
@@ -244,6 +250,77 @@ class TestRowMask:
         _, m = extract_code_sparse(line, SensorSet.of([F(-1, 2), F(1, 2),
                                                        F(3, 2)]))
         assert [r.mask for r in m.rows] == [0b010]
+
+
+@st.composite
+def _near_values(draw):
+    """Rationals within 2^-70 of one base, so they share floor keys, with
+    ints, negative values and huge numerators among the bases."""
+    base = draw(st.one_of(
+        st.integers(-3, 3),
+        st.fractions(max_denominator=10**6),
+        st.builds(F, st.integers(-10**40, 10**40), st.integers(1, 10**6))))
+    steps = draw(st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 5)),
+                          min_size=1, max_size=8))
+    values = [base + F(j, d * 2**70) for j, d in steps]
+    return values + [base] * draw(st.integers(0, 2))
+
+
+class TestExactKey:
+    @settings(max_examples=300, deadline=None)
+    @given(_near_values(), st.lists(st.integers(-3, 3), max_size=3))
+    @example([F(1, 2), F(1, 2) - F(1, 2**70), F(1, 2) + F(1, 2**70)], [])
+    def test_key_order_is_the_rational_order(self, values, ints):
+        values = values + ints
+        assert sorted(values, key=_key) == sorted(values)
+        for a in values:
+            for b in values:
+                assert (_key(a) < _key(b)) == (a < b)
+                assert (_key(a) == _key(b)) == (a == b)
+
+    def test_values_closer_than_two_to_the_minus_64_share_a_floor(self):
+        a = F(1, 3)
+        b = a + F(1, 2**70)
+        assert _key(a)[0] == _key(b)[0] and _key(a) < _key(b)
+        assert _key(-b)[0] == _key(-a)[0] and _key(-b) < _key(-a)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_arrangements(_close_points))
+    def test_row_masks_and_dense_code_at_close_points(self, case):
+        arr, sensors = case
+        ps = sensors.positions
+        _, m = extract_code_sparse(arr, sensors)
+        for iv, row in zip(arr.intervals, m.rows):
+            assert row.mask == sum(1 << j for j, p in enumerate(ps)
+                                   if iv.contains(p, arr.geometry))
+        words = {evaluate_codeword(arr, p) for p in _sample_points(arr)}
+        assert extract_code_dense(arr) == Code.of(words)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_arrangements(_close_points), st.booleans())
+    def test_swaps_at_close_points(self, case, close):
+        # the all-open (close) or all-closed copy of the drawn intervals;
+        # a point cannot be open
+        arr, sensors = case
+        ivs = []
+        for iv in arr.intervals:
+            if iv.kind is not Kind.PROPER:
+                ivs.append(iv)
+            elif not (close and iv.lo == iv.hi):
+                ivs.append(Interval1D.proper(iv.lo, iv.hi,
+                                             not close and iv.lo is not None,
+                                             not close and iv.hi is not None))
+        arr = IntervalArrangement(tuple(ivs), arr.geometry)
+        swap = open_to_closed if close else closed_to_open
+        out = swap(arr, sensors=sensors)
+        assert extract_code_dense(out) == Code.of(
+            evaluate_codeword(arr, p) for p in _sample_points(arr))
+        assert extract_code_dense(out) == Code.of(
+            evaluate_codeword(out, p) for p in _sample_points(out))
+        assert ([evaluate_codeword(out, p) for p in sensors.positions]
+                == [evaluate_codeword(arr, p) for p in sensors.positions])
+        assert all(iv.lo_closed == close
+                   for iv in out.intervals if iv.lo is not None)
 
 
 class TestInterval:

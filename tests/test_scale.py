@@ -4,12 +4,22 @@ it took when the budget was set (Python 3.11, one core).  A missed
 budget is a defect to report, not a bound to loosen."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from convexcodes.cli import EXIT_INFEASIBLE, main, parse_code_file
 from convexcodes.core import CO, BitVector, Code, CodeMultiset, Geometry, SensorMatrix
-from convexcodes.geometry import closed_to_open, open_to_closed, realize_matrix
+from convexcodes.geometry import (
+    Interval1D,
+    IntervalArrangement,
+    SensorSet,
+    closed_to_open,
+    extract_code_dense,
+    extract_code_sparse,
+    open_to_closed,
+    realize_matrix,
+)
 from convexcodes.pqtree import PQTree
 from convexcodes.reconstruct import (
     Bipartition,
@@ -67,8 +77,9 @@ def test_realize_random_intervals():
 
 
 def test_open_closed_swaps_with_sensors():
-    # each swap bisects the 10^4 sensors from every endpoint and checks
-    # the dense code over ~2 * 10^4 sample points
+    # each swap bisects the 10^4 sensors from every endpoint, reads the
+    # sensor rows twice and checks the dense code at ~2 * 10^4 integer
+    # places
     arr, sensors = realize_matrix(_random_intervals(5000, 10**4), CO)
     budget = _Budget(3.3)
     closed = open_to_closed(arr, sensors=sensors)
@@ -78,6 +89,53 @@ def test_open_closed_swaps_with_sensors():
     budget.check()
     assert all(iv.lo_closed for iv in closed.intervals if iv.lo is not None)
     assert not any(iv.lo_closed for iv in reopened.intervals)
+
+
+def _primes_from(lo, count):
+    # the first count primes >= lo, by a sieve of Eratosthenes
+    hi = 2 * lo + 20 * count
+    sieve = bytearray([1]) * hi
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(hi ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, hi, p)))
+    return [p for p in range(lo, hi) if sieve[p]][:count]
+
+
+def _prime_denominators():
+    # 5000 open intervals and 10^4 sensors in [0, 10^4), every endpoint
+    # and sensor over its own prime from 10007 up, never a whole number:
+    # the common denominator of the 2 * 10^4 coordinates has 331,150 bits
+    rng = random.Random(10007)
+    primes = _primes_from(10007, 2 * 10**4)
+
+    def point(p):
+        return Fraction(p * rng.randrange(10**4) + rng.randrange(1, p), p)
+
+    ends = [point(p) for p in primes[:10**4]]
+    arr = IntervalArrangement(
+        tuple(Interval1D.open(*sorted(ends[2 * i: 2 * i + 2]))
+              for i in range(5000)), Geometry.LINE)
+    return arr, SensorSet.of(point(p) for p in primes[10**4:])
+
+
+@pytest.fixture(scope="module")
+def prime_denominators():
+    return _prime_denominators()
+
+
+@pytest.mark.parametrize("call, seconds", [
+    (lambda arr, sensors: extract_code_sparse(arr, sensors), 0.3),
+    (lambda arr, sensors: extract_code_dense(arr), 0.6),
+    (lambda arr, sensors: open_to_closed(arr, sensors=sensors), 2.1),
+], ids=["sparse", "dense", "open_to_closed"])
+def test_prime_denominators(prime_denominators, call, seconds):
+    # rationals are ordered by an integer key, not over a common
+    # denominator, so no cost grows with its size
+    arr, sensors = prime_denominators
+    budget = _Budget(seconds)
+    call(arr, sensors)
+    budget.check()
 
 
 @pytest.mark.parametrize("multiset", [False, True])
@@ -127,6 +185,23 @@ def test_pq_two_ended_deep_q_node():
     budget.check()
     assert tree.frontier() == list(range(n))
     assert tree.summary() == "[" + " ".join(map(str, range(n))) + "]"
+
+
+def test_sparse_random_arcs():
+    # 8000 arcs of 1-16 sensors over 2 * 10^4 sensors on the circle:
+    # 10,597 distinct words
+    n, rng = 2 * 10**4, random.Random(7)
+    rows = []
+    for _ in range(8000):
+        start, length = rng.randrange(n), rng.randint(1, 16)
+        mask = ((1 << length) - 1) << start
+        rows.append(BitVector(n, (mask | mask >> n) & ((1 << n) - 1)))
+    code = SensorMatrix(rows, Geometry.CIRCLE).column_set()
+    assert len(code) == 10597
+    budget = _Budget(1.4)
+    m = reconstruct_sparse(code, Geometry.CIRCLE)
+    budget.check()
+    assert isinstance(m, SensorMatrix) and m.n == len(code)
 
 
 @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
