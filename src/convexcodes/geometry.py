@@ -362,8 +362,7 @@ def _margin(arr: IntervalArrangement,
     ps, n = sensors.positions, len(sensors)
     keys = [_key(p) for p in ps]
     dists = [eps]
-    for k in ends:
-        e = k[1]
+    for k, e in zip(ends, vals):
         above, below = bisect_right(keys, k), bisect_left(keys, k) - 1
         if above < n:
             dists.append(ps[above] - e)
