@@ -51,7 +51,10 @@ class OrderingResult:
     groups and [..] for sequences fixed up to reversal.  It, tree, the
     reduced PQ-tree it is rendered from, and matrix, the checked sensor
     matrix whose columns are the ordering, are None for an infeasible
-    result.  Equality compares feasibility and ordering only.
+    result.  failed_row is the index of the row whose reduction failed,
+    over the words in sorted order (complemented by the anchor on the
+    circle), and None for a feasible result.  Equality compares
+    feasibility and ordering only.
     """
 
     feasible: bool
@@ -59,12 +62,14 @@ class OrderingResult:
     tree: Optional[PQTree] = field(default=None, repr=False, compare=False)
     matrix: Optional[SensorMatrix] = field(default=None, repr=False,
                                            compare=False)
+    failed_row: Optional[int] = field(default=None, compare=False)
 
     @cached_property
     def tree_summary(self) -> Optional[str]:
         return None if self.tree is None else self.tree.summary()
 
 
+# an infeasible result that names no failing row
 INFEASIBLE_ORDERING = OrderingResult(False)
 
 
@@ -99,8 +104,9 @@ def _order(words: Code, regime: Regime) -> OrderingResult:
         ws = sorted((w ^ anchor for w in ws), key=lambda w: w.mask)
         names = [w ^ anchor for w in ws]
     tree = _WordTree(names)
-    if _first_failure(tree, _row_constraints(ws)) is not None:
-        return INFEASIBLE_ORDERING
+    failed = _first_failure(tree, _row_constraints(ws))
+    if failed is not None:
+        return OrderingResult(False, failed_row=failed)
     cols = tuple(names[j] for j in tree.frontier())
     m = SensorMatrix.from_columns(cols, regime.geometry, k=words.k)
     verify_matrix(m, regime, words)

@@ -28,6 +28,7 @@ from .core import (
     CodeMultiset,
     Geometry,
     SensorMatrix,
+    _set_positions,
     ensure,
     inharmonious,
     verify_matrix,
@@ -183,17 +184,21 @@ def rejection_certificate(words: Code):
     recognizer (Theorem: a matrix has a CO column ordering iff its
     incompatibility graph is bipartite).
 
-    The recognizer does the heavy work.  A feasible code is colored from
-    its CO ordering.  An infeasible code is first shrunk to a minimal
-    infeasible core: r + 1 row passes for r core rows, then at most 4r
-    recognitions of at most 4r words.  Only the core's graph, O(c^3)
-    edges for c core words, is searched for an odd cycle.
+    The recognizer does the heavy work, and recognizes the whole code
+    once.  A feasible code is colored from its CO ordering.  An
+    infeasible code is shrunk to a minimal infeasible core, starting
+    from the row whose reduction failed: r row passes for r core rows,
+    each over at most the ones of that row's component among the rows
+    before it, then at most 4r recognitions of at most 4r words on the
+    rows they hold.  Only the core's graph, O(c^3) edges for c core
+    words, is searched for an odd cycle.
     """
     ws = words.sorted_words()
     result = co_order(words)
     if result.feasible:
         return _ordering_bipartition(ws, result.ordering)
-    core = sorted(_infeasible_core(ws, words.k), key=lambda w: w.mask)
+    core = sorted(_infeasible_core(ws, words.k, result.failed_row),
+                  key=lambda w: w.mask)
     cert = _odd_cycle(core)
     ensure(cert is not None,
            "recognizer rejected a code whose core has a bipartite "
@@ -214,36 +219,99 @@ def _ordering_bipartition(ws: list[BitVector],
     return Bipartition(_OrderColoring(ordering))
 
 
-def _infeasible_core(ws: list[BitVector], k: int) -> list[BitVector]:
-    """A minimal CO-infeasible subset of the CO-infeasible words ws.
+def _infeasible_core(ws: list[BitVector], k: int,
+                     failed: Optional[int] = None) -> list[BitVector]:
+    """A minimal CO-infeasible subset of the CO-infeasible words ws of
+    length k, given the first row whose reduction fails, if known.
 
-    Row filter: reduce the core rows, then the others in order, until one
-    fails; it joins the core and the rows after it go, until the core
-    rows fail alone.  One word per nonzero pattern on the r core rows,
-    at most 4r, is infeasible too; a deletion filter, last word first,
+    One word per nonzero pattern on the r core rows of _core_rows, at
+    most 4r, is infeasible too; a deletion filter, last word first,
     drops each word whose removal leaves the rest infeasible.
     """
-    rows = list(_row_constraints(ws))
-    core: list[int] = []
-    while True:
-        rest = rows[:core[-1]] if core else rows
-        failed = _first_failure(PQTree(len(ws)), [rows[i] for i in core] + rest)
-        ensure(failed is not None,
-               "recognizer contradicted itself in the core search")
-        if failed < len(core):
-            break
-        core.append(failed - len(core))
+    core = _core_rows(ws, failed)
     on_core = sum(1 << i for i in core)
     firsts: dict[int, BitVector] = {}
     for w in ws:
         firsts.setdefault(w.mask & on_core, w)
     firsts.pop(0, None)
     kept = list(firsts.values())
+    # recognize the kept words on the rows some kept word holds: an
+    # all-zero row constrains nothing, and the words stay distinct
+    held = [0] * len(kept)
+    width = 0
+    for row in _set_positions((w.mask for w in kept), k):
+        if row:
+            for j in row:
+                held[j] |= 1 << width
+            width += 1
+    short = {w: BitVector(width, m) for w, m in zip(kept, held)}
     for w in kept[::-1]:
         others = [x for x in kept if x is not w]
-        if not co_order(Code(frozenset(others), k)).feasible:
+        if not co_order(Code(frozenset(short[x] for x in others),
+                             width)).feasible:
             kept = others
     return kept
+
+
+def _core_rows(ws: list[BitVector], failed: Optional[int] = None) -> list[int]:
+    """A minimal set of rows on which the words ws are CO-infeasible.
+
+    failed is the first row whose reduction fails when the rows are
+    reduced in order; without it, one pass over every row finds it.
+    CO holds iff it holds on each component of the rows joined by
+    shared words, so only the rows before failed in its component can
+    be needed; rows of fewer than two words never are.  Row filter on
+    those candidates: reduce the core rows, then the candidates, nearest
+    the last failure first, until one fails; it joins the core and the
+    candidates after it go, until the core rows fail alone.  Each pass
+    reduces on a tree over only the words its rows touch.
+    """
+    rows = list(_row_constraints(ws))
+    if failed is None:
+        failed = _first_failure(PQTree(len(ws)), rows)
+        ensure(failed is not None,
+               "recognizer contradicted itself in the core search")
+    core = [failed]
+    candidates = _component(rows, failed, len(ws))[::-1]
+    while True:
+        at = _first_failure_touched([rows[i] for i in core]
+                                    + [rows[i] for i in candidates])
+        ensure(at is not None,
+               "recognizer contradicted itself in the core search")
+        if at < len(core):
+            return core
+        at -= len(core)
+        core.append(candidates[at])
+        candidates = candidates[:at][::-1]
+
+
+def _component(rows: list[list[int]], failed: int, n: int) -> list[int]:
+    """The rows before failed, of two words or more, that reach row
+    failed through shared words: union-find over the n words."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for row in rows[:failed + 1]:
+        if len(row) > 1:
+            root = find(row[0])
+            for w in row[1:]:
+                parent[find(w)] = root
+    root = find(rows[failed][0])
+    return [i for i in range(failed)
+            if len(rows[i]) > 1 and find(rows[i][0]) == root]
+
+
+def _first_failure_touched(rows: list[list[int]]) -> Optional[int]:
+    # _first_failure on a tree over only the words these rows hold
+    label: dict[int, int] = {}
+    relabelled = [[label.setdefault(w, len(label)) for w in row]
+                  for row in rows]
+    return _first_failure(PQTree(len(label)), relabelled)
 
 
 def _odd_cycle(ws: list[BitVector]) -> Optional[RejectionCertificate]:

@@ -367,11 +367,31 @@ def _staircase_with_triangle(n):
     # n staircase words (singletons and adjacent pairs, CO-feasible) on
     # rows 0..r-1, plus a Tucker triangle on three new rows: each of the
     # rows r, r+1, r+2 makes two of the three new columns adjacent
-    r = n // 2 + 1
-    k = r + 3
-    words = [1 << i for i in range(r)] + [0b11 << i for i in range(r - 1)]
-    words = words[:n] + [0b101 << r, 0b011 << r, 0b110 << r]
-    return Code.of(BitVector(k, m) for m in words)
+    return _planted_cycle(n, 3)[0]
+
+
+def _planted_cycle(n, c, layout="end"):
+    # Tucker's M_I(c) beside n staircase words: c new words, word j
+    # holding cycle rows j and j - 1 (mod c), which no staircase word
+    # holds.  "end" puts the c cycle rows after the n // 2 + 1 staircase
+    # rows; "spread" makes cycle row j row (j + 1) k // c - 1 of all k
+    # rows, the staircase rows filling the others in order; "tied" is
+    # spread with every cycle word also in the middle staircase row, so
+    # that all rows are one component and the cycle is the only
+    # obstruction.  Returns the code and the cycle words.
+    s = n // 2 + 1
+    k = s + c
+    cycle_rows = ([s + j for j in range(c)] if layout == "end"
+                  else [(j + 1) * k // c - 1 for j in range(c)])
+    taken = set(cycle_rows)
+    place = [i for i in range(k) if i not in taken]
+    tie = 1 << place[s // 2] if layout == "tied" else 0
+    stairs = ([1 << place[i] for i in range(s)]
+              + [1 << place[i] | 1 << place[i + 1] for i in range(s - 1)])
+    cycle = [1 << cycle_rows[j] | 1 << cycle_rows[j - 1] | tie
+             for j in range(c)]
+    return (Code.of(BitVector(k, m) for m in stairs[:n] + cycle),
+            {BitVector(k, m) for m in cycle})
 
 
 def _bisecting_core(ws, k):
@@ -400,6 +420,25 @@ def _random_codes(seed, count):
     for _ in range(count):
         k = rng.choice([4, 5])
         yield _code(rng.sample(all_words(k), rng.randint(1, 8)))
+
+
+def _shared_obstruction_codes(seed, count):
+    # a Tucker triangle or M_I(4) on its own rows, its words also in
+    # 1-3 rows shared with 2-4 other words, and those words in rows of
+    # their own: the obstruction's words are in rows outside it
+    rng = random.Random(seed)
+    for _ in range(count):
+        c, other, extra = rng.choice([3, 4]), rng.randint(2, 4), rng.randint(1, 3)
+        n = c + other
+        rows = [{j, (j + 1) % c} for j in range(c)]
+        rows += [set(rng.sample(range(n), rng.randint(2, n - 1)))
+                 for _ in range(extra)]
+        rows += [set(rng.sample(range(c, n), rng.randint(1, other)))
+                 for _ in range(rng.randint(0, 2))]
+        rng.shuffle(rows)
+        yield Code.of(BitVector(len(rows), sum(1 << i for i, row in
+                                               enumerate(rows) if j in row))
+                      for j in range(n))
 
 
 def _bfs_coloring(ws):
@@ -453,21 +492,46 @@ class TestCertificateScaling:
         assert checked == 300 and connected >= 100
 
     def test_core_is_minimal_and_holds_the_certificate(self):
-        from convexcodes.reconstruct import _infeasible_core
+        from convexcodes.reconstruct import _core_rows, _infeasible_core
 
-        checked = 0
-        for code in _random_codes(43, 400):
+        def on_rows(words, rows):
+            # the words cut down to the given rows, by the recognizer
+            return co_order(Code.of(
+                BitVector(len(rows), sum(w.bit(r) << i
+                                         for i, r in enumerate(rows)))
+                for w in words)).feasible
+
+        def minimal_rows(words, rows):
+            return (not on_rows(words, rows)
+                    and all(on_rows(words, rows[:i] + rows[i + 1:])
+                            for i in range(len(rows))))
+
+        checked = shared = 0
+        codes = itertools.chain(_random_codes(43, 400),
+                                _shared_obstruction_codes(59, 400),
+                                [_code(["01001", "10011", "00110", "11100"])])
+        for code in codes:
             if co_order(code).feasible:
                 continue
             checked += 1
-            core = _infeasible_core(code.sorted_words(), code.k)
+            ws = code.sorted_words()
+            core = _infeasible_core(ws, code.k)
             assert not co_order(Code.of(core)).feasible
             for w in core:
                 assert co_order(Code.of(set(core) - {w})).feasible
+            # the rows: minimal for the whole code, and, found again on
+            # the kept words, minimal for them
+            assert minimal_rows(ws, _core_rows(ws))
+            kept = sorted(core, key=lambda w: w.mask)
+            rows = _core_rows(kept)
+            assert minimal_rows(kept, rows)
+            # a row outside the kept words' core holds one of them
+            shared += any(w.bit(r) for w in kept for r in range(code.k)
+                          if r not in rows)
             cert = rejection_certificate(code)
             assert isinstance(cert, RejectionCertificate) and cert.verify()
             assert {x for pair in cert.odd_cycle for x in pair} <= set(core)
-        assert checked >= 100
+        assert checked >= 500 and shared >= 400
 
     def test_row_filter_against_the_bisecting_core(self):
         # the word-prefix bisection the row filter replaced: both cores
@@ -534,6 +598,17 @@ class TestCertificateScaling:
         cert = rejection_certificate(_staircase_with_triangle(2000))
         assert isinstance(cert, RejectionCertificate) and cert.verify()
         budget.check()
+
+    def test_spread_planted_cycle_within_budget(self):
+        # M_I(31) on rows spread among the 2000-word staircase's: one
+        # recognition fails at the last of them, and the row passes
+        # reduce only the cycle's component
+        code, cycle = _planted_cycle(2000, 31, "spread")
+        budget = _Budget(0.4)
+        cert = rejection_certificate(code)
+        budget.check()
+        assert isinstance(cert, RejectionCertificate) and cert.verify()
+        assert {w for pair in cert.odd_cycle for w in pair} == cycle
 
     @pytest.mark.parametrize("lie", ["always", "on the whole code"])
     def test_lying_recognizer_gives_no_certificate(self, monkeypatch, lie):

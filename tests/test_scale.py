@@ -31,7 +31,7 @@ from convexcodes.reconstruct import (
     rejection_certificate,
 )
 from test_acceptance import _Budget
-from test_reconstruct import _staircase_with_triangle
+from test_reconstruct import _planted_cycle, _staircase_with_triangle
 
 
 def _staircase(n):
@@ -227,8 +227,9 @@ def test_feasible_certificate():
 
 
 def test_infeasible_certificate():
-    # the core search reduces every row once per core row, plus one pass,
-    # and then only recognizes the core rows' few pattern words
+    # one recognition of the whole code fails at the triangle's last
+    # row; the core search then reduces only the triangle's rows, the
+    # one component that row is in, and recognizes its three words
     code = _staircase_with_triangle(10**4)
     budget = _Budget(24)
     cert = rejection_certificate(code)
@@ -239,22 +240,60 @@ def test_infeasible_certificate():
 
 def test_certificate_of_a_planted_odd_cycle():
     # Tucker's M_I(31) on 31 new rows, word j holding rows j and j - 1
-    # (mod 31), beside a 2000-word staircase: 32 row passes
-    stairs, c = _staircase(2000), 31
-    k = stairs.k + c
-    cycle = [BitVector(k, (1 << (stairs.k + j))
-                       | (1 << (stairs.k + (j - 1) % c))) for j in range(c)]
-    code = Code.of([BitVector(k, w.mask) for w in stairs.words] + cycle)
+    # (mod 31), beside a 2000-word staircase: the row passes reduce only
+    # the cycle's rows, on trees over its 31 words
+    code, cycle = _planted_cycle(2000, 31)
     budget = _Budget(2.7)
     cert = rejection_certificate(code)
     budget.check()
     assert isinstance(cert, RejectionCertificate) and cert.verify()
-    assert {w for pair in cert.odd_cycle for w in pair} == set(cycle)
+    assert {w for pair in cert.odd_cycle for w in pair} == cycle
+
+
+@pytest.mark.parametrize("layout, seconds", [
+    ("end", 4.5), ("spread", 4.5), ("tied", 18)])
+def test_certificate_of_a_planted_cycle_101(layout, seconds):
+    # M_I(101) beside the 10^4-word staircase.  At the end or spread,
+    # the row filter sees only the cycle's rows and the time is mostly
+    # the odd-cycle search over the core's 101 words.  Tied, every
+    # cycle word also holds one staircase row, all rows are one
+    # component, and each row pass reduces up to every row before the
+    # last failure: the core search is still O(r * ones) there
+    code, cycle = _planted_cycle(10**4, 101, layout)
+    budget = _Budget(seconds)
+    cert = rejection_certificate(code)
+    budget.check()
+    assert isinstance(cert, RejectionCertificate) and cert.verify()
+    assert {w for pair in cert.odd_cycle for w in pair} == cycle
+
+
+@pytest.mark.parametrize("c, layout, reductions", [
+    (3, "end", 10030), (101, "end", 50602), (101, "spread", 50602)])
+def test_certificate_reductions(monkeypatch, c, layout, reductions):
+    # PQ reductions of one certificate beside the 10^4-word staircase,
+    # at most twice the count when the bound was set: the recognition
+    # of the whole code, then small passes over the core's component.
+    # A row filter that reduced every row before the last core row on
+    # each pass would make ~r * 5000
+    code, cycle = _planted_cycle(10**4, c, layout)
+    calls = []
+    reduce = PQTree.reduce
+
+    def counted(tree, labels):
+        calls.append(len(labels))
+        return reduce(tree, labels)
+
+    monkeypatch.setattr(PQTree, "reduce", counted)
+    cert = rejection_certificate(code)
+    assert isinstance(cert, RejectionCertificate) and cert.verify()
+    assert {w for pair in cert.odd_cycle for w in pair} == cycle
+    assert len(calls) <= reductions
 
 
 def test_cli_check_of_a_large_infeasible_file(tmp_path, capsys):
-    # 10^4 words of 5004 bits, about 50 MB: parsing and the two passes of
-    # the triangle's three rows
+    # 10^4 words of 5004 bits, about 50 MB: parsing, two recognitions of
+    # the whole code (the check's and the certificate's) and a core
+    # search over the triangle's three rows
     path = tmp_path / "bad.txt"
     path.write_text("".join(w.to_string() + "\n" for w in
                             _staircase_with_triangle(10**4).sorted_words()))
