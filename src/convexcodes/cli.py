@@ -211,8 +211,8 @@ def _refuse(em: _Emitter, status: str, reason: str) -> None:
 
 def _reconstruct(args, em: _Emitter):
     """Parse and reconstruct for check, realize and normalize.  Returns
-    (ms, regime, m): m is the feasible matrix, or None once an
-    unsupported or infeasible refusal is on em."""
+    (ms, regime, result): result is the feasible matrix, or the
+    Unsupported or Infeasible refusal once it is on em."""
     ms = parse_code_file(args.file)
     regime = _regime(args)
     if regime.geometry is Geometry.CIRCLE and regime.density is Density.DENSE:
@@ -231,7 +231,7 @@ def _reconstruct(args, em: _Emitter):
     if isinstance(result, (Unsupported, Infeasible)):
         _refuse(em, "unsupported" if isinstance(result, Unsupported)
                 else "infeasible", result.reason)
-        return ms, regime, None
+        return ms, regime, result
     if isinstance(result, Multiordering):
         result = result.matrix()
     return ms, regime, result
@@ -255,11 +255,13 @@ def _emit_arrangement(em: _Emitter, arr: IntervalArrangement,
 
 
 def cmd_check(args, em: _Emitter) -> None:
-    ms, regime, m = _reconstruct(args, em)
-    if m is not None:
-        _emit_matrix(em, m)
-    elif em.doc["status"] == "infeasible" and regime == CO:
-        cert = rejection_certificate(ms.support)
+    ms, regime, result = _reconstruct(args, em)
+    if isinstance(result, SensorMatrix):
+        _emit_matrix(em, result)
+    elif isinstance(result, Infeasible) and regime == CO:
+        # the reconstruction's failing row seeds the core search, so the
+        # words are recognized once
+        cert = rejection_certificate(ms.support, failed_row=result.failed_row)
         ensure(isinstance(cert, RejectionCertificate),
                "recognizer rejected a code with a bipartite incompatibility"
                " graph")
@@ -271,7 +273,7 @@ def cmd_check(args, em: _Emitter) -> None:
 
 def cmd_realize(args, em: _Emitter) -> None:
     _, regime, m = _reconstruct(args, em)
-    if m is not None:
+    if isinstance(m, SensorMatrix):
         arr, sensors = realize_matrix(m, regime)
         _emit_matrix(em, m)
         _emit_arrangement(em, arr, sensors)
@@ -361,7 +363,7 @@ def cmd_enumerate(args, em: _Emitter) -> None:
 
 def cmd_normalize(args, em: _Emitter) -> None:
     _, regime, m = _reconstruct(args, em)
-    if m is None:
+    if not isinstance(m, SensorMatrix):
         return
     arr, sensors = realize_matrix(m, regime)
     if args.transform == "snap":

@@ -7,10 +7,11 @@ closed.  All arithmetic is done with fractions.Fraction; there are no
 tolerances anywhere.  Row reads, endpoint sorts, bisections and the
 swaps' margin order rationals by one exact integer key, _key, and tell
 distinct values apart by their lowest terms: none compares or hashes a
-Fraction unless two values lie within 2^-64 of each other.  Dense
-extraction compares only the order of the endpoints: it reads integer
-places, one per endpoint and one per region between and beyond them,
-and makes no Fraction.
+Fraction unless two values lie within 2^-64 of each other, and the
+margin subtracts only the differences whose floor keys put them within
+a few units of 2^-64 of the least.  Dense extraction compares only the
+order of the endpoints: it reads integer places, one per endpoint and
+one per region between and beyond them, and makes no Fraction.
 """
 
 from __future__ import annotations
@@ -179,29 +180,23 @@ def evaluate_codeword(arr: IntervalArrangement, p) -> BitVector:
     )
 
 
-def _row_mask(iv: Interval1D, ps: Sequence[Fraction], geometry: Geometry) -> int:
-    """Mask of the sensors at the sorted positions ps that iv contains:
-    one index range, found by bisection, or two when an arc wraps."""
+def _row_mask(iv: Interval1D, keys: Sequence[tuple[int, Fraction]],
+              geometry: Geometry) -> int:
+    """Mask of the sensors at the sorted keys that iv contains: one index
+    range, found by bisecting on the keys of its ends, or two when an
+    arc wraps."""
     if iv.kind is not Kind.PROPER:
-        return (1 << len(ps)) - 1 if iv.kind is Kind.WHOLE else 0
-    i = 0 if iv.lo is None else (
-        bisect_left if iv.lo_closed else bisect_right)(ps, iv.lo)
-    j = len(ps) if iv.hi is None else (
-        bisect_right if iv.hi_closed else bisect_left)(ps, iv.hi)
-    if geometry is Geometry.CIRCLE and iv.lo > iv.hi:
+        return (1 << len(keys)) - 1 if iv.kind is Kind.WHOLE else 0
+    lo = None if iv.lo is None else _key(iv.lo)
+    hi = None if iv.hi is None else _key(iv.hi)
+    i = 0 if lo is None else (
+        bisect_left if iv.lo_closed else bisect_right)(keys, lo)
+    j = len(keys) if hi is None else (
+        bisect_right if iv.hi_closed else bisect_left)(keys, hi)
+    if geometry is Geometry.CIRCLE and lo > hi:
         # the arc wraps past 0: sensors from i on, and those before j
-        return ((1 << len(ps)) - (1 << i)) | ((1 << j) - 1)
+        return ((1 << len(keys)) - (1 << i)) | ((1 << j) - 1)
     return ((1 << (j - i)) - 1) << i if j > i else 0
-
-
-def _mapped(iv: Interval1D, f) -> Interval1D:
-    """iv with each finite endpoint x replaced by f(x), for an f that
-    keeps the order of the endpoints and sensors _row_mask compares."""
-    if iv.kind is not Kind.PROPER:
-        return iv
-    return Interval1D(iv.kind, None if iv.lo is None else f(iv.lo),
-                      None if iv.hi is None else f(iv.hi),
-                      iv.lo_closed, iv.hi_closed)
 
 
 def _ends(arr: IntervalArrangement) -> list[tuple[int, Fraction]]:
@@ -214,23 +209,12 @@ def _ends(arr: IntervalArrangement) -> list[tuple[int, Fraction]]:
 
 
 def _rows(arr: IntervalArrangement, ps: Sequence[Fraction]) -> list[int]:
-    """The row masks of arr at the sorted sensor positions ps, read at
-    their keys."""
+    """The row masks of arr at the sorted sensor positions ps."""
     circle = arr.geometry is Geometry.CIRCLE
     if circle and ps and not (0 <= ps[0] and ps[-1] < 1):
         raise ValueError("circle sensor positions must lie in [0, 1)")
     keys = [_key(p) for p in ps]
-    return [_row_mask(_mapped(iv, _key), keys, arr.geometry)
-            for iv in arr.intervals]
-
-
-def _code(rows: list[int], n: int,
-          geometry: Geometry) -> tuple[Code, SensorMatrix]:
-    """The code of the row masks over n sensors, with its matrix."""
-    bits = [BitVector(n, mask) for mask in rows]
-    m = (SensorMatrix(bits, geometry) if bits else  # k = 0 keeps n columns
-         SensorMatrix.from_columns([BitVector(0)] * n, geometry, k=0))
-    return m.column_set(), m
+    return [_row_mask(iv, keys, arr.geometry) for iv in arr.intervals]
 
 
 def extract_code_sparse(
@@ -240,22 +224,58 @@ def extract_code_sparse(
     cost O(k log n) bisections for k intervals and n sensors; the columns
     are their transpose."""
     ps = sensors.positions
-    return _code(_rows(arr, ps), len(ps), arr.geometry)
+    rows = [BitVector(len(ps), mask) for mask in _rows(arr, ps)]
+    m = (SensorMatrix(rows, arr.geometry) if rows else  # k = 0 keeps n columns
+         SensorMatrix.from_columns([BitVector(0)] * len(ps), arr.geometry,
+                                   k=0))
+    return m.column_set(), m
 
 
-def extract_code_dense(arr: IntervalArrangement) -> Code:
-    """The full image of the codeword map over the ambient space.  The
+def _dense_columns(arr: IntervalArrangement) -> set[int]:
+    """The dense code of arr as column masks, bit i for interval i.  The
     i-th of the m sorted distinct endpoints (from 0) becomes the place
-    2i + 1, and _row_mask reads the places 0..2m: each endpoint and each
-    region beside one.  On the circle, 0 and 2m are the region across 0."""
+    2i + 1, and the places 0..2m are each endpoint and each region beside
+    one; on the circle, 0 and 2m are the region across 0.  Each interval
+    toggles its bit at the first place it holds and just past the last,
+    a wrapping arc also at 0, and each column is the previous one with
+    its place's toggles applied."""
     ends = _ends(arr)
     place = {(e.numerator, e.denominator): 2 * i + 1
              for i, (_, e) in enumerate(ends)}
-    ps = range(2 * len(ends) + 1)
-    rows = [_row_mask(_mapped(iv, lambda e: place[e.numerator, e.denominator]),
-                      ps, arr.geometry)
-            for iv in arr.intervals]
-    return _code(rows, len(ps), arr.geometry)[0]
+    top = 2 * len(ends)
+    circle = arr.geometry is Geometry.CIRCLE
+    toggles = [0] * (top + 2)
+    for r, iv in enumerate(arr.intervals):
+        bit = 1 << r
+        if iv.kind is not Kind.PROPER:
+            if iv.kind is Kind.WHOLE:
+                toggles[0] ^= bit
+            continue
+        a = 0 if iv.lo is None else place[iv.lo.numerator, iv.lo.denominator]
+        b = top if iv.hi is None else place[iv.hi.numerator, iv.hi.denominator]
+        i = a + (iv.lo is not None and not iv.lo_closed)
+        j = b + (iv.hi is None or iv.hi_closed)
+        if circle and a > b:
+            # the arc wraps past 0: places from i on, and those before j
+            toggles[i] ^= bit
+            toggles[0] ^= bit
+            toggles[j] ^= bit
+        elif i < j:
+            toggles[i] ^= bit
+            toggles[j] ^= bit
+    columns = set()
+    col = 0
+    for t in toggles[:top + 1]:
+        col ^= t
+        columns.add(col)
+    return columns
+
+
+def extract_code_dense(arr: IntervalArrangement) -> Code:
+    """The full image of the codeword map over the ambient space, read
+    at integer places from the order of the endpoints alone."""
+    return Code(frozenset(BitVector(arr.k, c) for c in _dense_columns(arr)),
+                arr.k)
 
 
 def realize_matrix(
@@ -339,6 +359,28 @@ def normalize_arbitrary(
     return result
 
 
+# one turn of the circle in floor keys: floor((x + 1) 2^64) is
+# floor(x 2^64) + _TURN
+_TURN = 1 << 64
+
+
+def _least(cands: list[tuple[int, Fraction, Fraction, int]],
+           cap: Optional[Fraction] = None) -> Fraction:
+    """The least of cap and of the differences b - a + w over the
+    (d, b, a, w) in cands, d = floor(b 2^64) - floor(a 2^64) + w _TURN.
+    d is floor((b - a + w) 2^64) or one more, so a candidate whose d
+    exceeds the least d, or cap's floor key, by 2 or more is larger than
+    that one: only the others are subtracted exactly."""
+    floors = [d for d, _, _, _ in cands]
+    if cap is not None:
+        floors.append(_key(cap)[0])
+    bound = min(floors) + 1
+    near = [b - a + w if w else b - a for d, b, a, w in cands if d <= bound]
+    if cap is not None:
+        near.append(cap)
+    return min(near)
+
+
 def _margin(arr: IntervalArrangement,
             sensors: Optional[SensorSet]) -> Fraction:
     """The swaps' margin: a quarter of the smallest gap between distinct
@@ -349,30 +391,35 @@ def _margin(arr: IntervalArrangement,
     open end leaves it out.  Each interval's length, and each closed
     arc's complement, is a sum of gaps (the wrap gap included) or, for a
     point arc, 1: the margin is at most a quarter of each, so no swap
-    overruns an interval."""
+    overruns an interval.  Both minima are picked by floor keys first
+    (_least)."""
     ends = _ends(arr)
-    vals = [e for _, e in ends]
     circle = arr.geometry is Geometry.CIRCLE
-    gaps = [b - a for a, b in zip(vals, vals[1:])]
-    if circle and vals:
-        gaps.append(1 - vals[-1] + vals[0])
-    eps = min(gaps, key=_key) / 4 if gaps else Fraction(1, 4)
+    gaps = [(fb - fa, b, a, 0) for (fa, a), (fb, b) in zip(ends, ends[1:])]
+    if circle and ends:
+        (f0, e0), (fl, el) = ends[0], ends[-1]
+        gaps.append((f0 + _TURN - fl, e0, el, 1))
+    eps = _least(gaps) / 4 if gaps else Fraction(1, 4)
     if not sensors:
         return eps
-    ps, n = sensors.positions, len(sensors)
-    keys = [_key(p) for p in ps]
-    dists = [eps]
-    for k, e in zip(ends, vals):
+    keys = [_key(p) for p in sensors.positions]
+    n = len(keys)
+    (f0, p0), (fl, pl) = keys[0], keys[-1]
+    dists = []
+    for k in ends:
+        fe, e = k
         above, below = bisect_right(keys, k), bisect_left(keys, k) - 1
         if above < n:
-            dists.append(ps[above] - e)
+            fp, p = keys[above]
+            dists.append((fp - fe, p, e, 0))
         elif circle:
-            dists.append(ps[0] + 1 - e)
+            dists.append((f0 + _TURN - fe, p0, e, 1))
         if below >= 0:
-            dists.append(e - ps[below])
+            fp, p = keys[below]
+            dists.append((fe - fp, e, p, 0))
         elif circle:
-            dists.append(e + 1 - ps[-1])
-    return min(dists, key=_key)
+            dists.append((fe + _TURN - fl, e, pl, 1))
+    return _least(dists, eps)
 
 
 def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
@@ -404,7 +451,7 @@ def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
                                      close and hi is not None))
     result = IntervalArrangement(tuple(out), arr.geometry)
     name = "closure" if close else "interior"
-    ensure(extract_code_dense(result) == extract_code_dense(arr),
+    ensure(_dense_columns(result) == _dense_columns(arr),
            "%s changed the dense code" % name)
     if before is not None:
         ensure(_rows(result, sensors.positions) == before,

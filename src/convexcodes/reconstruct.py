@@ -39,9 +39,12 @@ from .pqtree import PQTree
 
 @dataclass(frozen=True)
 class Infeasible:
-    """No object of the requested kind exists."""
+    """No object of the requested kind exists.  failed_row, when a sparse
+    recognition refused the words, is the index of the row whose
+    reduction failed (OrderingResult.failed_row); equality ignores it."""
 
     reason: str = ""
+    failed_row: Optional[int] = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ def _incompatibility_edges(words: list[BitVector]):
                     yield (a, b), (b, c), row
 
 
-def rejection_certificate(words: Code):
+def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     """2-color the incompatibility graph, or exhibit an odd cycle.
 
     A Bipartition certifies sparse-line feasibility; a
@@ -192,12 +195,18 @@ def rejection_certificate(words: Code):
     before it, then at most 4r recognitions of at most 4r words on the
     rows they hold.  Only the core's graph, O(c^3) edges for c core
     words, is searched for an odd cycle.
+
+    failed_row, the Infeasible.failed_row of a sparse line reconstruction
+    of the same words, skips recognizing them again; the core search and
+    the cycle keep their self-checks.
     """
     ws = words.sorted_words()
-    result = co_order(words)
-    if result.feasible:
-        return _ordering_bipartition(ws, result.ordering)
-    core = sorted(_infeasible_core(ws, words.k, result.failed_row),
+    if failed_row is None:
+        result = co_order(words)
+        if result.feasible:
+            return _ordering_bipartition(ws, result.ordering)
+        failed_row = result.failed_row
+    core = sorted(_infeasible_core(ws, words.k, failed_row),
                   key=lambda w: w.mask)
     cert = _odd_cycle(core)
     ensure(cert is not None,
@@ -369,7 +378,8 @@ def reconstruct_sparse(words: Code, geometry: Geometry):
     result = order_fn(words)
     if not result.feasible:
         return Infeasible("no %s column ordering exists"
-                          % ("CO" if geometry is Geometry.LINE else "CCO"))
+                          % ("CO" if geometry is Geometry.LINE else "CCO"),
+                          result.failed_row)
     # the ordering checked its matrix's signature and columns
     return result.matrix
 

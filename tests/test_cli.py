@@ -116,6 +116,33 @@ class TestCheck:
         assert doc["status"] == "infeasible"
         assert len(doc["certificate"]["odd_cycle"]) % 2 == 1
 
+    @pytest.mark.parametrize("multiset", [False, True])
+    def test_infeasible_words_recognized_once(self, capsys, tmp_path,
+                                              monkeypatch, multiset):
+        # the certificate's core search starts from the row the
+        # reconstruction found failing; it recognizes fewer words only
+        import convexcodes.ordering as ordering
+
+        from test_reconstruct import _staircase_with_triangle
+
+        code = _staircase_with_triangle(40)
+        path = write(tmp_path, "c.txt", "".join(
+            w.to_string() + "\n" for w in code.sorted_words()))
+        sizes = []
+        order = ordering._order
+
+        def counted(words, regime):
+            sizes.append(len(words))
+            return order(words, regime)
+
+        monkeypatch.setattr(ordering, "_order", counted)
+        argv = ["check", path] + (["--multiset"] if multiset else [])
+        status, out, _ = run(capsys, *argv)
+        assert status == EXIT_INFEASIBLE
+        assert out.splitlines()[1] == "odd cycle (3 vertices):"
+        assert sizes.count(len(code)) == 1
+        assert max(sizes) == len(code)
+
     def test_multiset_dense_rejection(self, capsys, tmp_path):
         path = write(tmp_path, "c.txt", "100\n010\n001\n000\n")
         code, out, _ = run(

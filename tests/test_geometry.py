@@ -31,7 +31,9 @@ from convexcodes.geometry import (
     IntervalArrangement,
     Kind,
     SensorSet,
+    _dense_columns,
     _key,
+    _margin,
     _row_mask,
     closed_to_open,
     evaluate_codeword,
@@ -158,10 +160,11 @@ class TestRowMask:
     def test_equals_per_point_contains(self, case):
         arr, sensors = case
         ps = sensors.positions
+        keys = [_key(p) for p in ps]
         for iv in arr.intervals:
             want = sum(1 << j for j, p in enumerate(ps)
                        if iv.contains(p, arr.geometry))
-            assert _row_mask(iv, ps, arr.geometry) == want
+            assert _row_mask(iv, keys, arr.geometry) == want
         _, m = extract_code_sparse(arr, sensors)
         assert (m.k, m.n) == (arr.k, len(ps))
         assert list(m.columns) == [evaluate_codeword(arr, p) for p in ps]
@@ -205,7 +208,7 @@ class TestRowMask:
 
     def test_named_cases(self):
         line, circle = Geometry.LINE, Geometry.CIRCLE
-        ps = (F(0), F(1, 4), F(1, 2), F(3, 4))
+        keys = [_key(p) for p in (F(0), F(1, 4), F(1, 2), F(3, 4))]
         cases = [
             (Interval1D.open(F(1, 4), F(3, 4)), line, 0b0100),
             (Interval1D.closed(F(1, 4), F(3, 4)), line, 0b1110),
@@ -223,7 +226,7 @@ class TestRowMask:
             (Interval1D.closed(F(1, 4), F(1, 4)), circle, 0b0010),
         ]
         for iv, geometry, mask in cases:
-            assert _row_mask(iv, ps, geometry) == mask, iv
+            assert _row_mask(iv, keys, geometry) == mask, iv
             assert _row_mask(iv, (), geometry) == 0
 
     def test_no_intervals_keep_the_columns(self):
@@ -250,6 +253,86 @@ class TestRowMask:
         _, m = extract_code_sparse(line, SensorSet.of([F(-1, 2), F(1, 2),
                                                        F(3, 2)]))
         assert [r.mask for r in m.rows] == [0b010]
+
+
+def _kernel_case(rng):
+    """An arrangement on a coarse grid, so endpoints often coincide, with
+    rays, empty and whole intervals, points and point arcs, wrapping
+    arcs, now and then a reversed line interval, and either closedness."""
+    geometry = rng.choice([Geometry.LINE, Geometry.CIRCLE])
+    circle = geometry is Geometry.CIRCLE
+
+    def point():
+        return F(rng.randrange(8), 8) if circle else F(rng.randint(-6, 6), 2)
+
+    ivs = []
+    for _ in range(rng.randint(0, 8)):
+        roll = rng.randrange(10)
+        if roll < 2:
+            ivs.append(Interval1D.empty() if roll else Interval1D.whole())
+            continue
+        lo, hi = point(), point()
+        if roll == 2 or lo == hi:
+            ivs.append(Interval1D.closed(lo, lo))
+            continue
+        if not circle and roll != 3:  # roll 3 keeps a reversed interval
+            lo, hi = min(lo, hi), max(lo, hi)
+            if roll == 4:
+                lo = None
+            elif roll == 5:
+                hi = None
+        ivs.append(Interval1D.proper(
+            lo, hi, lo is not None and rng.random() < 0.5,
+            hi is not None and rng.random() < 0.5))
+    return IntervalArrangement(tuple(ivs), geometry)
+
+
+def _shape(iv, geometry):
+    if iv.kind is not Kind.PROPER:
+        return iv.kind.value
+    if iv.lo is None or iv.hi is None:
+        return "ray"
+    if iv.lo == iv.hi:
+        return "point"
+    if iv.lo < iv.hi:
+        return "proper"
+    return "reversed" if geometry is Geometry.LINE else "wrapping"
+
+
+class TestDenseColumns:
+    def test_columns_are_the_codewords_at_every_point(self):
+        # the points: every endpoint, the midpoint between neighbouring
+        # endpoints and one point beyond each end, read by contains
+        rng = random.Random(73)
+        kinds = set()
+        for _ in range(1500):
+            arr = _kernel_case(rng)
+            vals = sorted({e for iv in arr.intervals for e in iv.endpoints()})
+            pts = vals + [(a + b) / 2 for a, b in zip(vals, vals[1:])]
+            if not vals:
+                pts = [F(0)]
+            elif arr.geometry is Geometry.LINE:
+                pts += [vals[0] - 1, vals[-1] + 1]
+            else:
+                pts += [vals[0] / 2, (vals[-1] + 1) / 2]
+            seen = {evaluate_codeword(arr, p).mask for p in pts}
+            assert _dense_columns(arr) == seen, arr
+            assert extract_code_dense(arr) == Code(
+                frozenset(BitVector(arr.k, c) for c in seen), arr.k)
+            kinds |= {(arr.geometry, _shape(iv, arr.geometry), iv.lo_closed,
+                       iv.hi_closed)
+                      for iv in arr.intervals}
+        flags = [(False, False), (False, True), (True, False), (True, True)]
+        turned = {Geometry.LINE: "reversed", Geometry.CIRCLE: "wrapping"}
+        # rays closed on their finite side, or open
+        want = {(Geometry.LINE, "ray", lo, hi) for lo, hi in flags[:3]}
+        for geometry in (Geometry.LINE, Geometry.CIRCLE):
+            want |= {(geometry, "empty", False, False),
+                     (geometry, "whole", False, False),
+                     (geometry, "point", True, True)}
+            want |= {(geometry, shape, lo, hi) for lo, hi in flags
+                     for shape in ("proper", turned[geometry])}
+        assert want <= kinds
 
 
 @st.composite
@@ -575,6 +658,19 @@ class TestOpenClosedSwap:
         with pytest.raises(InternalError):
             open_to_closed(arr, sensors=sensors)
 
+    def test_swaps_build_no_sensor_matrix(self, monkeypatch):
+        # the self-checks compare row masks and column sets as plain ints
+        arr, sensors = realize_matrix(
+            SensorMatrix.from_strings(["0110", "1100", "0111"],
+                                      Geometry.LINE), CO)
+
+        def refuse(*args):
+            raise AssertionError("a swap built a SensorMatrix")
+
+        monkeypatch.setattr(SensorMatrix, "_init", refuse)
+        closed = open_to_closed(arr, sensors=sensors)
+        closed_to_open(closed, sensors=sensors)
+
     def test_mixed_arrangement_rejected(self):
         arr = IntervalArrangement(
             (Interval1D.proper(0, 1, True, False),), Geometry.LINE
@@ -743,6 +839,78 @@ def test_swaps_equal_the_reference():
         kinds.add((arr.geometry, closed, isinstance(out, str),
                    sensors is None))
     assert len(kinds) == 16
+
+
+U = F(1, 2**64)
+
+
+# 1/2 and 1/4 in hundredths of a unit of 2^-64
+HALF, QUARTER = 100 * 2**63, 100 * 2**62
+
+
+@pytest.mark.parametrize("geometry, ivs, ps, want", [
+    # gaps 10.9 and 10.1 units: floor-key differences 10 and 11
+    (Geometry.LINE, [(0, 1090), (10095, 11105)], None, F(101, 40)),
+    # gaps 10.9 and 10.02 units, both of floor-key difference 10
+    (Geometry.LINE, [(0, 1090), (10095, 11097)], None, F(1002, 400)),
+    # the margin 10.9 units, a quarter of the gap 43.6; a sensor 10.5
+    # units above an endpoint, floor-key difference 11
+    (Geometry.LINE, [(0, 4360), (100070, 200000)], [101120], F(105, 10)),
+    # ... 10.4 units, floor-key difference 10 as for the margin
+    (Geometry.LINE, [(0, 4360), (100020, 200000)], [101060], F(104, 10)),
+    # ... 10.94 units, floor-key difference 10: the margin stays
+    (Geometry.LINE, [(0, 4360), (100005, 200000)], [101099], F(109, 10)),
+    # the wrap gap 5.05 + 5 units, floor-key difference 11, under the gap
+    # 10.9 of difference 10
+    (Geometry.CIRCLE, [(-505, 500), (HALF, HALF + 1090)], None,
+     F(1005, 400)),
+    # an endpoint 3.3 units below 1 and the first sensor at 7.1: 10.4
+    # units across 0, floor-key difference 11, under the margin 10.9
+    (Geometry.CIRCLE, [(QUARTER, QUARTER + 4360), (3 * QUARTER, -330)],
+     [710, HALF], F(104, 10)),
+    # an endpoint at 2.2 units and the last sensor 8.7 below 1: 10.9
+    # units across 0, floor-key difference 11, under the margin 10.95
+    (Geometry.CIRCLE, [(220, QUARTER), (3 * QUARTER, 3 * QUARTER + 4380)],
+     [HALF, -870], F(109, 10)),
+])
+def test_margin_near_ties(geometry, ivs, ps, want):
+    # coordinates in hundredths of a unit of 2^-64, negative ones below 1
+    # on the circle; want is in units: the floor keys misorder or tie
+    # each named pair, and only the exact differences pick the margin
+    def at(t):
+        return (1 if t < 0 else 0) + F(t, 100) * U
+
+    arr = IntervalArrangement(tuple(Interval1D.open(at(a), at(b))
+                                    for a, b in ivs), geometry)
+    sensors = None if ps is None else SensorSet.of(at(t) for t in ps)
+    assert _margin(arr, sensors) == want * U
+    assert _reference_margin(arr, [], sensors) == want * U
+
+
+def test_margin_equals_the_reference_near_ties():
+    # endpoints and sensors within a few hundred units of 2^-64 of 0 (and
+    # of 1 on the circle), in tenths of a unit: floor-key differences tie
+    # or differ by one among nearly every pair of candidates
+    rng = random.Random(83)
+    for i in range(600):
+        geometry = Geometry.CIRCLE if i % 2 else Geometry.LINE
+
+        def point():
+            x = F(rng.randrange(1, 300), 10) * U
+            below_one = geometry is Geometry.CIRCLE and rng.random() < 0.5
+            return 1 - x if below_one else x
+
+        ivs = []
+        for _ in range(rng.randint(1, 6)):
+            lo, hi = point(), point()
+            if lo != hi:
+                if geometry is Geometry.LINE:
+                    lo, hi = min(lo, hi), max(lo, hi)
+                ivs.append(Interval1D.open(lo, hi))
+        arr = IntervalArrangement(tuple(ivs), geometry)
+        sensors = (None if i % 3 == 0 else
+                   SensorSet.of({point() for _ in range(rng.randint(1, 6))}))
+        assert _margin(arr, sensors) == _reference_margin(arr, [], sensors)
 
 
 def test_reversed_line_interval_closes():

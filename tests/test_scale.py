@@ -14,6 +14,7 @@ from convexcodes.geometry import (
     Interval1D,
     IntervalArrangement,
     SensorSet,
+    _margin,
     closed_to_open,
     extract_code_dense,
     extract_code_sparse,
@@ -31,6 +32,7 @@ from convexcodes.reconstruct import (
     rejection_certificate,
 )
 from test_acceptance import _Budget
+from test_geometry import _reference_margin
 from test_reconstruct import _planted_cycle, _staircase_with_triangle
 
 
@@ -136,6 +138,25 @@ def test_prime_denominators(prime_denominators, call, seconds):
     budget = _Budget(seconds)
     call(arr, sensors)
     budget.check()
+
+
+def test_prime_margin_subtracts_near_candidates_only(prime_denominators,
+                                                     monkeypatch):
+    # ~3 * 10^4 candidate gaps and sensor distances: their floor keys
+    # rule out all but the few within 1 of the least floor difference
+    arr, sensors = prime_denominators
+    subtractions = []
+    sub = Fraction.__sub__
+
+    def counted(a, b):
+        subtractions.append(1)
+        return sub(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__sub__", counted)
+        margin = _margin(arr, sensors)
+    assert len(subtractions) <= 16
+    assert margin == _reference_margin(arr, [], sensors)
 
 
 @pytest.mark.parametrize("multiset", [False, True])
