@@ -385,9 +385,6 @@ class SensorMatrix:
         m._init(tuple(rows), cols, geometry)
         return m
 
-    def column(self, j: int) -> BitVector:
-        return self.columns[j]
-
     def column_set(self) -> Code:
         if self.n == 0:
             return Code(frozenset(), self.k)

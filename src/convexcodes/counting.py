@@ -109,9 +109,6 @@ class CountTable:
     def count(self, n: int, k: int) -> int:
         return self.c.get((n, k), 0)
 
-    def total(self, n: int) -> int:
-        return sum(v for (nn, _), v in self.c.items() if nn == n)
-
 
 def count_sparse(n: int, k: int, geometry: Geometry) -> int:
     """Number of k-element sets of valid sparse rows on n sensors.

@@ -17,7 +17,7 @@ one per region between and beyond them, and makes no Fraction.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -157,12 +157,16 @@ class IntervalArrangement:
 @dataclass(frozen=True)
 class SensorSet:
     positions: tuple[Fraction, ...]
+    # the positions' order keys, made once for every row read and margin
+    keys: tuple[tuple[int, Fraction], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # strictly increasing: the bisections of _row_mask rely on it
-        keys = [_key(p) for p in self.positions]
+        keys = tuple(_key(p) for p in self.positions)
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("sensor positions must be distinct and sorted")
+        object.__setattr__(self, "keys", keys)
 
     @classmethod
     def of(cls, positions: Iterable) -> "SensorSet":
@@ -208,13 +212,14 @@ def _ends(arr: IntervalArrangement) -> list[tuple[int, Fraction]]:
     return sorted(map(_key, ends.values()))
 
 
-def _rows(arr: IntervalArrangement, ps: Sequence[Fraction]) -> list[int]:
-    """The row masks of arr at the sorted sensor positions ps."""
+def _rows(arr: IntervalArrangement, sensors: SensorSet) -> list[int]:
+    """The row masks of arr at the sensors."""
+    ps = sensors.positions
     circle = arr.geometry is Geometry.CIRCLE
     if circle and ps and not (0 <= ps[0] and ps[-1] < 1):
         raise ValueError("circle sensor positions must lie in [0, 1)")
-    keys = [_key(p) for p in ps]
-    return [_row_mask(iv, keys, arr.geometry) for iv in arr.intervals]
+    return [_row_mask(iv, sensors.keys, arr.geometry)
+            for iv in arr.intervals]
 
 
 def extract_code_sparse(
@@ -224,7 +229,7 @@ def extract_code_sparse(
     cost O(k log n) bisections for k intervals and n sensors; the columns
     are their transpose."""
     ps = sensors.positions
-    rows = [BitVector(len(ps), mask) for mask in _rows(arr, ps)]
+    rows = [BitVector(len(ps), mask) for mask in _rows(arr, sensors)]
     m = (SensorMatrix(rows, arr.geometry) if rows else  # k = 0 keeps n columns
          SensorMatrix.from_columns([BitVector(0)] * len(ps), arr.geometry,
                                    k=0))
@@ -315,7 +320,7 @@ def realize_matrix(
                 lo, hi = lo % 1, hi % 1
             ivs.append(Interval1D.open(lo, hi))
     arr = IntervalArrangement(tuple(ivs), regime.geometry)
-    ensure(_rows(arr, ps) == [r.mask for r in m.rows],
+    ensure(_rows(arr, sensors) == [r.mask for r in m.rows],
            "sparse round trip failed")
     return arr, sensors
 
@@ -338,7 +343,7 @@ def normalize_arbitrary(
     ps = sensors.positions
     n = len(ps)
     full = (1 << n) - 1
-    before = _rows(arr, ps)
+    before = _rows(arr, sensors)
     out: list[Interval1D] = []
     for mask in before:
         if mask == 0:
@@ -354,7 +359,7 @@ def normalize_arbitrary(
                 lo, hi = ps[g % n], ps[f % n]
             out.append(Interval1D.proper(lo, hi, lo is not None, False))
     result = IntervalArrangement(tuple(out), arr.geometry)
-    ensure(_rows(result, ps) == before,
+    ensure(_rows(result, sensors) == before,
            "normalization changed the sparse code")
     return result
 
@@ -402,7 +407,7 @@ def _margin(arr: IntervalArrangement,
     eps = _least(gaps) / 4 if gaps else Fraction(1, 4)
     if not sensors:
         return eps
-    keys = [_key(p) for p in sensors.positions]
+    keys = sensors.keys
     n = len(keys)
     (f0, p0), (fl, pl) = keys[0], keys[-1]
     dists = []
@@ -435,7 +440,7 @@ def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
                                      % ("open" if close else "closed"))
     # read first: circle sensors off the circle are refused before the
     # margin measures distances to them
-    before = None if sensors is None else _rows(arr, sensors.positions)
+    before = None if sensors is None else _rows(arr, sensors)
     eps = _margin(arr, sensors)
     shift = eps if close else -eps
     out = []
@@ -454,7 +459,7 @@ def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
     ensure(_dense_columns(result) == _dense_columns(arr),
            "%s changed the dense code" % name)
     if before is not None:
-        ensure(_rows(result, sensors.positions) == before,
+        ensure(_rows(result, sensors) == before,
                "%s changed the sparse code" % name)
     return result
 

@@ -95,6 +95,14 @@ def _first_failure(tree: PQTree, constraints: Iterable) -> Optional[int]:
     return None
 
 
+def _first_failure_touched(rows: list[list[int]]) -> Optional[int]:
+    """_first_failure on a tree over only the words these rows hold."""
+    label: dict[int, int] = {}
+    relabelled = [[label.setdefault(w, len(label)) for w in row]
+                  for row in rows]
+    return _first_failure(PQTree(len(label)), relabelled)
+
+
 def _order(words: Code, regime: Regime) -> OrderingResult:
     # on the circle, complement by the anchor, the last word (the empty
     # code has none and needs none), and name the leaves by the originals

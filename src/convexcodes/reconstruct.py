@@ -28,13 +28,12 @@ from .core import (
     CodeMultiset,
     Geometry,
     SensorMatrix,
-    _set_positions,
     ensure,
     inharmonious,
     verify_matrix,
 )
-from .ordering import _first_failure, _row_constraints, cco_order, co_order
-from .pqtree import PQTree
+from .ordering import (_first_failure_touched, _row_constraints, cco_order,
+                       co_order)
 
 
 @dataclass(frozen=True)
@@ -192,13 +191,15 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     infeasible code is shrunk to a minimal infeasible core, starting
     from the row whose reduction failed: r row passes for r core rows,
     each over at most the ones of that row's component among the rows
-    before it, then at most 4r recognitions of at most 4r words on the
-    rows they hold.  Only the core's graph, O(c^3) edges for c core
-    words, is searched for an odd cycle.
+    before it, then at most 4r row passes over the rows of the at most
+    4r words kept, each cut down to the words still kept.  Only the
+    core's graph, O(c^3) edges for c core words, is searched for an odd
+    cycle.
 
     failed_row, the Infeasible.failed_row of a sparse line reconstruction
-    of the same words, skips recognizing them again; the core search and
-    the cycle keep their self-checks.
+    of the same words, skips recognizing them again, so the certificate
+    makes no recognition at all; the core search and the cycle keep
+    their self-checks.
     """
     ws = words.sorted_words()
     if failed_row is None:
@@ -206,9 +207,7 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
         if result.feasible:
             return _ordering_bipartition(ws, result.ordering)
         failed_row = result.failed_row
-    core = sorted(_infeasible_core(ws, words.k, failed_row),
-                  key=lambda w: w.mask)
-    cert = _odd_cycle(core)
+    cert = _odd_cycle(_infeasible_core(ws, failed_row))
     ensure(cert is not None,
            "recognizer rejected a code whose core has a bipartite "
            "incompatibility graph")
@@ -228,14 +227,15 @@ def _ordering_bipartition(ws: list[BitVector],
     return Bipartition(_OrderColoring(ordering))
 
 
-def _infeasible_core(ws: list[BitVector], k: int,
+def _infeasible_core(ws: list[BitVector],
                      failed: Optional[int] = None) -> list[BitVector]:
-    """A minimal CO-infeasible subset of the CO-infeasible words ws of
-    length k, given the first row whose reduction fails, if known.
+    """A minimal CO-infeasible subset of the CO-infeasible words ws, in
+    their order, given the first row whose reduction fails, if known.
 
     One word per nonzero pattern on the r core rows of _core_rows, at
     most 4r, is infeasible too; a deletion filter, last word first,
-    drops each word whose removal leaves the rest infeasible.
+    drops each word whose removal leaves the rest infeasible: one row
+    pass over the kept words' rows, cut down to the others.
     """
     core = _core_rows(ws, failed)
     on_core = sum(1 << i for i in core)
@@ -243,23 +243,15 @@ def _infeasible_core(ws: list[BitVector], k: int,
     for w in ws:
         firsts.setdefault(w.mask & on_core, w)
     firsts.pop(0, None)
-    kept = list(firsts.values())
-    # recognize the kept words on the rows some kept word holds: an
-    # all-zero row constrains nothing, and the words stay distinct
-    held = [0] * len(kept)
-    width = 0
-    for row in _set_positions((w.mask for w in kept), k):
-        if row:
-            for j in row:
-                held[j] |= 1 << width
-            width += 1
-    short = {w: BitVector(width, m) for w, m in zip(kept, held)}
-    for w in kept[::-1]:
-        others = [x for x in kept if x is not w]
-        if not co_order(Code(frozenset(short[x] for x in others),
-                             width)).feasible:
+    words = list(firsts.values())
+    rows = [row for row in _row_constraints(words) if len(row) > 1]
+    kept = set(range(len(words)))
+    for j in reversed(range(len(words))):
+        others = kept - {j}
+        if _first_failure_touched([[i for i in row if i in others]
+                                   for row in rows]) is not None:
             kept = others
-    return kept
+    return [words[j] for j in sorted(kept)]
 
 
 def _core_rows(ws: list[BitVector], failed: Optional[int] = None) -> list[int]:
@@ -277,7 +269,7 @@ def _core_rows(ws: list[BitVector], failed: Optional[int] = None) -> list[int]:
     """
     rows = list(_row_constraints(ws))
     if failed is None:
-        failed = _first_failure(PQTree(len(ws)), rows)
+        failed = _first_failure_touched(rows)
         ensure(failed is not None,
                "recognizer contradicted itself in the core search")
     core = [failed]
@@ -313,14 +305,6 @@ def _component(rows: list[list[int]], failed: int, n: int) -> list[int]:
     root = find(rows[failed][0])
     return [i for i in range(failed)
             if len(rows[i]) > 1 and find(rows[i][0]) == root]
-
-
-def _first_failure_touched(rows: list[list[int]]) -> Optional[int]:
-    # _first_failure on a tree over only the words these rows hold
-    label: dict[int, int] = {}
-    relabelled = [[label.setdefault(w, len(label)) for w in row]
-                  for row in rows]
-    return _first_failure(PQTree(len(label)), relabelled)
 
 
 def _odd_cycle(ws: list[BitVector]) -> Optional[RejectionCertificate]:

@@ -469,6 +469,15 @@ class TestInterval:
                 SensorSet(positions)
         assert SensorSet(()).positions == ()
 
+    def test_sensor_set_keys_its_positions_once(self):
+        # the keys are kept for the row reads and the margin, and are no
+        # part of equality, hashing or repr
+        s = SensorSet.of([2, F(1, 3), F(1, 2)])
+        assert s.keys == tuple(_key(p) for p in s.positions)
+        t = SensorSet(s.positions)
+        assert s == t and hash(s) == hash(t)
+        assert repr(s) == "SensorSet(positions=%r)" % (s.positions,)
+
 
 class TestEvaluate:
     def test_codeword_at_point(self):

@@ -1,5 +1,4 @@
 import itertools
-import math
 import os
 import random
 import subprocess
@@ -29,7 +28,11 @@ from convexcodes.core import (
     regime_check,
 )
 import convexcodes.reconstruct as reconstruct
-from convexcodes.ordering import INFEASIBLE_ORDERING, co_order
+from convexcodes.ordering import (
+    INFEASIBLE_ORDERING,
+    _first_failure_touched,
+    co_order,
+)
 from convexcodes.reconstruct import (
     Bipartition,
     Infeasible,
@@ -515,7 +518,7 @@ class TestCertificateScaling:
                 continue
             checked += 1
             ws = code.sorted_words()
-            core = _infeasible_core(ws, code.k)
+            core = _infeasible_core(ws)
             assert not co_order(Code.of(core)).feasible
             for w in core:
                 assert co_order(Code.of(set(core) - {w})).feasible
@@ -549,7 +552,7 @@ class TestCertificateScaling:
         same = 0
         for code in codes:
             ws = code.sorted_words()
-            core = _infeasible_core(ws, code.k)
+            core = _infeasible_core(ws)
             reference = _bisecting_core(ws, code.k)
             assert minimal(core) and minimal(reference)
             for c in (core, reference):
@@ -558,19 +561,28 @@ class TestCertificateScaling:
             same += set(core) == set(reference)
         assert len(codes) >= 100 and same >= len(codes) // 2
 
-    def test_recognitions_grow_like_log_n(self, monkeypatch):
-        calls = []
+    def test_one_recognition_and_at_most_5r_row_passes(self, monkeypatch):
+        # the whole code is recognized once; the core search only reduces
+        # row lists: r passes to find the r core rows, and one per word
+        # of the at most 4r kept for the word filter
+        calls, passes = [], []
 
         def counted(words):
             calls.append(len(words))
             return co_order(words)
 
+        def counted_passes(rows):
+            passes.append(len(rows))
+            return _first_failure_touched(rows)
+
         monkeypatch.setattr(reconstruct, "co_order", counted)
-        n = 1000
-        cert = rejection_certificate(_staircase_with_triangle(n))
+        monkeypatch.setattr(reconstruct, "_first_failure_touched",
+                            counted_passes)
+        cert = rejection_certificate(_staircase_with_triangle(1000))
         assert isinstance(cert, RejectionCertificate) and cert.verify()
         assert len(cert.odd_cycle) == 3
-        assert len(calls) <= 3 * (math.ceil(math.log2(n)) + 2)
+        assert calls == [1003]
+        assert len(passes) <= 5 * 3
 
     def test_coloring_is_the_eager_map(self):
         # the map the ordering stands for, built eagerly as it once was
@@ -622,6 +634,16 @@ class TestCertificateScaling:
 
         monkeypatch.setattr(reconstruct, "co_order", lying)
         with pytest.raises(InternalError):
+            rejection_certificate(code)
+
+    def test_lying_reduction_gives_no_certificate(self, monkeypatch):
+        # a row pass that always fails keeps the first failing row alone
+        # and drops every word: the empty core's graph is bipartite
+        code = _code(["110", "011", "101"])
+        assert not co_order(code).feasible
+        monkeypatch.setattr(reconstruct, "_first_failure_touched",
+                            lambda rows: 0)
+        with pytest.raises(InternalError, match="bipartite"):
             rejection_certificate(code)
 
 

@@ -312,9 +312,9 @@ def test_certificate_reductions(monkeypatch, c, layout, reductions):
 
 
 def test_cli_check_of_a_large_infeasible_file(tmp_path, capsys):
-    # 10^4 words of 5004 bits, about 50 MB: parsing, two recognitions of
-    # the whole code (the check's and the certificate's) and a core
-    # search over the triangle's three rows
+    # 10^4 words of 5004 bits, about 50 MB: parsing, one recognition of
+    # the whole code (the check's, whose failed row the certificate
+    # takes) and a core search over the triangle's three rows
     path = tmp_path / "bad.txt"
     path.write_text("".join(w.to_string() + "\n" for w in
                             _staircase_with_triangle(10**4).sorted_words()))
