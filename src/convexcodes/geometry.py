@@ -236,15 +236,15 @@ def extract_code_sparse(
     return m.column_set(), m
 
 
-def _dense_columns(arr: IntervalArrangement) -> set[int]:
+def _dense_columns(arr: IntervalArrangement,
+                   ends: list[tuple[int, Fraction]]) -> set[int]:
     """The dense code of arr as column masks, bit i for interval i.  The
-    i-th of the m sorted distinct endpoints (from 0) becomes the place
-    2i + 1, and the places 0..2m are each endpoint and each region beside
-    one; on the circle, 0 and 2m are the region across 0.  Each interval
-    toggles its bit at the first place it holds and just past the last,
-    a wrapping arc also at 0, and each column is the previous one with
-    its place's toggles applied."""
-    ends = _ends(arr)
+    i-th of the m sorted distinct endpoints ends = _ends(arr), from 0,
+    becomes the place 2i + 1, and the places 0..2m are each endpoint and
+    each region beside one; on the circle, 0 and 2m are the region
+    across 0.  Each interval toggles its bit at the first place it holds
+    and just past the last, a wrapping arc also at 0, and each column is
+    the previous one with its place's toggles applied."""
     place = {(e.numerator, e.denominator): 2 * i + 1
              for i, (_, e) in enumerate(ends)}
     top = 2 * len(ends)
@@ -279,8 +279,8 @@ def _dense_columns(arr: IntervalArrangement) -> set[int]:
 def extract_code_dense(arr: IntervalArrangement) -> Code:
     """The full image of the codeword map over the ambient space, read
     at integer places from the order of the endpoints alone."""
-    return Code(frozenset(BitVector(arr.k, c) for c in _dense_columns(arr)),
-                arr.k)
+    return Code(frozenset(BitVector(arr.k, c)
+                          for c in _dense_columns(arr, _ends(arr))), arr.k)
 
 
 def realize_matrix(
@@ -386,19 +386,18 @@ def _least(cands: list[tuple[int, Fraction, Fraction, int]],
     return min(near)
 
 
-def _margin(arr: IntervalArrangement,
+def _margin(arr: IntervalArrangement, ends: list[tuple[int, Fraction]],
             sensors: Optional[SensorSet]) -> Fraction:
-    """The swaps' margin: a quarter of the smallest gap between distinct
-    endpoints (cyclic on the circle; 1/4 with none), capped with sensors
-    at the smallest positive distance from an endpoint to a sensor
-    (cyclic on the circle), so no sensor crosses an end.  A sensor the
-    margin lands on stays on the side it was: a closed end keeps it, an
-    open end leaves it out.  Each interval's length, and each closed
-    arc's complement, is a sum of gaps (the wrap gap included) or, for a
-    point arc, 1: the margin is at most a quarter of each, so no swap
-    overruns an interval.  Both minima are picked by floor keys first
-    (_least)."""
-    ends = _ends(arr)
+    """The swaps' margin: a quarter of the smallest gap between the
+    distinct endpoints ends = _ends(arr) (cyclic on the circle; 1/4 with
+    none), capped with sensors at the smallest positive distance from an
+    endpoint to a sensor (cyclic on the circle), so no sensor crosses an
+    end.  A sensor the margin lands on stays on the side it was: a closed
+    end keeps it, an open end leaves it out.  Each interval's length, and
+    each closed arc's complement, is a sum of gaps (the wrap gap
+    included) or, for a point arc, 1: the margin is at most a quarter of
+    each, so no swap overruns an interval.  Both minima are picked by
+    floor keys first (_least)."""
     circle = arr.geometry is Geometry.CIRCLE
     gaps = [(fb - fa, b, a, 0) for (fa, a), (fb, b) in zip(ends, ends[1:])]
     if circle and ends:
@@ -441,7 +440,8 @@ def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
     # read first: circle sensors off the circle are refused before the
     # margin measures distances to them
     before = None if sensors is None else _rows(arr, sensors)
-    eps = _margin(arr, sensors)
+    ends = _ends(arr)
+    eps = _margin(arr, ends, sensors)
     shift = eps if close else -eps
     out = []
     for iv in arr.intervals:
@@ -456,7 +456,8 @@ def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
                                      close and hi is not None))
     result = IntervalArrangement(tuple(out), arr.geometry)
     name = "closure" if close else "interior"
-    ensure(_dense_columns(result) == _dense_columns(arr),
+    ensure(_dense_columns(result, _ends(result))
+           == _dense_columns(arr, ends),
            "%s changed the dense code" % name)
     if before is not None:
         ensure(_rows(result, sensors) == before,

@@ -158,26 +158,6 @@ def _valid_type2(u: Vertex, v: Vertex, row: int) -> bool:
     return a.bit(row) == 1 and c.bit(row) == 1 and b.bit(row) == 0
 
 
-def _incompatibility_edges(words: list[BitVector]):
-    """Edges of I(words) with, for type-2 edges, a witness row.
-
-    Yields (u, v, row) where row is None for a type-1 edge.
-    """
-    yield from (((a, b), (b, a), None)
-                for a in words for b in words if a is not b)
-    for a in words:
-        for b in words:
-            if b is a:
-                continue
-            for c in words:
-                if c is a or c is b:
-                    continue
-                hit = a.mask & c.mask & ~b.mask
-                if hit:
-                    row = (hit & -hit).bit_length() - 1
-                    yield (a, b), (b, c), row
-
-
 def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     """2-color the incompatibility graph, or exhibit an odd cycle.
 
@@ -193,21 +173,32 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     each over at most the ones of that row's component among the rows
     before it, then at most 4r row passes over the rows of the at most
     4r words kept, each cut down to the words still kept.  Only the
-    core's graph, O(c^3) edges for c core words, is searched for an odd
-    cycle.
+    core's graph is searched for an odd cycle, and it is walked, not
+    built: O(c) mask tests per vertex reached for c core words.
 
     failed_row, the Infeasible.failed_row of a sparse line reconstruction
     of the same words, skips recognizing them again, so the certificate
     makes no recognition at all; the core search and the cycle keep
-    their self-checks.
+    their self-checks.  A failed_row outside range(words.k), or one at
+    which the words do not fail, raises ValueError.
     """
     ws = words.sorted_words()
-    if failed_row is None:
+    given = failed_row is not None
+    if not given:
         result = co_order(words)
         if result.feasible:
             return _ordering_bipartition(ws, result.ordering)
         failed_row = result.failed_row
-    cert = _odd_cycle(_infeasible_core(ws, failed_row))
+    elif not 0 <= failed_row < words.k:
+        raise ValueError("failed_row %d is not a row of %d-bit words"
+                         % (failed_row, words.k))
+    core = _infeasible_core(ws, failed_row)
+    if core is None:
+        # the search could not start at failed_row: a library bug if the
+        # recognizer named the row, else the caller's mistake
+        ensure(given, "recognizer contradicted itself in the core search")
+        raise ValueError("the words do not fail at row %d" % failed_row)
+    cert = _odd_cycle(core)
     ensure(cert is not None,
            "recognizer rejected a code whose core has a bipartite "
            "incompatibility graph")
@@ -227,10 +218,11 @@ def _ordering_bipartition(ws: list[BitVector],
     return Bipartition(_OrderColoring(ordering))
 
 
-def _infeasible_core(ws: list[BitVector],
-                     failed: Optional[int] = None) -> list[BitVector]:
+def _infeasible_core(ws: list[BitVector], failed: Optional[int] = None
+                     ) -> Optional[list[BitVector]]:
     """A minimal CO-infeasible subset of the CO-infeasible words ws, in
-    their order, given the first row whose reduction fails, if known.
+    their order, given the first row whose reduction fails, if known;
+    None if the words do not fail at the given row (_core_rows).
 
     One word per nonzero pattern on the r core rows of _core_rows, at
     most 4r, is infeasible too; a deletion filter, last word first,
@@ -238,6 +230,8 @@ def _infeasible_core(ws: list[BitVector],
     pass over the kept words' rows, cut down to the others.
     """
     core = _core_rows(ws, failed)
+    if core is None:
+        return None
     on_core = sum(1 << i for i in core)
     firsts: dict[int, BitVector] = {}
     for w in ws:
@@ -254,8 +248,10 @@ def _infeasible_core(ws: list[BitVector],
     return [words[j] for j in sorted(kept)]
 
 
-def _core_rows(ws: list[BitVector], failed: Optional[int] = None) -> list[int]:
-    """A minimal set of rows on which the words ws are CO-infeasible.
+def _core_rows(ws: list[BitVector],
+               failed: Optional[int] = None) -> Optional[list[int]]:
+    """A minimal set of rows on which the words ws are CO-infeasible, or
+    None if they do not fail at the given row failed.
 
     failed is the first row whose reduction fails when the rows are
     reduced in order; without it, one pass over every row finds it.
@@ -265,20 +261,26 @@ def _core_rows(ws: list[BitVector], failed: Optional[int] = None) -> list[int]:
     those candidates: reduce the core rows, then the candidates, nearest
     the last failure first, until one fails; it joins the core and the
     candidates after it go, until the core rows fail alone.  Each pass
-    reduces on a tree over only the words its rows touch.
+    reduces on a tree over only the words its rows touch.  Only the
+    first pass, seeded with failed, can find no failure: every later
+    pass reduces the rows the pass before failed on.
     """
     rows = list(_row_constraints(ws))
     if failed is None:
         failed = _first_failure_touched(rows)
         ensure(failed is not None,
                "recognizer contradicted itself in the core search")
+    elif failed >= len(rows) or len(rows[failed]) < 2:
+        return None  # no reduction of fewer than two words fails
     core = [failed]
     candidates = _component(rows, failed, len(ws))[::-1]
     while True:
         at = _first_failure_touched([rows[i] for i in core]
                                     + [rows[i] for i in candidates])
-        ensure(at is not None,
-               "recognizer contradicted itself in the core search")
+        if at is None:
+            ensure(len(core) == 1,
+                   "recognizer contradicted itself in the core search")
+            return None
         if at < len(core):
             return core
         at -= len(core)
@@ -307,26 +309,43 @@ def _component(rows: list[list[int]], failed: int, n: int) -> list[int]:
             if len(rows[i]) > 1 and find(rows[i][0]) == root]
 
 
+def _neighbours(u: Vertex, ws: list[BitVector]):
+    """The neighbours of u = (a, b) in the incompatibility graph of the
+    words ws, each with its witness row (None for the reversal), in the
+    order of the triples of ws that join them: (b, a); (x, a) for x
+    before a, when a row holds x and b but not a; (b, c) for every c,
+    when a row holds a and c but not b; then (x, a) for x after a.  The
+    witness is the least such row; O(c) mask tests for c words."""
+    a, b = u
+    yield (b, a), None
+    into, out = b.mask & ~a.mask, a.mask & ~b.mask
+    for x in ws:
+        if x is a:
+            for c in ws:
+                hit = c.mask & out
+                if hit and c is not a:
+                    yield (b, c), (hit & -hit).bit_length() - 1
+        else:
+            hit = x.mask & into
+            if hit and x is not b:
+                yield (x, a), (hit & -hit).bit_length() - 1
+
+
 def _odd_cycle(ws: list[BitVector]) -> Optional[RejectionCertificate]:
     """An odd cycle of the incompatibility graph of ws by breadth-first
     search, or None if the graph is bipartite.  A vertex's color is the
-    parity of its BFS depth."""
-    adj: dict[Vertex, list[tuple[Vertex, Optional[int]]]] = {
-        (a, b): [] for a in ws for b in ws if a is not b}
-    for u, v, row in _incompatibility_edges(ws):
-        adj[u].append((v, row))
-        adj[v].append((u, row))
-
+    parity of its BFS depth.  The graph is walked, never built: each
+    vertex lists its neighbours when the search reaches it."""
     depth: dict[Vertex, int] = {}
     parent: dict[Vertex, tuple[Vertex, Optional[int]]] = {}
-    for start in adj:
+    for start in ((a, b) for a in ws for b in ws if a is not b):
         if start in depth:
             continue
         depth[start] = 0
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v, row in adj[u]:
+            for v, row in _neighbours(u, ws):
                 if v not in depth:
                     depth[v] = depth[u] + 1
                     parent[v] = (u, row)

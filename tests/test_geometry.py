@@ -32,6 +32,7 @@ from convexcodes.geometry import (
     Kind,
     SensorSet,
     _dense_columns,
+    _ends,
     _key,
     _margin,
     _row_mask,
@@ -316,7 +317,7 @@ class TestDenseColumns:
             else:
                 pts += [vals[0] / 2, (vals[-1] + 1) / 2]
             seen = {evaluate_codeword(arr, p).mask for p in pts}
-            assert _dense_columns(arr) == seen, arr
+            assert _dense_columns(arr, _ends(arr)) == seen, arr
             assert extract_code_dense(arr) == Code(
                 frozenset(BitVector(arr.k, c) for c in seen), arr.k)
             kinds |= {(arr.geometry, _shape(iv, arr.geometry), iv.lo_closed,
@@ -663,7 +664,8 @@ class TestOpenClosedSwap:
                                       sensors)
         assert [r.mask for r in seen.rows] == [1, 2]
         margin = g._margin
-        monkeypatch.setattr(g, "_margin", lambda arr, sensors: margin(arr, None))
+        monkeypatch.setattr(g, "_margin",
+                            lambda arr, ends, sensors: margin(arr, ends, None))
         with pytest.raises(InternalError):
             open_to_closed(arr, sensors=sensors)
 
@@ -679,6 +681,26 @@ class TestOpenClosedSwap:
         monkeypatch.setattr(SensorMatrix, "_init", refuse)
         closed = open_to_closed(arr, sensors=sensors)
         closed_to_open(closed, sensors=sensors)
+
+    def test_swap_sorts_each_arrangement_once(self, monkeypatch):
+        # the input's endpoints feed both the margin and the dense
+        # self-check, and the output's are sorted for its side of it
+        import convexcodes.geometry as g
+
+        arr, sensors = realize_matrix(
+            SensorMatrix.from_strings(["0110", "1100", "0111"],
+                                      Geometry.LINE), CO)
+        want = open_to_closed(arr, sensors=sensors)
+        calls = []
+        ends = g._ends
+
+        def counted(a):
+            calls.append(a)
+            return ends(a)
+
+        monkeypatch.setattr(g, "_ends", counted)
+        assert open_to_closed(arr, sensors=sensors) == want
+        assert calls == [arr, want]
 
     def test_mixed_arrangement_rejected(self):
         arr = IntervalArrangement(
@@ -892,7 +914,7 @@ def test_margin_near_ties(geometry, ivs, ps, want):
     arr = IntervalArrangement(tuple(Interval1D.open(at(a), at(b))
                                     for a, b in ivs), geometry)
     sensors = None if ps is None else SensorSet.of(at(t) for t in ps)
-    assert _margin(arr, sensors) == want * U
+    assert _margin(arr, _ends(arr), sensors) == want * U
     assert _reference_margin(arr, [], sensors) == want * U
 
 
@@ -919,7 +941,8 @@ def test_margin_equals_the_reference_near_ties():
         arr = IntervalArrangement(tuple(ivs), geometry)
         sensors = (None if i % 3 == 0 else
                    SensorSet.of({point() for _ in range(rng.randint(1, 6))}))
-        assert _margin(arr, sensors) == _reference_margin(arr, [], sensors)
+        assert (_margin(arr, _ends(arr), sensors)
+                == _reference_margin(arr, [], sensors))
 
 
 def test_reversed_line_interval_closes():
@@ -965,9 +988,9 @@ def test_self_checks_survive_optimize_flag():
             (g.Interval1D.open(0, 1), g.Interval1D.open(2, 3)), Geometry.LINE)
         closed = g.open_to_closed(two)
         # margins that grow the intervals into each other
-        g._margin = lambda arr, sensors: F(-1)
+        g._margin = lambda arr, ends, sensors: F(-1)
         failed.append(not raises(g.open_to_closed, two))
-        g._margin = lambda arr, sensors: F(1)
+        g._margin = lambda arr, ends, sensors: F(1)
         failed.append(not raises(g.closed_to_open, closed))
         sys.exit("unchecked: %r" % failed if any(failed) else 0)
     """)

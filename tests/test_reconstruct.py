@@ -30,6 +30,7 @@ from convexcodes.core import (
 import convexcodes.reconstruct as reconstruct
 from convexcodes.ordering import (
     INFEASIBLE_ORDERING,
+    OrderingResult,
     _first_failure_touched,
     co_order,
 )
@@ -57,6 +58,26 @@ def _code(strings):
 
 def _bv(s):
     return BitVector.from_string(s)
+
+
+def _incompatibility_edges(words):
+    # the graph's textbook definition, the tests' reference: the reversal
+    # edge (a, b)-(b, a) for every ordered pair, then (a, b)-(b, c) for
+    # every triple with a row that holds a and c but not b, its least
+    # such row the witness; yields (u, v, row), row None for a reversal
+    yield from (((a, b), (b, a), None)
+                for a in words for b in words if a is not b)
+    for a in words:
+        for b in words:
+            if b is a:
+                continue
+            for c in words:
+                if c is a or c is b:
+                    continue
+                hit = a.mask & c.mask & ~b.mask
+                if hit:
+                    row = (hit & -hit).bit_length() - 1
+                    yield (a, b), (b, c), row
 
 
 class TestSparse:
@@ -357,13 +378,47 @@ class TestCertificates:
                 assert cert.verify()
 
     def test_bipartition_is_proper(self):
-        from convexcodes.reconstruct import _incompatibility_edges
-
         code = _code(["1100", "1000", "0100", "0000", "0001", "0110"])
         cert = rejection_certificate(code)
         assert isinstance(cert, Bipartition)
         for u, v, _ in _incompatibility_edges(code.sorted_words()):
             assert cert.coloring[u] != cert.coloring[v]
+
+    @pytest.mark.parametrize("words, row, supplier, error", [
+        # ODD_CYCLE_CODE first fails at row 3 of its 4
+        (ODD_CYCLE_CODE, 7, "caller", ValueError),
+        (ODD_CYCLE_CODE, 4, "caller", ValueError),
+        (ODD_CYCLE_CODE, -1, "caller", ValueError),
+        (ODD_CYCLE_CODE, 0, "caller", ValueError),
+        (ODD_CYCLE_CODE, 1, "caller", ValueError),
+        (["1100", "0110", "0011"], 1, "caller", ValueError),
+        (["1100", "0110", "0011"], 2, "caller", ValueError),
+        # rows of no word, and of one, where no reduction can fail
+        (Code(frozenset(), 3), 1, "caller", ValueError),
+        (["1000", "0100", "1100"], 3, "caller", ValueError),
+        (["1000", "0110"], 0, "caller", ValueError),
+        (ODD_CYCLE_CODE, 3, "caller", None),
+        (ODD_CYCLE_CODE, 0, "co_order", InternalError),
+        (["1100", "0110", "0011"], 1, "co_order", InternalError),
+    ])
+    def test_failed_row_errors_name_who_gave_the_row(
+            self, monkeypatch, words, row, supplier, error):
+        # a row the caller gives that is no row, or where the words do
+        # not fail, is the caller's mistake; the same row from the
+        # library's own recognizer is a library bug
+        code = words if isinstance(words, Code) else _code(words)
+        if error is None:
+            cert = rejection_certificate(code, failed_row=row)
+            assert isinstance(cert, RejectionCertificate) and cert.verify()
+            assert cert == rejection_certificate(code)
+            return
+        given = {"failed_row": row}
+        if supplier == "co_order":
+            given = {}
+            monkeypatch.setattr(reconstruct, "co_order", lambda words:
+                                OrderingResult(False, failed_row=row))
+        with pytest.raises(error):
+            rejection_certificate(code, **given)
 
 
 def _staircase_with_triangle(n):
@@ -447,8 +502,6 @@ def _shared_obstruction_codes(seed, count):
 def _bfs_coloring(ws):
     # reference: BFS over the whole incompatibility graph, each component
     # started at its first pair in sorted order with color 0
-    from convexcodes.reconstruct import _incompatibility_edges
-
     adj = {(a, b): [] for a in ws for b in ws if a is not b}
     for u, v, _ in _incompatibility_edges(ws):
         adj[u].append(v)
@@ -470,8 +523,6 @@ def _bfs_coloring(ws):
 
 class TestCertificateScaling:
     def test_ordering_bipartition_is_proper(self):
-        from convexcodes.reconstruct import _incompatibility_edges
-
         checked = connected = 0
         for code in _random_codes(41, 2000):
             if not co_order(code).feasible:
@@ -652,8 +703,6 @@ def _reference_odd_cycle(ws):
     # and the two root paths of the conflicting edge intersected
     from collections import deque
 
-    from convexcodes.reconstruct import _incompatibility_edges
-
     adj = {(a, b): [] for a in ws for b in ws if a is not b}
     for u, v, row in _incompatibility_edges(ws):
         adj[u].append((v, row))
@@ -728,6 +777,29 @@ def test_odd_cycle_equals_the_reference():
         assert cert.verify()
         found += 1
     assert found >= 300 and bipartite >= 300
+
+
+def test_neighbours_are_the_reference_adjacency_lists():
+    # the walk lists each vertex's neighbours in the order the built
+    # graph held them, where the reversal (b, a) stood twice, once for
+    # each of the two ordered pairs that add it
+    from convexcodes.reconstruct import _neighbours
+
+    rng = random.Random(71)
+    witnessed = 0
+    for _ in range(1000):
+        k = rng.randint(2, 7)
+        ws = [BitVector(k, m) for m in
+              rng.sample(range(1 << k), rng.randint(1, min(10, 1 << k)))]
+        adj = {(a, b): [] for a in ws for b in ws if a is not b}
+        for u, v, row in _incompatibility_edges(ws):
+            adj[u].append((v, row))
+            adj[v].append((u, row))
+        for (a, b), reference in adj.items():
+            assert reference[:2] == [((b, a), None)] * 2
+            assert list(_neighbours((a, b), ws)) == reference[1:]
+            witnessed += len(reference) - 2
+    assert witnessed >= 10000
 
 
 class TestMultiset:

@@ -4,6 +4,7 @@ it took when the budget was set (Python 3.11, one core).  A missed
 budget is a defect to report, not a bound to loosen."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from convexcodes.geometry import (
     Interval1D,
     IntervalArrangement,
     SensorSet,
+    _ends,
     _margin,
     closed_to_open,
     extract_code_dense,
@@ -26,6 +28,8 @@ from convexcodes.reconstruct import (
     Bipartition,
     Multiordering,
     RejectionCertificate,
+    _infeasible_core,
+    _odd_cycle,
     reconstruct_dense_linear,
     reconstruct_multiset_dense_linear,
     reconstruct_sparse,
@@ -154,7 +158,7 @@ def test_prime_margin_subtracts_near_candidates_only(prime_denominators,
 
     with monkeypatch.context() as m:
         m.setattr(Fraction, "__sub__", counted)
-        margin = _margin(arr, sensors)
+        margin = _margin(arr, _ends(arr), sensors)
     assert len(subtractions) <= 16
     assert margin == _reference_margin(arr, [], sensors)
 
@@ -269,6 +273,23 @@ def test_certificate_of_a_planted_odd_cycle():
     budget.check()
     assert isinstance(cert, RejectionCertificate) and cert.verify()
     assert {w for pair in cert.odd_cycle for w in pair} == cycle
+
+
+def test_odd_cycle_walks_the_graph_without_building_it():
+    # the core of M_I(51) has 51 * 50 = 2550 pair vertices; a search that
+    # builds their adjacency lists first peaks above 2 MB, a walk that
+    # lists each vertex's neighbours on reaching it near 0.2 MB
+    code, cycle = _planted_cycle(200, 51)
+    core = _infeasible_core(code.sorted_words())
+    tracemalloc.start()
+    try:
+        cert = _odd_cycle(core)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert is not None and cert.verify()
+    assert {w for pair in cert.odd_cycle for w in pair} == cycle
+    assert peak < 500_000, peak
 
 
 @pytest.mark.parametrize("layout, seconds", [
