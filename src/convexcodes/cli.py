@@ -417,6 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_regime:
             sp.add_argument("--regime", choices=["sparse", "dense"],
                             default="sparse")
+        if with_file and with_regime:
             sp.add_argument("--multiset", action="store_true",
                             help="honor codeword multiplicities exactly")
         sp.add_argument("--format", choices=["text", "structured"],

@@ -69,10 +69,6 @@ class OrderingResult:
         return None if self.tree is None else self.tree.summary()
 
 
-# an infeasible result that names no failing row
-INFEASIBLE_ORDERING = OrderingResult(False)
-
-
 def _row_constraints(words: list[BitVector]) -> Iterator[list[int]]:
     """For each row i of the words, the indices of the words holding bit
     i: its runs, cut from one shared index list at C speed."""

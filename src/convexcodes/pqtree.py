@@ -23,6 +23,9 @@ bounded by memory, not by the interpreter stack:
 - Parent pointers go through union-find cells.  Splicing all children of a
   Q node into another Q node redirects one cell instead of re-parenting
   each child.
+- Q chains are edited through two primitives: `_q_attach` links one
+  detached node at either end of a chain, and `_dissolve` hands a Q
+  node's whole chain to another node through its anchor cell.
 - The templates rewrite nodes in place; no node takes another's place in
   its parent, so the root never changes.  A partial P node becomes the Q
   node itself, taking over its partial child's chain through one cell,
@@ -111,15 +114,6 @@ def _q_children(q: _Node) -> list[_Node]:
     return out
 
 
-def _link_chain(q: _Node, children: list[_Node]) -> None:
-    """Install `children` as the full child list of Q node q."""
-    q.head, q.tail = children[0], children[-1]
-    for i, c in enumerate(children):
-        c.nb1 = children[i - 1] if i > 0 else None
-        c.nb2 = children[i + 1] if i < len(children) - 1 else None
-        c.up = q.anchor
-
-
 def _adopt_into_p(p: _Node, child: _Node) -> None:
     p.pchildren.add(child)
     child.up = p.anchor
@@ -134,24 +128,26 @@ def _new_p(children: Iterable[_Node]) -> _Node:
     return p
 
 
-def _q_prepend(q: _Node, child: _Node) -> None:
-    """Attach a detached node (nb slots None) before q's head.  O(1)."""
-    old = q.head
-    child.nb1, child.nb2 = None, old
-    old.replace_nb(None, child)
-    q.head = child
+def _q_attach(q: _Node, child: _Node, at_head: bool) -> None:
+    """Attach a detached node at q's head or tail, or as q's only child
+    when q has none.  O(1)."""
+    end = q.head if at_head else q.tail
+    child.nb1, child.nb2 = end, None
     child.up = q.anchor
     q.nleaves += child.nleaves
+    if end is not None:
+        end.replace_nb(None, child)
+    if at_head or end is None:
+        q.head = child
+    if not at_head or end is None:
+        q.tail = child
 
 
-def _q_append(q: _Node, child: _Node) -> None:
-    """Attach a detached node (nb slots None) after q's tail.  O(1)."""
-    old = q.tail
-    child.nb1, child.nb2 = old, None
-    old.replace_nb(None, child)
-    q.tail = child
-    child.up = q.anchor
-    q.nleaves += child.nleaves
+def _dissolve(q: _Node, into: _Node) -> None:
+    """Re-parent all of q's children to `into` through a single
+    union-find link.  O(1); q leaves the tree."""
+    q.anchor.link = into.anchor
+    q.anchor.owner = None
 
 
 def _q_merge_heads(q1: _Node, q2: _Node) -> None:
@@ -161,8 +157,7 @@ def _q_merge_heads(q1: _Node, q2: _Node) -> None:
     h1.replace_nb(None, h2)
     h2.replace_nb(None, h1)
     q1.head, q1.tail = q1.tail, q2.tail
-    q2.anchor.link = q1.anchor
-    q2.anchor.owner = None
+    _dissolve(q2, q1)
     q1.nleaves += q2.nleaves
 
 
@@ -171,8 +166,7 @@ def _take_chain(node: _Node, q: _Node) -> None:
     through a single union-find link.  O(1); q leaves the tree."""
     node.kind, node.pchildren = QNODE, None
     node.head, node.tail = q.head, q.tail
-    q.anchor.link = node.anchor
-    q.anchor.owner = None
+    _dissolve(q, node)
 
 
 def _full_block(p: _Node, fulls: list[_Node]) -> Optional[_Node]:
@@ -345,15 +339,16 @@ class PQTree:
                 # turn node into that Q
                 q = partials[0]
                 if fblock is not None:
-                    _q_prepend(q, fblock)
+                    _q_attach(q, fblock, True)
                 if eblock is not None:
-                    _q_append(q, eblock)
+                    _q_attach(q, eblock, False)
                 _take_chain(node, q)
             else:
                 ensure(fblock is not None and eblock is not None,
                        "partial P node without full and empty children")
-                node.kind, node.pchildren = QNODE, None
-                _link_chain(node, [fblock, eblock])
+                node.kind, node.pchildren, node.nleaves = QNODE, None, 0
+                _q_attach(node, fblock, True)
+                _q_attach(node, eblock, False)
             return PARTIAL
         if node.kind == QNODE:
             run = _pertinent_run(fulls, partials)
@@ -394,7 +389,7 @@ class PQTree:
             # joins full-end to full-end
             p1 = partials[0]
             if fblock is not None:
-                _q_prepend(p1, fblock)
+                _q_attach(p1, fblock, True)
             if len(partials) == 2:
                 p2 = partials[1]
                 r.pchildren.discard(p2)
@@ -420,27 +415,20 @@ class PQTree:
                        full_toward: Optional[_Node]) -> None:
         """Dissolve partial Q child `part` (children full-first from its
         head) into q, full side facing the neighbor `full_toward`."""
-        outer = part.other_nb(full_toward) if full_toward is not None else (
-            part.nb1 if part.nb1 is not None else part.nb2)
-        if full_toward is None and part.nb1 is None and part.nb2 is None:
+        if part.nb1 is None and part.nb2 is None:
             raise InternalError("splicing the only child")
-        h, t = part.head, part.tail  # h = full end, t = empty end
-        inner_end, outer_end = h, t
-        # connect inner_end <-> full_toward, outer_end <-> outer
-        if full_toward is not None:
-            full_toward.replace_nb(part, inner_end)
-            inner_end.replace_nb(None, full_toward)
-        else:
-            inner_end.replace_nb(None, None)
-        if outer is not None:
-            outer.replace_nb(part, outer_end)
-            outer_end.replace_nb(None, outer)
-        if q.head is part:
-            q.head = inner_end if full_toward is None else outer_end
-        if q.tail is part:
-            q.tail = inner_end if full_toward is None else outer_end
-        part.anchor.link = q.anchor
-        part.anchor.owner = None
+        # the full end joins full_toward, the empty end the other neighbor;
+        # an end with no neighbor takes part's place as q's head or tail
+        outer = part.other_nb(full_toward)
+        for end, nb in ((part.head, full_toward), (part.tail, outer)):
+            if nb is not None:
+                nb.replace_nb(part, end)
+                end.replace_nb(None, nb)
+            elif q.head is part:
+                q.head = end
+            else:
+                q.tail = end
+        _dissolve(part, q)
         part.head = part.tail = None
         part.nb1 = part.nb2 = None
 

@@ -1,8 +1,12 @@
-"""Shared helpers: small-universe generators and brute-force oracles."""
+"""Shared helpers: small-universe generators, brute-force oracles and the
+teardown that unfreezes the heap after a runtime budget."""
 
 from __future__ import annotations
 
+import gc
 import itertools
+
+import pytest
 
 from convexcodes.core import (
     BitVector,
@@ -13,6 +17,14 @@ from convexcodes.core import (
     SensorMatrix,
     regime_check,
 )
+
+
+@pytest.fixture(autouse=True)
+def _unfreeze_heap():
+    """Undo the gc.freeze() of a runtime budget whose test failed before
+    its check()."""
+    yield
+    gc.unfreeze()
 
 
 def all_words(k: int) -> list[str]:

@@ -1,6 +1,7 @@
 """Acceptance gate: one test per criterion, each a single pass/fail line
 under pytest -v, with runtime budgets enforced inside the tests."""
 
+import gc
 import itertools
 import random
 import time
@@ -55,12 +56,21 @@ WALKTHROUGH = ["1100", "1000", "0100", "0000", "0001", "0110"]
 
 
 class _Budget:
+    """Wall-clock budget of the calls between construction and check().
+
+    The heap is frozen while the clock runs, so a garbage collection in
+    the window scans only the objects made since: the calls' own garbage
+    counts, the rest of the test session's heap does not.  check()
+    unfreezes it, and so does every test's teardown (conftest.py)."""
+
     def __init__(self, seconds):
         self.seconds = seconds
+        gc.freeze()
         self.start = time.perf_counter()
 
     def check(self):
         elapsed = time.perf_counter() - self.start
+        gc.unfreeze()
         assert elapsed < self.seconds, (
             "runtime budget exceeded: %.2fs > %ss" % (elapsed, self.seconds)
         )

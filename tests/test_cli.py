@@ -469,6 +469,15 @@ class TestUsageErrors:
             main(["check", path, "--geometry", "sphere"])
         assert exc.value.code == EXIT_PARSE
 
+    def test_enumerate_takes_no_multiset_flag(self, capsys):
+        # enumerate reads no code file, so it has no multiplicities to honor
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--multiset", "--max-n", "2", "--max-k", "2"])
+        assert exc.value.code == EXIT_PARSE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "unrecognized arguments: --multiset" in out.err
+
     def test_missing_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

@@ -84,6 +84,16 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector(2, 0b100)
 
+    def test_negative_length(self):
+        # without its own check the mask shift raises another ValueError
+        with pytest.raises(ValueError, match="negative length"):
+            BitVector(-1)
+
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_bit_out_of_range(self, i):
+        with pytest.raises(IndexError):
+            BitVector.from_string("101").bit(i)
+
     @given(bit_lists, bit_lists)
     def test_boolean_ops_agree_with_listwise(self, a, b):
         n = min(len(a), len(b))
@@ -246,6 +256,11 @@ class TestCodeContainers:
         with pytest.raises(ValueError):
             CodeMultiset.of({w: 0})
 
+    def test_multiset_mixed_lengths(self):
+        bv = BitVector.from_string
+        with pytest.raises(LengthMismatch):
+            CodeMultiset.of({bv("10"): 1, bv("100"): 2})
+
 
 class TestSensorMatrix:
     def test_columns_transpose(self):
@@ -255,6 +270,13 @@ class TestSensorMatrix:
         assert cols == ["00", "10", "11", "11", "10", "00", "00"]
         again = SensorMatrix.from_columns(m.columns, Geometry.LINE)
         assert again.rows == m.rows
+
+    @pytest.mark.parametrize("build", [SensorMatrix, SensorMatrix.from_columns],
+                             ids=["rows", "columns"])
+    def test_differing_lengths(self, build):
+        words = [BitVector.from_string("10"), BitVector.from_string("100")]
+        with pytest.raises(LengthMismatch):
+            build(words, Geometry.LINE)
 
     def test_from_columns_row_count(self):
         # with no columns, only k says how many rows there are

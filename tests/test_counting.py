@@ -194,6 +194,11 @@ class TestSubspaceBijection:
         with pytest.raises(SizeLimit):
             brute_force_dense(13, Geometry.LINE)
 
+    @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
+    def test_brute_force_negative_n(self, geometry):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            brute_force_dense(-1, geometry)
+
 
 class TestSeriesKernel:
     @staticmethod

@@ -254,8 +254,8 @@ def _reference_bubble(leaves):
 
 def _reference_new_q(children):
     q = pqtree._Node(pqtree.QNODE)
-    pqtree._link_chain(q, children)
-    q.nleaves = sum(c.nleaves for c in children)
+    for c in children:
+        pqtree._q_attach(q, c, False)
     return q
 
 
@@ -318,9 +318,9 @@ class _ReferenceTree(PQTree):
             if partials:
                 q = partials[0]
                 if fblock is not None:
-                    pqtree._q_prepend(q, fblock)
+                    pqtree._q_attach(q, fblock, True)
                 if eblock is not None:
-                    pqtree._q_append(q, eblock)
+                    pqtree._q_attach(q, eblock, False)
             else:
                 pqtree.ensure(fblock is not None and eblock is not None,
                               "partial P node without full and empty children")
@@ -357,7 +357,7 @@ class _ReferenceTree(PQTree):
                 return
             p1 = partials[0]
             if fblock is not None:
-                pqtree._q_prepend(p1, fblock)
+                pqtree._q_attach(p1, fblock, True)
             if len(partials) == 2:
                 p2 = partials[1]
                 r.pchildren.discard(p2)

@@ -29,7 +29,6 @@ from convexcodes.core import (
 )
 import convexcodes.reconstruct as reconstruct
 from convexcodes.ordering import (
-    INFEASIBLE_ORDERING,
     OrderingResult,
     _first_failure_touched,
     co_order,
@@ -330,6 +329,22 @@ class TestCertificates:
         # consecutive vertices that share no column
         assert not RejectionCertificate(
             ((a, b), (c, d), (a, c)), {0: 0, 1: 0, 2: 0}
+        ).verify()
+
+    @pytest.mark.parametrize("edge, row", [
+        (3, 0),                 # reversal edge (c, a) -> (a, c): c's row 0 is 0
+        (3, 4), (4, 4), (4, -1),    # rows outside 0..3 fail, never raise
+    ])
+    def test_invalid_witnesses_fail(self, edge, row):
+        a, b, c, d = map(_bv, ODD_CYCLE_CODE)
+        witnesses = {0: 2, 1: 1, 2: 0, 4: 3}
+        # a reversal edge needs no witness, but one it is given must hold
+        assert RejectionCertificate(
+            ((d, a), (a, b), (b, c), (c, a), (a, c)), {**witnesses, 3: 3}
+        ).verify()
+        witnesses[edge] = row
+        assert not RejectionCertificate(
+            ((d, a), (a, b), (b, c), (c, a), (a, c)), witnesses
         ).verify()
 
     def test_self_pairs_fail(self):
@@ -680,7 +695,8 @@ class TestCertificateScaling:
 
         def lying(words):
             if lie == "always" or words == code:
-                return INFEASIBLE_ORDERING
+                # infeasible, and naming no failing row
+                return OrderingResult(False)
             return co_order(words)
 
         monkeypatch.setattr(reconstruct, "co_order", lying)
