@@ -11,12 +11,15 @@ bounded by memory, not by the interpreter stack:
 
 - A reduction runs in two passes over a leaf layer.  One loop over the
   labels groups the pertinent leaves by parent; a group counts as its
-  size in full leaves, so no leaf enters either pass.  The bubble pass
-  climbs from the group parents in FIFO order, visiting each node once,
+  size in full leaves, so no leaf enters either pass.  Full subtrees are
+  then found by count, as Booth & Lueker label them: a node whose group
+  holds all its leaves is full and joins its parent's group as one full
+  child, so only partial nodes enter the passes.  The bubble pass climbs
+  from the partial group parents in FIFO order, visiting each node once,
   until all paths meet.  The labeling pass then works bottom-up from
-  the group parents, labeling a node once all its pertinent children
-  are labeled and applying the P/Q templates, and stops at the first
-  node that holds every pertinent leaf: the pertinent root.
+  them, labeling a node once all its partial children are labeled and
+  applying the P/Q templates, and stops at the first node that holds
+  every pertinent leaf: the pertinent root.
 - Q children sit in an orientation-agnostic doubly linked list: each child
   stores its two neighbors in unordered slots, so reversing a Q node is an
   O(1) head/tail swap.
@@ -87,9 +90,12 @@ class _Node:
         self.nb2: Optional[_Node] = None
 
     def parent(self) -> Optional["_Node"]:
-        if self.up is None:
+        cell = self.up
+        if cell is None:
             return None
-        return _find(self.up).owner
+        if cell.link is not None:
+            cell = self.up = _find(cell)
+        return cell.owner
 
     # -- Q-sibling helpers ------------------------------------------------
 
@@ -172,8 +178,7 @@ def _take_chain(node: _Node, q: _Node) -> None:
 def _full_block(p: _Node, fulls: list[_Node]) -> Optional[_Node]:
     """Detach P node p's full children as one block: the child itself
     when there is one, a new P node over them when there are more."""
-    for c in fulls:
-        p.pchildren.discard(c)
+    p.pchildren.difference_update(fulls)
     if len(fulls) > 1:
         return _new_p(fulls)
     return fulls[0] if fulls else None
@@ -205,10 +210,10 @@ def _pertinent_run(fulls: list[_Node], partials: list[_Node]) -> list[_Node]:
     for first in (start.nb1, start.nb2):
         run.reverse()
         prev, cur = start, first
-        while cur is not None and cur in pert:
+        while cur in pert:
             run.append(cur)
-            prev, cur = cur, cur.other_nb(prev)
-    if len(run) != len(pert):
+            prev, cur = cur, cur.nb2 if cur.nb1 is prev else cur.nb1
+    if len(run) != len(fulls) + len(partials):
         raise ReductionFailed("Q: pertinent children not consecutive")
     for c in partials:
         if c is not run[0] and c is not run[-1]:
@@ -218,11 +223,12 @@ def _pertinent_run(fulls: list[_Node], partials: list[_Node]) -> list[_Node]:
 
 def _bubble(starts: list[_Node]) -> tuple[dict[_Node, _Node],
                                            dict[_Node, list[_Node]]]:
-    """Bubble pass of a reduction: FIFO from the pertinent leaves' parents
-    upward, each node visited once, until every path has merged into one.
+    """Bubble pass of a reduction: FIFO from the partial nodes that have
+    full children upward, each node visited once, until every path has
+    merged into one.
 
-    Returns each visited node's parent and each node's pertinent
-    children that are not leaves.  The merge node may lie above the
+    Returns each visited node's parent and each node's partial
+    children.  The merge node may lie above the
     pertinent root, but FIFO order pops a node of a still-open path
     between any two steps above it, so the pass costs O(size of the
     pertinent subtree).
@@ -252,6 +258,7 @@ class PQTree:
 
     def __init__(self, n: int):
         self.n = n
+        self.labels = frozenset(range(n))
         self.leaves = [_Node(LEAF, label=i) for i in range(n)]
         if n == 0:
             self.root: Optional[_Node] = None
@@ -270,14 +277,14 @@ class PQTree:
         is unusable afterwards).
         """
         s = set(labels)
-        if s and (min(s) < 0 or max(s) >= self.n):
+        if not s <= self.labels:
             raise ValueError("leaf label out of range for %d leaves" % self.n)
         m = len(s)
         if m <= 1 or m >= self.n:
             return
         # Leaf layer: group the pertinent leaves by parent, one union-find
-        # step each, compressed into the leaf's own pointer.  A group is
-        # |group| full leaves, each standing for itself.
+        # step each, compressed into the leaf's own pointer.  groups maps a
+        # node to its full children, count to the leaves they hold.
         groups: dict[_Node, list[_Node]] = {}
         leaves = self.leaves
         for lab in s:
@@ -290,49 +297,73 @@ class PQTree:
                 groups[cell.owner] = [leaf]
             else:
                 kids.append(leaf)
+        # A node whose full children hold all its leaves is full: it leaves
+        # groups and counts as one full child of its parent, which may fill
+        # in turn (a parent that fills needs no group).  A full node holding
+        # all m leaves makes the reduction a no-op; the root, with n > m
+        # leaves, never fills.
+        count = {par: len(kids) for par, kids in groups.items()}
+        full = [par for par, c in count.items() if c == par.nleaves]
+        while full:
+            node = full.pop()
+            size = node.nleaves
+            if size == m:
+                return
+            groups.pop(node, None)
+            par = node.parent()
+            c = count[par] = count.get(par, 0) + size
+            if c == par.nleaves:
+                full.append(par)
+            else:
+                kids = groups.get(par)
+                if kids is None:
+                    groups[par] = [node]
+                else:
+                    kids.append(node)
+        # The nodes left in groups, and every node above them up to the
+        # pertinent root, are partial.
         up, pert_children = _bubble(list(groups))
-        # Labeling pass, bottom-up: a node is labeled once all its pertinent
+        # Labeling pass, bottom-up: a node is labeled once all its partial
         # children are, and the first one holding all m leaves is the
-        # pertinent root.  labeled maps a node to (pertinent leaf count,
-        # FULL/PARTIAL); the templates rewrite a node in place.
+        # pertinent root.  count ends as each labeled node's pertinent
+        # leaves; the templates rewrite a node in place.
         waiting = {par: len(kids) for par, kids in pert_children.items()}
-        labeled = {}
         ready = [par for par, kids in pert_children.items() if not kids]
         while ready:
             par = ready.pop()
+            partials = pert_children[par]
+            pc = count.get(par, 0)
+            for child in partials:
+                pc += count[child]
             fulls = groups.get(par, [])
-            pc, partials = len(fulls), []
-            for child in pert_children[par]:
-                child_pc, label = labeled[child]
-                pc += child_pc
-                (fulls if label == FULL else partials).append(child)
             if pc == m:
-                self._reduce_root(par, pc, fulls, partials)
+                self._reduce_root(par, fulls, partials)
                 return
-            labeled[par] = (pc, self._label(par, pc, fulls, partials))
+            self._label(par, fulls, partials)
+            count[par] = pc
             grand = up[par]
             waiting[grand] -= 1
             if not waiting[grand]:
                 ready.append(grand)
         raise InternalError("pertinent leaves have no common ancestor")
 
-    # Non-root labeling of a node whose pertinent children are labeled.
-    # A PARTIAL node is left a Q node whose children run full-side-first
-    # from head, in its own place in its parent.
-    def _label(self, node: _Node, pc: int, fulls: list[_Node],
+    # Labeling of a partial node below the pertinent root whose partial
+    # children are labeled; full nodes never get here, the leaf layer
+    # counts them.  The node is left a Q node whose children run
+    # full-side-first from head, in its own place in its parent.
+    def _label(self, node: _Node, fulls: list[_Node],
                partials: list[_Node]) -> int:
-        if pc == node.nleaves:
-            return FULL
         if node.kind == PNODE:
             if len(partials) > 1:
                 raise ReductionFailed("P node with >1 partial child")
             fblock = _full_block(node, fulls)
-            for c in partials:
-                node.pchildren.discard(c)
             # the children left are the empty ones: subtract the pertinent
             # children's leaves instead of summing the empty ones
-            eblock = _empty_block(node, node.nleaves - sum(
-                c.nleaves for c in fulls + partials))
+            empty = node.nleaves - (fblock.nleaves if fblock is not None else 0)
+            for c in partials:
+                node.pchildren.discard(c)
+                empty -= c.nleaves
+            eblock = _empty_block(node, empty)
             if partials:
                 # grow the partial child's own Q in place, full block at its
                 # full (head) end, empty block at its empty (tail) end, and
@@ -370,13 +401,12 @@ class PQTree:
             return PARTIAL
         raise InternalError("leaf cannot be partial")
 
-    # The pertinent root r holds every pertinent leaf and has at least two
-    # pertinent children: a child holding all of them would be the root,
-    # and reduce returns early for fewer than two leaves.
-    def _reduce_root(self, r: _Node, pc: int, fulls: list[_Node],
+    # The pertinent root r holds every pertinent leaf but not only those (a
+    # full one ends the leaf layer), and has at least two pertinent
+    # children: a child holding all of them would be the root, and reduce
+    # returns early for fewer than two leaves.
+    def _reduce_root(self, r: _Node, fulls: list[_Node],
                      partials: list[_Node]) -> None:
-        if pc == r.nleaves:
-            return
         if r.kind == PNODE:
             if len(partials) > 2:
                 raise ReductionFailed("root P with >2 partial children")
@@ -407,7 +437,7 @@ class PQTree:
             if last in partials:
                 self._splice_into_q(r, last, full_toward=last.other_nb(outer))
             return
-        raise InternalError("root leaf with pc < nleaves")
+        raise InternalError("leaf cannot be the pertinent root")
 
     # -- structural surgery ----------------------------------------------
 

@@ -1,5 +1,7 @@
-"""The PQ-tree on its own: a permutation oracle, stack safety, linear work."""
+"""The PQ-tree on its own: a permutation oracle, stack safety, linear work,
+labeling by count, and the trees the recognizers build."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -12,6 +14,8 @@ from collections import deque
 import pytest
 
 from convexcodes import pqtree
+from convexcodes.core import BitVector, Code
+from convexcodes.ordering import cco_order, co_order
 from convexcodes.pqtree import LEAF, PNODE, PQTree, ReductionFailed
 
 
@@ -100,9 +104,9 @@ def _staircase(n: int) -> list[list[int]]:
 @pytest.fixture
 def visits(monkeypatch):
     """Counts parent lookups: one per pertinent leaf and one per node the
-    bubble pass visits; the templates look no parent up.  The leaf layer
-    looks the leaves' parents up without _Node.parent, so each reduction
-    adds its |S| by hand."""
+    full-node climb or the bubble pass visits; the templates look no
+    parent up.  The leaf layer looks the leaves' parents up without
+    _Node.parent, so each reduction adds its |S| by hand."""
     count = [0]
     parent = pqtree._Node.parent
     reduce = PQTree.reduce
@@ -199,9 +203,9 @@ def test_pertinent_root_has_two_pertinent_children(monkeypatch):
     seen = []
     reduce_root = PQTree._reduce_root
 
-    def checked(self, r, pc, fulls, partials):
+    def checked(self, r, fulls, partials):
         seen.append(len(fulls) + len(partials))
-        return reduce_root(self, r, pc, fulls, partials)
+        return reduce_root(self, r, fulls, partials)
 
     monkeypatch.setattr(PQTree, "_reduce_root", checked)
     rng = random.Random(17)
@@ -231,6 +235,30 @@ class TestLabelCheck:
         PQTree(0).reduce([])
         with pytest.raises(ValueError):
             PQTree(0).reduce([0])
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_out_of_range_among_valid_labels(self, bad):
+        # a reduced tree: the check runs before any node is touched
+        tree = PQTree(6)
+        tree.reduce([1, 2, 3])
+        before = tree.summary()
+        for labels in ([bad, 1, 2], [0, 1, 2, 3, 4, bad], [4, bad, 5]):
+            with pytest.raises(ValueError):
+                tree.reduce(labels)
+            assert tree.summary() == before
+        tree.reduce([3, 4])
+        assert tree.summary() == "{0 [{1 2} 3 4] 5}"
+
+    @pytest.mark.parametrize("labels", [[1, 1, 2], [2, 1, 2, 1], [0, 0],
+                                        [3, 3, 3]])
+    def test_duplicate_labels_reduce_as_their_set(self, labels):
+        tree, ref = PQTree(5), PQTree(5)
+        for t in (tree, ref):
+            t.reduce([2, 3])
+        tree.reduce(labels)
+        ref.reduce(sorted(set(labels)))
+        assert tree.summary() == ref.summary()
+        assert tree.frontier() == ref.frontier()
 
 
 def _reference_bubble(leaves):
@@ -479,3 +507,126 @@ class TestAgainstReference:
                 assert tree.summary() == ref.summary(), constraints
         assert outcomes == {True, False}
         assert deep > 3000
+
+
+# Seeded codes in the shapes the recognizers meet: rows are row masks,
+# words the distinct columns, bit i of a word = row i.
+
+def _permuted(masks, k, rng):
+    """The code of the masks over k rows, rows relabelled by rng."""
+    perm = list(range(k))
+    rng.shuffle(perm)
+    return Code.of(BitVector(k, sum(1 << perm[i] for i in range(k) if m >> i & 1))
+                   for m in masks)
+
+
+def _columns(rows, s):
+    """The distinct column masks of row masks over s sensors."""
+    return {sum(1 << i for i, r in enumerate(rows) if r >> j & 1)
+            for j in range(s)}
+
+
+def _line_rows(s, rng):
+    rows = []
+    for _ in range(s // 2):
+        a, b = sorted((rng.randrange(s), rng.randrange(s)))
+        rows.append(((1 << (b - a + 1)) - 1) << a)
+    return rows
+
+
+def _staircase_code(n, rng):
+    """n words: the k = n/2 + 1 singletons, then the adjacent pairs."""
+    k = n // 2 + 1
+    masks = [1 << i for i in range(k)] + [0b11 << i for i in range(k - 1)]
+    return _permuted(masks[:n], k, rng)
+
+
+def _nested_code(n, rng):
+    """The n nested prefixes of n rows."""
+    return _permuted([(1 << (i + 1)) - 1 for i in range(n)], n, rng)
+
+
+def _interval_code(s, rng):
+    """The columns of s // 2 random line intervals over s sensors."""
+    rows = _line_rows(s, rng)
+    return Code.of(BitVector(len(rows), m) for m in _columns(rows, s))
+
+
+def _arc_code(s, rng):
+    """The columns of s // 2 random arcs over s sensors."""
+    full, rows = (1 << s) - 1, []
+    for _ in range(s // 2):
+        m = ((1 << rng.randrange(1, s)) - 1) << rng.randrange(s)
+        rows.append((m | m >> s) & full)
+    return Code.of(BitVector(len(rows), m) for m in _columns(rows, s))
+
+
+def _dense_complete_code(k, rng):
+    """The regions cut by k open intervals with 2k distinct endpoints."""
+    slots = rng.sample(range(2 * k), 2 * k)
+    regions = [0] * (2 * k + 1)
+    for i in range(k):
+        lo, hi = sorted(slots[2 * i:2 * i + 2])
+        for r in range(lo + 1, hi + 1):
+            regions[r] |= 1 << i
+    return Code.of(BitVector(k, m) for m in set(regions))
+
+
+def _obstruction_code(s, rng):
+    """Random line intervals plus a planted Tucker triangle on three new
+    rows and columns: infeasible on the line and on the circle."""
+    rows = _line_rows(s, rng)
+    k = len(rows)
+    cols = _columns(rows, s) | {0b101 << k, 0b011 << k, 0b110 << k}
+    return Code.of(BitVector(k + 3, m) for m in cols)
+
+
+def test_full_nodes_never_reach_the_labeling_pass(monkeypatch):
+    # the leaf layer finds full subtrees by count, so every node the
+    # labeling pass labels is partial; nested codes have no partial node
+    # below the pertinent root at all
+    labels = []
+    label = PQTree._label
+
+    def recorded(self, *args):
+        result = label(self, *args)
+        labels.append(result)
+        return result
+
+    monkeypatch.setattr(PQTree, "_label", recorded)
+    rng = random.Random(5)
+    for code in (_nested_code(200, rng), _dense_complete_code(64, rng),
+                 _interval_code(160, rng)):
+        labels.clear()
+        assert co_order(code).feasible
+        assert pqtree.FULL not in labels
+    assert labels and set(labels) == {pqtree.PARTIAL}
+
+
+# sha256 of the recognizers' results on the seeded codes below; a
+# reducer change that alters any ordering, failed row or tree summary
+# changes it
+_TREES_SHA256 = ("4b77fd2337feee45fb66c3129c2430c5fa70c47a2b81d5bbfdcecc3f"
+                 "e52b57cc")
+
+
+def test_recognizer_trees_are_pinned():
+    h = hashlib.sha256()
+    feasible = set()
+    for make, sizes in ((_staircase_code, (100, 201)), (_nested_code, (50, 150)),
+                        (_interval_code, (60, 120)), (_arc_code, (60, 120)),
+                        (_dense_complete_code, (24, 48)),
+                        (_obstruction_code, (30, 60))):
+        for size in sizes:
+            for seed in range(3):
+                code = make(size, random.Random(seed))
+                for order in (co_order, cco_order):
+                    r = order(code)
+                    feasible.add(r.feasible)
+                    words = (None if r.ordering is None
+                             else [w.to_string() for w in r.ordering])
+                    h.update(repr((make.__name__, size, seed, order.__name__,
+                                   words, r.failed_row,
+                                   r.tree_summary)).encode())
+    assert feasible == {True, False}
+    assert h.hexdigest() == _TREES_SHA256
