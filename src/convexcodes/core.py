@@ -179,20 +179,26 @@ class BitVector:
         return f"BitVector({self.to_string()!r})"
 
 
-def _block_contiguous(mask: int) -> bool:
-    # 1s of mask form a single contiguous block (vacuously true for 0)
-    if mask == 0:
+def _block_contiguous(mask: int, n: int, geometry: Geometry) -> bool:
+    """is_discrete_interval on a bare mask of n bits.
+
+    Adding a mask's lowest 1 carries through its lowest block of 1s and
+    clears it, so no 1 survives in common with the mask exactly when
+    that block is the only one (vacuously true for 0).  Line: the 1s
+    form one block.  Circle: the 1s or the 0s do.
+    """
+    if mask & (mask + (mask & -mask)) == 0:
         return True
-    shifted = mask >> (mask & -mask).bit_length() - 1
-    return shifted & (shifted + 1) == 0
+    if geometry is Geometry.LINE:
+        return False
+    zeros = mask ^ (1 << n) - 1
+    return zeros & (zeros + (zeros & -zeros)) == 0
 
 
 def is_discrete_interval(row: BitVector, geometry: Geometry) -> bool:
     """Line: 1s form one contiguous block.  Circle: cyclically contiguous,
     equivalently the 1s or the 0s form one plain block."""
-    if geometry is Geometry.LINE:
-        return _block_contiguous(row.mask)
-    return _block_contiguous(row.mask) or _block_contiguous((~row).mask)
+    return _block_contiguous(row.mask, row.n, geometry)
 
 
 def row_stats(row: BitVector, geometry: Geometry) -> tuple[int, int]:

@@ -21,7 +21,8 @@ from .core import (
     Geometry,
     Regime,
     SizeLimit,
-    is_discrete_interval,
+    _block_contiguous,
+    ensure,
     row_stats,
 )
 
@@ -229,23 +230,28 @@ def gf_dense_circular(N: int, K: int) -> CountTable:
 
 def valid_dense_rows(n: int, geometry: Geometry) -> list[BitVector]:
     """All nonzero discrete-interval rows of length n for the geometry."""
-    rows = []
-    for mask in range(1, 1 << n):
-        r = BitVector(n, mask)
-        if is_discrete_interval(r, geometry):
-            rows.append(r)
-    return rows
+    return [BitVector(n, mask) for mask in range(1, 1 << n)
+            if _block_contiguous(mask, n, geometry)]
 
 
 def brute_force_dense(n: int, geometry: Geometry) -> CountTable:
     """Oracle: count discrete interval sets of each size directly.
 
     A set of rows is a discrete interval set when no pair (r1, r2) has
-    g(r1) = f(r2).  Rows are grouped by their f statistic; summing over
-    the possible sets F of realized f-values, each f in F contributes a
-    nonempty subset of the rows with that f whose g avoids F.  On the
-    circle the all-one row is compatible with everything and doubles
-    every count.
+    g(r1) = f(r2).  A row is named by its (f, g) pair, so the rows with
+    one f are kept as gmask[f], the bitmask of their g values.  Summing
+    over the possible sets F of realized f-values, each f in F
+    contributes a nonempty subset of its c_f rows whose g avoids F, a
+    factor of (1+y)^c_f - 1.  On the circle the all-one row is
+    compatible with everything and doubles every count.
+
+    Each y-polynomial is packed into one int with B = R + 1 bits per
+    coefficient, R the number of rows other than the circle's all-one
+    row, so a product is one integer multiply.  No packed coefficient
+    can reach 2^B, so none carries into its neighbor: every
+    coefficient of a factor, of a partial product and of the total
+    counts distinct sets of k of the R rows, so it is at most
+    C(R, k) < 2^R.  The method shares nothing with the series kernel.
     """
     if n > 12:
         raise SizeLimit("brute_force_dense is limited to n <= 12")
@@ -257,39 +263,41 @@ def brute_force_dense(n: int, geometry: Geometry) -> CountTable:
 
     rows = valid_dense_rows(n, geometry)
     special = sum(1 for r in rows if geometry is Geometry.CIRCLE and r.is_ones)
-    stats = [
-        row_stats(r, geometry)
-        for r in rows
-        if not (geometry is Geometry.CIRCLE and r.is_ones)
-    ]
-    f_values = sorted({f for f, _ in stats})
+    gmask: dict[int, int] = {}
+    for r in rows:
+        if geometry is Geometry.CIRCLE and r.is_ones:
+            continue
+        f, g = row_stats(r, geometry)
+        seen = gmask.get(f, 0)
+        ensure(not seen >> g & 1, "two rows share (f, g) = (%d, %d)" % (f, g))
+        gmask[f] = seen | 1 << g
+    R = len(rows) - special
+    B = R + 1
+    # fac[c] = (1+y)^c - 1, packed
+    fac, power = [0], 1
+    for _ in range(max((m.bit_count() for m in gmask.values()), default=0)):
+        power *= 1 + (1 << B)
+        fac.append(power - 1)
 
-    counts: dict[int, int] = {0: 1}  # k -> number of sets, before special rows
+    f_values = sorted(gmask)
+    total = 1  # the empty set
     for size in range(1, len(f_values) + 1):
         for F in combinations(f_values, size):
-            fset = set(F)
-            # per realized f-value, how many rows have that f and a g
-            # outside F
-            per_f = []
-            ok = True
+            avoid = ~sum(1 << f for f in F)
+            term = 1
             for f in F:
-                c = sum(1 for ff, gg in stats if ff == f and gg not in fset)
+                c = (gmask[f] & avoid).bit_count()
                 if c == 0:
-                    ok = False
                     break
-                per_f.append(c)
-            if not ok:
-                continue
-            # distribute: each f contributes a nonempty subset of its rows
-            acc = {0: 1}
-            for c in per_f:
-                nxt: dict[int, int] = {}
-                for used, ways in acc.items():
-                    for take in range(1, c + 1):
-                        nxt[used + take] = nxt.get(used + take, 0) + ways * comb(c, take)
-                acc = nxt
-            for k, ways in acc.items():
-                counts[k] = counts.get(k, 0) + ways
+                term *= fac[c]
+            else:
+                total += term
+    digit = (1 << B) - 1
+    counts: dict[int, int] = {}  # k -> number of sets, before special rows
+    for k in range(R + 1):
+        ways = total >> k * B & digit
+        if ways:
+            counts[k] = ways
     if special:
         doubled: dict[int, int] = {}
         for k, ways in counts.items():

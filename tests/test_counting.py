@@ -4,9 +4,11 @@ from math import comb
 
 import pytest
 
+from convexcodes import counting
 from convexcodes.core import (
     BitVector,
     Geometry,
+    InternalError,
     SizeLimit,
     is_discrete_interval,
     row_stats,
@@ -37,6 +39,51 @@ def totals(table, n_max, k_cap):
     return [
         sum(table.count(n, k) for k in range(k_cap + 1)) for n in range(n_max + 1)
     ]
+
+
+def _literal_rows(n, geometry):
+    # the row universe by its definition: every nonzero word that is a
+    # discrete interval, in mask order
+    return [BitVector(n, m) for m in range(1, 1 << n)
+            if is_discrete_interval(BitVector(n, m), geometry)]
+
+
+def _grouped_reference(n, geometry):
+    # the oracle's method on dicts, the tests' reference: over each set F
+    # of realized f-values, each f in F takes a nonempty subset of its
+    # rows whose g avoids F, convolved with binomials; the circle's
+    # all-one row doubles every count; returns the table's c mapping
+    if n == 0:
+        return {(0, 0): 1}
+    rows = _literal_rows(n, geometry)
+    special = sum(1 for r in rows if geometry is Geometry.CIRCLE and r.is_ones)
+    stats = [row_stats(r, geometry) for r in rows
+             if not (geometry is Geometry.CIRCLE and r.is_ones)]
+    f_values = sorted({f for f, _ in stats})
+    counts = {0: 1}
+    for size in range(1, len(f_values) + 1):
+        for F in itertools.combinations(f_values, size):
+            per_f = [sum(1 for ff, gg in stats if ff == f and gg not in F)
+                     for f in F]
+            if 0 in per_f:
+                continue
+            acc = {0: 1}
+            for c in per_f:
+                nxt = {}
+                for used, ways in acc.items():
+                    for take in range(1, c + 1):
+                        nxt[used + take] = (nxt.get(used + take, 0)
+                                            + ways * comb(c, take))
+                acc = nxt
+            for k, ways in acc.items():
+                counts[k] = counts.get(k, 0) + ways
+    if special:
+        doubled = {}
+        for k, ways in counts.items():
+            doubled[k] = doubled.get(k, 0) + ways
+            doubled[k + 1] = doubled.get(k + 1, 0) + ways
+        counts = doubled
+    return {(n, k): v for k, v in counts.items()}
 
 
 class TestBivariatePoly:
@@ -163,6 +210,23 @@ class TestOracleAgreement:
                 for k, v in literal.items():
                     assert bf.count(n, k) == v, (geometry, n, k)
 
+    @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
+    def test_packed_oracle_vs_grouped_reference(self, geometry):
+        for n in range(0, 10):
+            assert brute_force_dense(n, geometry).c == _grouped_reference(
+                n, geometry), n
+
+    def test_two_rows_with_one_f_and_g_fail_the_self_check(self, monkeypatch):
+        # (f, g) names a row, so a row_stats that repeats a pair is a bug
+        monkeypatch.setattr(counting, "row_stats", lambda row, geometry: (2, 0))
+        with pytest.raises(InternalError, match=r"share \(f, g\) = \(2, 0\)"):
+            brute_force_dense(2, Geometry.LINE)
+
+    @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
+    def test_row_universe_is_the_literal_filter(self, geometry):
+        for n in range(0, 11):
+            assert valid_dense_rows(n, geometry) == _literal_rows(n, geometry), n
+
     def test_truncation_soundness(self):
         # enlarging the caps never changes coefficients inside them
         small = gf_dense_linear(4, 6)
@@ -233,6 +297,19 @@ class TestSeriesKernel:
         # K = 60 exceeds the largest set on 8 sensors in either geometry
         table = gf(8, 60)
         for n in range(0, 9):
+            bf = brute_force_dense(n, geometry)
+            assert {k: v for (nn, k), v in table.c.items() if nn == n} == {
+                k: v for (_, k), v in bf.c.items()}, n
+
+    @pytest.mark.parametrize("geometry, gf, K", [
+        (Geometry.LINE, gf_dense_linear, 80),
+        (Geometry.CIRCLE, gf_dense_circular, 140),
+    ])
+    def test_agrees_with_brute_force_to_n12(self, geometry, gf, K):
+        # K exceeds the largest set on 12 sensors: C(13, 2) = 78 rows on
+        # the line, 12 * 11 + 1 = 133 on the circle
+        table = gf(12, K)
+        for n in range(0, 13):
             bf = brute_force_dense(n, geometry)
             assert {k: v for (nn, k), v in table.c.items() if nn == n} == {
                 k: v for (_, k), v in bf.c.items()}, n

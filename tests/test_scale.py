@@ -11,6 +11,7 @@ import pytest
 
 from convexcodes.cli import EXIT_INFEASIBLE, main, parse_code_file
 from convexcodes.core import CO, BitVector, Code, CodeMultiset, Geometry, SensorMatrix
+from convexcodes.counting import brute_force_dense
 from convexcodes.geometry import (
     Interval1D,
     IntervalArrangement,
@@ -356,3 +357,13 @@ def test_parse_staircase_file():
     ms = parse_code_file(text)
     budget.check()
     assert ms.support == Code.of(words)
+
+
+def test_brute_force_oracle_at_its_limit():
+    # 12 * 11 + 1 = 133 rows on 12 sensors of the circle, 2^12 sets F of
+    # f-values
+    budget = _Budget(0.3)
+    table = brute_force_dense(12, Geometry.CIRCLE)
+    budget.check()
+    assert table.count(12, 0) == 1 and table.count(12, 1) == 133
+    assert table.count(12, 134) == 0
