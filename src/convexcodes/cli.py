@@ -33,6 +33,7 @@ from .core import (
     ensure,
 )
 from .counting import (
+    ORACLE_MAX_N,
     brute_force_dense,
     count_sparse,
     gf_dense_linear,
@@ -317,10 +318,11 @@ def cmd_certificate(args, em: _Emitter) -> None:
 def cmd_enumerate(args, em: _Emitter) -> None:
     regime = _regime(args)
     N, K = args.max_n, args.max_k
-    if args.oracle and N > 12:
-        raise SizeLimit("brute_force_dense is limited to n <= 12"
-                        if regime.density is Density.DENSE
-                        else "sparse oracle is limited to n <= 12")
+    if args.oracle and N > ORACLE_MAX_N:
+        raise SizeLimit("%s is limited to n <= %d"
+                        % ("brute_force_dense"
+                           if regime.density is Density.DENSE
+                           else "sparse oracle", ORACLE_MAX_N))
     if (N + 1) * (K + 1) > MAX_ENUMERATE_CELLS:
         raise SizeLimit("enumerate is limited to 2^16 table cells,"
                         " (max-n + 1)(max-k + 1) = %d" % ((N + 1) * (K + 1)))

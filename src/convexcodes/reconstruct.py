@@ -32,15 +32,17 @@ from .core import (
     inharmonious,
     verify_matrix,
 )
-from .ordering import (_first_failure_touched, _row_constraints, cco_order,
-                       co_order)
+from .ordering import (OrderingResult, _first_failure_touched,
+                       _row_constraints, cco_order, co_order)
 
 
 @dataclass(frozen=True)
 class Infeasible:
-    """No object of the requested kind exists.  failed_row, when a sparse
-    recognition refused the words, is the index of the row whose
-    reduction failed (OrderingResult.failed_row); equality ignores it."""
+    """No object of the requested kind exists.  failed_row, when a
+    recognition refused the words (sparse, or the dense line's CO
+    ordering), is the index of the row whose reduction failed
+    (OrderingResult.failed_row), and the reason names it; equality
+    ignores it."""
 
     reason: str = ""
     failed_row: Optional[int] = field(default=None, compare=False)
@@ -176,8 +178,8 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     core's graph is searched for an odd cycle, and it is walked, not
     built: O(c) mask tests per vertex reached for c core words.
 
-    failed_row, the Infeasible.failed_row of a sparse line reconstruction
-    of the same words, skips recognizing them again, so the certificate
+    failed_row, the Infeasible.failed_row of a line reconstruction of the
+    same words (sparse, or dense refused by its CO ordering), skips recognizing them again, so the certificate
     makes no recognition at all; the core search and the cycle keep
     their self-checks.  A failed_row outside range(words.k), or one at
     which the words do not fail, raises ValueError.
@@ -375,14 +377,19 @@ def _cycle_through(u: Vertex, v: Vertex, row, depth, parent) -> RejectionCertifi
     return cert
 
 
+def _no_ordering(name: str, result: OrderingResult) -> Infeasible:
+    """The refusal of a recognition whose reduction failed at a row."""
+    return Infeasible("no %s column ordering exists: row %d fails"
+                      % (name, result.failed_row), result.failed_row)
+
+
 def reconstruct_sparse(words: Code, geometry: Geometry):
     """A sparse matrix whose column set equals words, or Infeasible."""
     order_fn = co_order if geometry is Geometry.LINE else cco_order
     result = order_fn(words)
     if not result.feasible:
-        return Infeasible("no %s column ordering exists"
-                          % ("CO" if geometry is Geometry.LINE else "CCO"),
-                          result.failed_row)
+        return _no_ordering("CO" if geometry is Geometry.LINE else "CCO",
+                            result)
     # the ordering checked its matrix's signature and columns
     return result.matrix
 
@@ -424,7 +431,7 @@ def reconstruct_dense_linear(words: Code):
     """
     result = co_order(words)
     if not result.feasible:
-        return Infeasible("no CO column ordering exists")
+        return _no_ordering("CO", result)
     cols: list[BitVector] = []
     for w in result.ordering:
         if cols and inharmonious(cols[-1], w):

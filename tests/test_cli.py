@@ -196,14 +196,14 @@ UNSUPPORTED = {
     '}\n',
 }
 INFEASIBLE = {
-    "text": "infeasible: no CO column ordering exists\n",
+    "text": "infeasible: no CO column ordering exists: row 3 fails\n",
     "structured": '{\n'
-    '  "reason": "no CO column ordering exists",\n'
+    '  "reason": "no CO column ordering exists: row 3 fails",\n'
     '  "status": "infeasible"\n'
     '}\n',
 }
 CHECK_INFEASIBLE = {
-    "text": "infeasible: no CO column ordering exists\n"
+    "text": "infeasible: no CO column ordering exists: row 3 fails\n"
     "odd cycle (5 vertices):\n"
     "  (1100, 1111)\n"
     "  (1010, 1100)\n"
@@ -241,7 +241,7 @@ CHECK_INFEASIBLE = {
     '      "4": 3\n'
     '    }\n'
     '  },\n'
-    '  "reason": "no CO column ordering exists",\n'
+    '  "reason": "no CO column ordering exists: row 3 fails",\n'
     '  "status": "infeasible"\n'
     '}\n',
 }
@@ -265,6 +265,18 @@ class TestRefusal:
         assert code == EXIT_INFEASIBLE
         expected = CHECK_INFEASIBLE if command == "check" else INFEASIBLE
         assert out == expected[fmt]
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    @pytest.mark.parametrize("multiset", [[], ["--multiset"]],
+                             ids=["support", "multiset"])
+    def test_dense_check_names_the_failed_row(self, capsys, tmp_path,
+                                              multiset, fmt):
+        # the dense line's refusal keeps co_order's row; no certificate
+        path = write(tmp_path, "c.txt", ODD_CYCLE)
+        code, out, _ = run(capsys, "check", path, "--regime", "dense",
+                           *multiset, "--format", fmt)
+        assert code == EXIT_INFEASIBLE
+        assert out == INFEASIBLE[fmt]
 
 
 class TestCertificate:
@@ -387,13 +399,13 @@ class TestEnumerate:
     def test_oracle_size_limit(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--regime", "dense",
-            "--max-n", "13", "--max-k", "2", "--oracle",
+            "--max-n", "15", "--max-k", "2", "--oracle",
         )
         assert code == EXIT_SIZE_LIMIT
 
     @pytest.mark.parametrize("regime, message", [
-        ("dense", "brute_force_dense is limited to n <= 12"),
-        ("sparse", "sparse oracle is limited to n <= 12"),
+        ("dense", "brute_force_dense is limited to n <= 14"),
+        ("sparse", "sparse oracle is limited to n <= 14"),
     ], ids=["dense", "sparse"])
     def test_oracle_limit_checked_before_counting(self, capsys, monkeypatch,
                                                   regime, message):
@@ -404,12 +416,12 @@ class TestEnumerate:
             monkeypatch.setattr("convexcodes.cli." + name, refuse)
         code, out, _ = run(
             capsys, "enumerate", "--regime", regime,
-            "--max-n", "13", "--max-k", "2", "--oracle",
+            "--max-n", "15", "--max-k", "2", "--oracle",
         )
         assert code == EXIT_SIZE_LIMIT
         assert out == "size limit: %s\n" % message
         code, out, _ = run(
-            capsys, "enumerate", "--regime", regime, "--max-n", "13",
+            capsys, "enumerate", "--regime", regime, "--max-n", "15",
             "--max-k", "2", "--oracle", "--format", "structured",
         )
         assert code == EXIT_SIZE_LIMIT
@@ -662,7 +674,7 @@ class TestOneResultPath:
 
     def test_exit_code_is_the_printed_status(self, capsys, tmp_path):
         seen = set()
-        argvs = [["enumerate", "--regime", "dense", "--max-n", "13",
+        argvs = [["enumerate", "--regime", "dense", "--max-n", "15",
                   "--max-k", "2", "--oracle"],
                  ["enumerate", "--max-n", "3", "--max-k", "3"]]
         for i, text in enumerate((WALKTHROUGH, ODD_CYCLE, PADDING,

@@ -33,6 +33,15 @@ LINE_16_40_SHA256 = (
     "d8d3d160c9a9feb6f01e9679d114fa5ff924d76f6cc43ac7bd9abe8460fc20f7")
 CIRCLE_16_40_SHA256 = (
     "852fd2149904950e135218dd100c5457933f9b30a0a6c269ac27bb195ba22ab0")
+# sha256 of repr([sorted(brute_force_dense(n, g).c.items()) for n in
+# range(13)]), as the oracle computed it when it rebuilt every set's
+# product from its factors
+ORACLE_12_SHA256 = {
+    Geometry.LINE:
+    "a07c52d181377d3c1f3b3a4410217e0feedade08e7db50a8cb571d89263e4917",
+    Geometry.CIRCLE:
+    "9c1ad765604b420e1ad5d1ce20225b5c020fe444bb2cb91394ee5dab1718c395",
+}
 
 
 def totals(table, n_max, k_cap):
@@ -216,11 +225,25 @@ class TestOracleAgreement:
             assert brute_force_dense(n, geometry).c == _grouped_reference(
                 n, geometry), n
 
+    @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
+    def test_oracle_digest_to_n12(self, geometry):
+        tables = [sorted(brute_force_dense(n, geometry).c.items())
+                  for n in range(13)]
+        assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
+            ORACLE_12_SHA256[geometry])
+
     def test_two_rows_with_one_f_and_g_fail_the_self_check(self, monkeypatch):
         # (f, g) names a row, so a row_stats that repeats a pair is a bug
         monkeypatch.setattr(counting, "row_stats", lambda row, geometry: (2, 0))
         with pytest.raises(InternalError, match=r"share \(f, g\) = \(2, 0\)"):
             brute_force_dense(2, Geometry.LINE)
+
+    def test_line_row_with_g_not_below_f_fails_the_self_check(
+            self, monkeypatch):
+        # the line's depth-first products rest on g < f for every row
+        monkeypatch.setattr(counting, "row_stats", lambda row, geometry: (1, 1))
+        with pytest.raises(InternalError, match="g = 1 >= f = 1"):
+            brute_force_dense(1, Geometry.LINE)
 
     @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
     def test_row_universe_is_the_literal_filter(self, geometry):
@@ -256,7 +279,7 @@ class TestSubspaceBijection:
         with pytest.raises(ValueError):
             count_full_support_subspaces(-1)
         with pytest.raises(SizeLimit):
-            brute_force_dense(13, Geometry.LINE)
+            brute_force_dense(15, Geometry.LINE)
 
     @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
     def test_brute_force_negative_n(self, geometry):
@@ -302,14 +325,14 @@ class TestSeriesKernel:
                 k: v for (_, k), v in bf.c.items()}, n
 
     @pytest.mark.parametrize("geometry, gf, K", [
-        (Geometry.LINE, gf_dense_linear, 80),
-        (Geometry.CIRCLE, gf_dense_circular, 140),
+        (Geometry.LINE, gf_dense_linear, 110),
+        (Geometry.CIRCLE, gf_dense_circular, 190),
     ])
-    def test_agrees_with_brute_force_to_n12(self, geometry, gf, K):
-        # K exceeds the largest set on 12 sensors: C(13, 2) = 78 rows on
-        # the line, 12 * 11 + 1 = 133 on the circle
-        table = gf(12, K)
-        for n in range(0, 13):
+    def test_agrees_with_brute_force_to_n14(self, geometry, gf, K):
+        # K exceeds the largest set on 14 sensors: C(15, 2) = 105 rows on
+        # the line, 14 * 13 + 1 = 183 on the circle
+        table = gf(14, K)
+        for n in range(0, 15):
             bf = brute_force_dense(n, geometry)
             assert {k: v for (nn, k), v in table.c.items() if nn == n} == {
                 k: v for (_, k), v in bf.c.items()}, n

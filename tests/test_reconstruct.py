@@ -31,6 +31,7 @@ import convexcodes.reconstruct as reconstruct
 from convexcodes.ordering import (
     OrderingResult,
     _first_failure_touched,
+    cco_order,
     co_order,
 )
 from convexcodes.reconstruct import (
@@ -91,6 +92,13 @@ class TestSparse:
     def test_infeasible_on_line(self):
         result = reconstruct_sparse(_code(ODD_CYCLE_CODE), Geometry.LINE)
         assert isinstance(result, Infeasible)
+
+    def test_circle_refusal_names_the_failed_row(self):
+        code = _code(["0000", "0011", "0101", "0110"])
+        result = reconstruct_sparse(code, Geometry.CIRCLE)
+        assert isinstance(result, Infeasible)
+        assert result.failed_row == cco_order(code).failed_row == 3
+        assert result.reason == "no CCO column ordering exists: row 3 fails"
 
     def test_oracle_small_random(self):
         rng = random.Random(11)
@@ -239,6 +247,30 @@ class TestDenseLinear:
         code = _code(["110", "011"])
         result = reconstruct_dense_linear(code)
         assert isinstance(result, Infeasible)
+
+    def test_refusals_carry_the_failed_row(self):
+        # the dense line recognizes by co_order, as the sparse line does:
+        # every refusal of a code that co_order rejects names co_order's
+        # failed row, through the multiset entry point too
+        rng = random.Random(29)
+        universe = all_words(4)
+        refused = 0
+        for _ in range(300):
+            combo = rng.sample(universe, rng.randint(3, 6))
+            code = _code(combo)
+            row = co_order(code).failed_row
+            if row is None:
+                continue
+            refused += 1
+            ms = CodeMultiset.of({_bv(s): 2 for s in combo})
+            for result in (reconstruct_sparse(code, Geometry.LINE),
+                           reconstruct_dense_linear(code),
+                           reconstruct_multiset_dense_linear(ms)):
+                assert isinstance(result, Infeasible)
+                assert result.failed_row == row
+                assert result.reason == (
+                    "no CO column ordering exists: row %d fails" % row)
+        assert refused > 20
 
     def test_length_bound(self):
         rng = random.Random(13)

@@ -345,7 +345,8 @@ def test_cli_check_of_a_large_infeasible_file(tmp_path, capsys):
     budget.check()
     out = capsys.readouterr().out.splitlines()
     assert status == EXIT_INFEASIBLE
-    assert out[:2] == ["infeasible: no CO column ordering exists",
+    assert out[:2] == ["infeasible: no CO column ordering exists: row 5003"
+                       " fails",
                        "odd cycle (3 vertices):"]
 
 
@@ -360,10 +361,11 @@ def test_parse_staircase_file():
 
 
 def test_brute_force_oracle_at_its_limit():
-    # 12 * 11 + 1 = 133 rows on 12 sensors of the circle, 2^12 sets F of
-    # f-values
-    budget = _Budget(0.3)
-    table = brute_force_dense(12, Geometry.CIRCLE)
-    budget.check()
-    assert table.count(12, 0) == 1 and table.count(12, 1) == 133
-    assert table.count(12, 134) == 0
+    # 2^14 sets F of f-values on 14 sensors, over C(15, 2) = 105 rows of
+    # the line and 14 * 13 + 1 = 183 of the circle
+    for geometry, rows in ((Geometry.LINE, 105), (Geometry.CIRCLE, 183)):
+        budget = _Budget(0.3)
+        table = brute_force_dense(14, geometry)
+        budget.check()
+        assert table.count(14, 0) == 1 and table.count(14, 1) == rows
+        assert table.count(14, rows + 1) == 0
