@@ -29,6 +29,7 @@ from .counting import (
     BivariatePoly,
     CountTable,
     brute_force_dense,
+    brute_force_table,
     count_full_support_subspaces,
     count_sparse,
     gf_dense_circular,

@@ -34,7 +34,7 @@ from .core import (
 )
 from .counting import (
     ORACLE_MAX_N,
-    brute_force_dense,
+    brute_force_table,
     count_sparse,
     gf_dense_linear,
     gf_dense_circular,
@@ -341,17 +341,17 @@ def cmd_enumerate(args, em: _Emitter) -> None:
         table = {(n, k): gf.count(n, k)
                  for n in range(N + 1) for k in range(K + 1)}
     if args.oracle:
-        for n in range(N + 1):
-            if regime.density is Density.DENSE:
-                bf = brute_force_dense(n, regime.geometry)
-                expected = [bf.count(n, k) for k in range(K + 1)]
-            else:
-                rows = len(valid_dense_rows(n, regime.geometry))
-                expected = [comb(rows, k) for k in range(K + 1)]
-            for k in range(K + 1):
-                if expected[k] != table[(n, k)]:
-                    raise InternalError(
-                        "oracle mismatch at n=%d k=%d" % (n, k))
+        if regime.density is Density.DENSE:
+            bf = brute_force_table(N, regime.geometry)
+            expected = {key: bf.count(*key) for key in table}
+        else:
+            rows = [len(valid_dense_rows(n, regime.geometry))
+                    for n in range(N + 1)]
+            expected = {(n, k): comb(rows[n], k) for n, k in table}
+        # table's keys run through n, and through k within each n
+        for key, v in table.items():
+            if expected[key] != v:
+                raise InternalError("oracle mismatch at n=%d k=%d" % key)
     em.set("status", "feasible")
     em.set("counts", {
         "%d,%d" % key: v for key, v in sorted(table.items())

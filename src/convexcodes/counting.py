@@ -11,7 +11,7 @@ included for validation at small sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Mapping
 
@@ -228,9 +228,10 @@ def gf_dense_circular(N: int, K: int) -> CountTable:
     return _dense_table(Geometry.CIRCLE, N, K)
 
 
-# the largest n the brute-force oracles (brute_force_dense and enumerate
-# --oracle, dense or sparse) take: brute_force_dense walks 2^n sets F,
-# 50-80 ms per geometry at n = 14 (Python 3.11, one Xeon core)
+# the largest n the brute-force oracles (brute_force_dense,
+# brute_force_table and enumerate --oracle, dense or sparse) take: the
+# dense oracle walks 2^n sets F, 0.05-0.14 s per geometry at n = 14
+# (Python 3.11, one shared Xeon core)
 ORACLE_MAX_N = 14
 
 
@@ -238,6 +239,82 @@ def valid_dense_rows(n: int, geometry: Geometry) -> list[BitVector]:
     """All nonzero discrete-interval rows of length n for the geometry."""
     return [BitVector(n, mask) for mask in range(1, 1 << n)
             if _block_contiguous(mask, n, geometry)]
+
+
+def _oracle_groups(n: int,
+                   geometry: Geometry) -> tuple[list[tuple[int, int]], int]:
+    """The rows on n sensors as sorted (f, gmask[f]) pairs, gmask[f] the
+    bitmask of the g values of the rows with that f, and the number of
+    rows left out: the circle's all-one row, compatible with every row."""
+    line = geometry is Geometry.LINE
+    gmask: dict[int, int] = {}
+    special = 0
+    for r in valid_dense_rows(n, geometry):
+        if not line and r.is_ones:
+            special += 1
+            continue
+        f, g = row_stats(r, geometry)
+        seen = gmask.get(f, 0)
+        ensure(not seen >> g & 1, "two rows share (f, g) = (%d, %d)" % (f, g))
+        ensure(not line or g < f, "line row with g = %d >= f = %d" % (g, f))
+        gmask[f] = seen | 1 << g
+    return sorted(gmask.items()), special
+
+
+def _packed_factors(groups: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """fac[c] = (1+y)^c - 1 for every c up to the largest group, packed
+    with B = R + 1 bits per coefficient, R the rows in the groups; and B."""
+    B = sum(gm.bit_count() for _, gm in groups) + 1
+    fac, power = [0], 1
+    for _ in range(max((gm.bit_count() for _, gm in groups), default=0)):
+        power *= 1 + (1 << B)
+        fac.append(power - 1)
+    return fac, B
+
+
+def _unpack(total: int, B: int) -> dict[int, int]:
+    """k -> the nonzero y^k coefficient of a packed polynomial."""
+    digit = (1 << B) - 1
+    counts = {}
+    for k in range(total.bit_length() // B + 1):
+        ways = total >> k * B & digit
+        if ways:
+            counts[k] = ways
+    return counts
+
+
+def _line_walk(N: int) -> tuple[list[int], int]:
+    """The line oracle's packed totals of rows 0..N, and B.
+
+    A line row's f is the bit length of its mask, so the rows on n <= N
+    sensors are the rows on N sensors with f <= n, each with the same
+    (f, g), and row n sums over the sets F of f-values <= n.  The sets
+    are walked once, depth-first in ascending f: each extends its
+    parent's product by the one factor of its largest f, which no later
+    member changes since every g lies below its f.  Each term goes into
+    the bucket of its largest f (the empty set into bucket 0), so row n
+    is the sum of buckets 0..n.
+    """
+    groups, _ = _oracle_groups(N, Geometry.LINE)
+    fac, B = _packed_factors(groups)
+    buckets = [1] + [0] * N
+    # (F's mask, F's product, index of the first f that may join F)
+    stack = [(0, 1, 0)]
+    while stack:
+        F, term, start = stack.pop()
+        for i in range(start, len(groups)):
+            f, gm = groups[i]
+            t = term * fac[(gm & ~F).bit_count()]
+            buckets[f] += t
+            stack.append((F | 1 << f, t, i + 1))
+    return list(accumulate(buckets)), B
+
+
+def _check_oracle_n(n: int, name: str) -> None:
+    if n > ORACLE_MAX_N:
+        raise SizeLimit("%s is limited to n <= %d" % (name, ORACLE_MAX_N))
+    if n < 0:
+        raise ValueError("n must be nonnegative")
 
 
 def brute_force_dense(n: int, geometry: Geometry) -> CountTable:
@@ -254,9 +331,9 @@ def brute_force_dense(n: int, geometry: Geometry) -> CountTable:
     Each product is built once.  On the line every row's g lies below
     its f, so c_f depends only on the members of F below f: the sets are
     walked depth-first in ascending f, and each extends its parent's
-    product by the one factor of its largest f, which no later member
-    changes.  On the circle g can lie past f, so each F counts its c_f
-    afresh, and the product of each sorted tuple of them is memoized.
+    product by one multiply (_line_walk, whose row n is the result).  On
+    the circle g can lie past f, so each F counts its c_f afresh, and the
+    product of each sorted tuple of them is memoized.
 
     Each y-polynomial is packed into one int with B = R + 1 bits per
     coefficient, R the number of rows other than the circle's all-one
@@ -268,66 +345,29 @@ def brute_force_dense(n: int, geometry: Geometry) -> CountTable:
     the R rows, as does the total's; so each is at most C(R, k) < 2^R.
     The method shares nothing with the series kernel.
     """
-    if n > ORACLE_MAX_N:
-        raise SizeLimit("brute_force_dense is limited to n <= %d"
-                        % ORACLE_MAX_N)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_oracle_n(n, "brute_force_dense")
     regime = Regime(geometry, Density.DENSE)
-    if n == 0:
-        return CountTable({(0, 0): 1}, regime)
+    if geometry is Geometry.LINE:
+        totals, B = _line_walk(n)
+        counts = _unpack(totals[n], B)
+        return CountTable({(n, k): v for k, v in counts.items()}, regime)
 
-    line = geometry is Geometry.LINE
-    rows = valid_dense_rows(n, geometry)
-    special = sum(1 for r in rows if not line and r.is_ones)
-    gmask: dict[int, int] = {}
-    for r in rows:
-        if not line and r.is_ones:
-            continue
-        f, g = row_stats(r, geometry)
-        seen = gmask.get(f, 0)
-        ensure(not seen >> g & 1, "two rows share (f, g) = (%d, %d)" % (f, g))
-        ensure(not line or g < f, "line row with g = %d >= f = %d" % (g, f))
-        gmask[f] = seen | 1 << g
-    R = len(rows) - special
-    B = R + 1
-    # fac[c] = (1+y)^c - 1, packed
-    fac, power = [0], 1
-    for _ in range(max((m.bit_count() for m in gmask.values()), default=0)):
-        power *= 1 + (1 << B)
-        fac.append(power - 1)
-
-    groups = sorted(gmask.items())
+    groups, special = _oracle_groups(n, geometry)
+    fac, B = _packed_factors(groups)
     total = 1  # the empty set
-    if line:
-        # (F's mask, F's product, index of the first f that may join F)
-        stack = [(0, 1, 0)]
-        while stack:
-            F, term, start = stack.pop()
-            for i in range(start, len(groups)):
-                f, gm = groups[i]
-                t = term * fac[(gm & ~F).bit_count()]
-                total += t
-                stack.append((F | 1 << f, t, i + 1))
-    else:
-        memo: dict[tuple[int, ...], int] = {}
-        for size in range(1, len(groups) + 1):
-            for F in combinations(groups, size):
-                avoid = ~sum(1 << f for f, _ in F)
-                key = tuple(sorted([(gm & avoid).bit_count() for _, gm in F]))
-                term = memo.get(key)
-                if term is None:
-                    term = 1
-                    for c in key:
-                        term *= fac[c]
-                    memo[key] = term
-                total += term
-    digit = (1 << B) - 1
-    counts: dict[int, int] = {}  # k -> number of sets, before special rows
-    for k in range(R + 1):
-        ways = total >> k * B & digit
-        if ways:
-            counts[k] = ways
+    memo: dict[tuple[int, ...], int] = {}
+    for size in range(1, len(groups) + 1):
+        for F in combinations(groups, size):
+            avoid = ~sum(1 << f for f, _ in F)
+            key = tuple(sorted([(gm & avoid).bit_count() for _, gm in F]))
+            term = memo.get(key)
+            if term is None:
+                term = 1
+                for c in key:
+                    term *= fac[c]
+                memo[key] = term
+            total += term
+    counts = _unpack(total, B)  # before the all-one row
     if special:
         doubled: dict[int, int] = {}
         for k, ways in counts.items():
@@ -335,6 +375,33 @@ def brute_force_dense(n: int, geometry: Geometry) -> CountTable:
             doubled[k + 1] = doubled.get(k + 1, 0) + ways
         counts = doubled
     return CountTable({(n, k): v for k, v in counts.items()}, regime)
+
+
+def brute_force_table(N: int, geometry: Geometry) -> CountTable:
+    """The oracle's counts for every n <= N: brute_force_dense(n) for
+    each n, in one table.
+
+    Line: one walk over the sets F of f-values <= N gives every row (see
+    _line_walk).  Every row is packed with the B = R_N + 1 bits of row
+    N, R_n the C(n+1, 2) rows on n sensors.  None carries: each bucket,
+    running sum and term is a sum of terms of real sets F of f-values
+    <= n for some n <= N, so its y^k coefficient is at most row n's,
+    C(R_n, k) < 2^R_n <= 2^R_N.
+
+    Circle: row n is brute_force_dense(n, CIRCLE).  An arc's (f, g)
+    depends on n, so the sets on n sensors share no product with those
+    on n + 1.
+    """
+    _check_oracle_n(N, "brute_force_table")
+    regime = Regime(geometry, Density.DENSE)
+    if geometry is Geometry.CIRCLE:
+        c: dict[tuple[int, int], int] = {}
+        for n in range(N + 1):
+            c.update(brute_force_dense(n, geometry).c)
+        return CountTable(c, regime)
+    totals, B = _line_walk(N)
+    return CountTable({(n, k): v for n, total in enumerate(totals)
+                       for k, v in _unpack(total, B).items()}, regime)
 
 
 def count_full_support_subspaces(dim: int) -> int:

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from convexcodes import counting
 from convexcodes.cli import (
     EXIT_FEASIBLE,
     EXIT_INFEASIBLE,
@@ -23,6 +24,11 @@ from convexcodes.cli import (
     parse_code_file,
 )
 from convexcodes.core import BitVector, Geometry, InternalError, SizeLimit
+from convexcodes.counting import (
+    CountTable,
+    brute_force_table,
+    valid_dense_rows,
+)
 from convexcodes.geometry import (
     Interval1D,
     IntervalArrangement,
@@ -396,6 +402,41 @@ class TestEnumerate:
         with pytest.raises(InternalError, match="oracle mismatch at n=2 k=3"):
             main(["enumerate", "--max-n", "3", "--max-k", "3", "--oracle"])
 
+    @pytest.mark.parametrize("geometry", ["line", "circle"])
+    def test_dense_oracle(self, capsys, geometry):
+        argv = ["enumerate", "--geometry", geometry, "--regime", "dense",
+                "--max-n", "7", "--max-k", "45"]
+        code, out, err = run(capsys, *argv, "--oracle")
+        assert (code, err) == (EXIT_FEASIBLE, "")
+        assert out == run(capsys, *argv)[1]
+
+    @pytest.mark.parametrize("geometry", ["line", "circle"])
+    def test_dense_oracle_mismatch(self, capsys, monkeypatch, geometry):
+        # one cell of the oracle's table off by one
+        def tampered(N, geometry):
+            table = brute_force_table(N, geometry)
+            c = dict(table.c)
+            c[(2, 3)] = table.count(2, 3) + 1
+            return CountTable(c, table.regime)
+
+        monkeypatch.setattr("convexcodes.cli.brute_force_table", tampered)
+        with pytest.raises(InternalError, match="oracle mismatch at n=2 k=3"):
+            main(["enumerate", "--geometry", geometry, "--regime", "dense",
+                  "--max-n", "3", "--max-k", "3", "--oracle"])
+
+    def test_dense_line_oracle_lists_the_rows_once(self, capsys, monkeypatch):
+        # one walk serves every n, so the rows are listed for max-n alone
+        calls = []
+
+        def listed(n, geometry):
+            calls.append(n)
+            return valid_dense_rows(n, geometry)
+
+        monkeypatch.setattr(counting, "valid_dense_rows", listed)
+        code, _, err = run(capsys, "enumerate", "--regime", "dense",
+                           "--geometry", "line", "--oracle", "--max-n", "10")
+        assert (code, err, calls) == (EXIT_FEASIBLE, "", [10])
+
     def test_oracle_size_limit(self, capsys):
         code, out, _ = run(
             capsys, "enumerate", "--regime", "dense",
@@ -412,7 +453,7 @@ class TestEnumerate:
         def refuse(*args):
             raise AssertionError("counted before checking the oracle limit")
 
-        for name in ("gf_dense_linear", "count_sparse", "brute_force_dense"):
+        for name in ("gf_dense_linear", "count_sparse", "brute_force_table"):
             monkeypatch.setattr("convexcodes.cli." + name, refuse)
         code, out, _ = run(
             capsys, "enumerate", "--regime", regime,
@@ -741,7 +782,7 @@ class TestSizeGuards:
             raise AssertionError("counted before checking the size limits")
 
         for name in ("count_sparse", "gf_dense_linear", "gf_dense_circular",
-                     "brute_force_dense", "valid_dense_rows"):
+                     "brute_force_table", "valid_dense_rows"):
             monkeypatch.setattr("convexcodes.cli." + name, refuse)
         argv = ["enumerate", "--geometry", geometry, "--regime", regime,
                 "--max-n", str(max_n), "--max-k", str(max_k)]

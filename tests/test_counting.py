@@ -16,6 +16,7 @@ from convexcodes.core import (
 from convexcodes.counting import (
     BivariatePoly,
     brute_force_dense,
+    brute_force_table,
     count_full_support_subspaces,
     count_sparse,
     gf_dense_circular,
@@ -231,6 +232,11 @@ class TestOracleAgreement:
                   for n in range(13)]
         assert hashlib.sha256(repr(tables).encode()).hexdigest() == (
             ORACLE_12_SHA256[geometry])
+        table = brute_force_table(12, geometry).c
+        rows = [sorted((key, v) for key, v in table.items() if key[0] == n)
+                for n in range(13)]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            ORACLE_12_SHA256[geometry])
 
     def test_two_rows_with_one_f_and_g_fail_the_self_check(self, monkeypatch):
         # (f, g) names a row, so a row_stats that repeats a pair is a bug
@@ -286,6 +292,17 @@ class TestSubspaceBijection:
         with pytest.raises(ValueError, match="n must be nonnegative"):
             brute_force_dense(-1, geometry)
 
+    @pytest.mark.parametrize("geometry", [Geometry.LINE, Geometry.CIRCLE])
+    def test_brute_force_table_edges(self, geometry):
+        # the table's edge cases are brute_force_dense's
+        assert brute_force_table(0, geometry).c == brute_force_dense(
+            0, geometry).c == {(0, 0): 1}
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            brute_force_table(-1, geometry)
+        with pytest.raises(SizeLimit,
+                           match="brute_force_table is limited to n <= 14"):
+            brute_force_table(15, geometry)
+
 
 class TestSeriesKernel:
     @staticmethod
@@ -336,6 +353,7 @@ class TestSeriesKernel:
             bf = brute_force_dense(n, geometry)
             assert {k: v for (nn, k), v in table.c.items() if nn == n} == {
                 k: v for (_, k), v in bf.c.items()}, n
+        assert table.c == brute_force_table(14, geometry).c
 
     @pytest.mark.parametrize("gf", [gf_dense_linear, gf_dense_circular])
     @pytest.mark.parametrize("N, K", [(-1, 3), (3, -2), (-1, -1)])

@@ -11,7 +11,7 @@ import pytest
 
 from convexcodes.cli import EXIT_INFEASIBLE, main, parse_code_file
 from convexcodes.core import CO, BitVector, Code, CodeMultiset, Geometry, SensorMatrix
-from convexcodes.counting import brute_force_dense
+from convexcodes.counting import brute_force_dense, brute_force_table
 from convexcodes.geometry import (
     Interval1D,
     IntervalArrangement,
@@ -369,3 +369,9 @@ def test_brute_force_oracle_at_its_limit():
         budget.check()
         assert table.count(14, 0) == 1 and table.count(14, 1) == rows
         assert table.count(14, rows + 1) == 0
+    # one walk counts every row of the line's table
+    budget = _Budget(0.3)
+    table = brute_force_table(14, Geometry.LINE)
+    budget.check()
+    assert [table.count(n, 1) for n in range(15)] == [
+        n * (n + 1) // 2 for n in range(15)]
