@@ -75,8 +75,6 @@ _EXIT_CODES = {"feasible": EXIT_FEASIBLE, "infeasible": EXIT_INFEASIBLE,
 
 # reconstruct_multiset_* lay out one column per counted word
 MAX_MULTISET_COLUMNS = 1 << 20
-# bytes of a structured certificate's bipartition map
-MAX_DOCUMENT_BYTES = 1 << 27
 # enumerate: (max_n + 1)(max_k + 1) table cells, and max_n of a dense table
 MAX_ENUMERATE_CELLS = 1 << 16
 MAX_DENSE_N = 64
@@ -290,18 +288,7 @@ def cmd_certificate(args, em: _Emitter) -> None:
     if isinstance(cert, Bipartition):
         em.set("status", "feasible")
         if em.structured:
-            words = ms.support.words
-            n = len(words)
-            size = n * (n - 1) * (2 * ms.k + 16)
-            if size > MAX_DOCUMENT_BYTES:
-                raise SizeLimit("the structured bipartition of %d words would"
-                                " take about %d bytes, over 2^27" % (n, size))
-            # n(n-1) keys: render each word once; json sorts the keys
-            name = {w: w.to_string() for w in words}
-            em.set("bipartition", {
-                "%s,%s" % (name[a], name[b]): c
-                for (a, b), c in cert.coloring.items()
-            })
+            em.set("ordering", [w.to_string() for w in cert.ordering])
         em.text("bipartite: the code is realizable on the line (sparse)")
         return
     em.set("status", "infeasible")

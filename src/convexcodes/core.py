@@ -278,6 +278,9 @@ class CodeMultiset:
     @classmethod
     def of(cls, entries: Mapping[BitVector, int]) -> "CodeMultiset":
         for w, m in entries.items():
+            if not isinstance(m, int):
+                raise ValueError(f"multiplicity {m!r} is not an int for"
+                                 f" {w.to_string()}")
             if m < 1:
                 raise ValueError(f"multiplicity {m} < 1 for {w.to_string()}")
         lens = {w.n for w in entries}

@@ -7,16 +7,19 @@ ordering to an HCO multiordering by inserting the positionwise AND
 between every adjacent inharmonious pair.  The circular dense problem is
 open and deliberately unimplemented; asking for it yields Unsupported.
 
-The module also produces rejection certificates for the sparse line
-case: an explicit odd cycle in the incompatibility graph of a minimal
-core, which the recognizer's own row constraints pick out; the cycle is
-checkable without trusting the recognizer.
+The module also certifies the sparse line case both ways, and each
+certificate is checkable without trusting the recognizer.  A feasible
+code gets a Bipartition: its CO ordering, whose line matrix has every
+row consecutive.  An infeasible one gets a RejectionCertificate: an odd
+cycle in the incompatibility graph of a minimal core, which the
+recognizer's own row constraints pick out.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .core import (
@@ -30,6 +33,7 @@ from .core import (
     SensorMatrix,
     ensure,
     inharmonious,
+    regime_check,
     verify_matrix,
 )
 from .ordering import (OrderingResult, _first_failure_touched,
@@ -78,9 +82,24 @@ Vertex = tuple[BitVector, BitVector]
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A proper 2-coloring of the incompatibility graph."""
+    """A CO ordering of the words, the certificate of their sparse-line
+    feasibility.  coloring, the proper 2-coloring of the incompatibility
+    graph it stands for, is built on first read."""
 
-    coloring: Mapping[Vertex, int]
+    ordering: tuple[BitVector, ...]
+
+    @cached_property
+    def coloring(self) -> Mapping[Vertex, int]:
+        return _OrderColoring(self.ordering)
+
+    def verify(self, words: Code) -> bool:
+        """True iff the ordering lists each word of words once and every
+        row of its line matrix is consecutive: O(ones), no PQ-tree."""
+        cols = self.ordering
+        if len(cols) != len(words) or set(cols) != words.words:
+            return False
+        return regime_check(
+            SensorMatrix.from_columns(cols, Geometry.LINE, k=words.k), CO)
 
 
 class _OrderColoring(Mapping):
@@ -163,13 +182,13 @@ def _valid_type2(u: Vertex, v: Vertex, row: int) -> bool:
 def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     """2-color the incompatibility graph, or exhibit an odd cycle.
 
-    A Bipartition certifies sparse-line feasibility; a
-    RejectionCertificate refutes it and verifies independently of the
+    A Bipartition, the CO ordering, certifies sparse-line feasibility; a
+    RejectionCertificate refutes it.  Both verify independently of the
     recognizer (Theorem: a matrix has a CO column ordering iff its
     incompatibility graph is bipartite).
 
     The recognizer does the heavy work, and recognizes the whole code
-    once.  A feasible code is colored from its CO ordering.  An
+    once.  A feasible code is certified by its CO ordering.  An
     infeasible code is shrunk to a minimal infeasible core, starting
     from the row whose reduction failed: r row passes for r core rows,
     each over at most the ones of that row's component among the rows
@@ -178,11 +197,12 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     core's graph is searched for an odd cycle, and it is walked, not
     built: O(c) mask tests per vertex reached for c core words.
 
-    failed_row, the Infeasible.failed_row of a line reconstruction of the
-    same words (sparse, or dense refused by its CO ordering), skips recognizing them again, so the certificate
-    makes no recognition at all; the core search and the cycle keep
-    their self-checks.  A failed_row outside range(words.k), or one at
-    which the words do not fail, raises ValueError.
+    failed_row, the Infeasible.failed_row of a line reconstruction of
+    the same words (sparse, or dense refused by its CO ordering), skips
+    their recognition, so the certificate makes none at all; the core
+    search and the cycle keep their self-checks.  A failed_row outside
+    range(words.k), or one at which the words do not fail, raises
+    ValueError.
     """
     ws = words.sorted_words()
     given = failed_row is not None
@@ -209,15 +229,15 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
 
 def _ordering_bipartition(ws: list[BitVector],
                           ordering: tuple[BitVector, ...]) -> Bipartition:
-    # color (a, b) by whether a comes after b.  Proper: (a,b)-(b,a)
-    # clearly, and a type-2 edge (a,b)-(b,c) has a row holding a and c
-    # but not b, so b is not between a and c and the pairs disagree.
-    # Orient the ordering so that (ws[0], ws[1]) gets 0, as the BFS
-    # started there colors it: then a connected graph gets the same
-    # coloring as the search, which is unique up to swapping.
+    # Bipartition.coloring colors (a, b) by whether a comes after b.
+    # Proper: (a,b)-(b,a) clearly, and a type-2 edge (a,b)-(b,c) has a
+    # row holding a and c but not b, so b is not between a and c and the
+    # pairs disagree.  Orient the ordering so that (ws[0], ws[1]) gets
+    # 0, as the BFS started there colors it: then a connected graph gets
+    # the same coloring as the search, which is unique up to swapping.
     if len(ws) > 1 and ordering.index(ws[0]) > ordering.index(ws[1]):
         ordering = ordering[::-1]
-    return Bipartition(_OrderColoring(ordering))
+    return Bipartition(ordering)
 
 
 def _infeasible_core(ws: list[BitVector], failed: Optional[int] = None

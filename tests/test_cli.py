@@ -308,8 +308,8 @@ class TestCertificate:
 
     @pytest.mark.parametrize("fmt", ["text", "structured"])
     def test_words_rendered_once(self, capsys, tmp_path, monkeypatch, fmt):
-        # the bipartition has n(n-1) keys, but only structured output
-        # has it, and each word is rendered once
+        # only structured output lists the ordering, and each word is
+        # rendered once
         path = write(tmp_path, "c.txt", WALKTHROUGH)
         calls = []
         original = BitVector.to_string
@@ -323,7 +323,21 @@ class TestCertificate:
         assert code == EXIT_FEASIBLE
         assert len(calls) == (6 if fmt == "structured" else 0)
         if fmt == "structured":
-            assert len(json.loads(out)["bipartition"]) == 6 * 5
+            assert len(json.loads(out)["ordering"]) == 6
+
+    def test_structured_ordering(self, capsys, tmp_path):
+        from convexcodes.reconstruct import Bipartition, rejection_certificate
+
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        code, out, _ = run(capsys, "certificate", path, "--format",
+                           "structured")
+        doc = json.loads(out)
+        assert code == EXIT_FEASIBLE
+        assert sorted(doc) == ["ordering", "status"]
+        cert = Bipartition(tuple(BitVector.from_string(w)
+                                 for w in doc["ordering"]))
+        words = parse_code_file(WALKTHROUGH).support
+        assert cert == rejection_certificate(words) and cert.verify(words)
 
     def test_odd_cycle_with_witnesses(self, capsys, tmp_path):
         path = write(tmp_path, "c.txt", ODD_CYCLE)
@@ -618,13 +632,6 @@ class TestDeterminism:
             assert first == second
 
 
-def _staircase_text(n):
-    # n words: the k = n/2 + 1 singletons, then adjacent pairs
-    k = n // 2 + 1
-    masks = [1 << i for i in range(k)] + [0b11 << i for i in range(k - 1)]
-    return "".join(BitVector(k, m).to_string() + "\n" for m in masks[:n])
-
-
 def _sensor_rows(doc):
     """The rows that the sensors of a structured arrangement see."""
     def frac(x):
@@ -814,33 +821,3 @@ class TestSizeGuards:
         code, out, _ = run(capsys, *argv, "--format", "structured")
         assert code == EXIT_FEASIBLE
         assert len(json.loads(out)["counts"]) == (max_n + 1) * (max_k + 1)
-
-    def test_structured_bipartition(self, capsys, tmp_path):
-        # 510 words of 256 bits: 510 * 509 * (2 * 256 + 16) bytes > 2^27
-        path = write(tmp_path, "c.txt", _staircase_text(510))
-        code, out, err = run(capsys, "certificate", path, "--format",
-                             "structured")
-        assert (code, err) == (EXIT_SIZE_LIMIT, "")
-        assert json.loads(out) == {
-            "status": "size-limit",
-            "reason": "the structured bipartition of 510 words would take"
-                      " about 137063520 bytes, over 2^27",
-        }
-        code, out, _ = run(capsys, "certificate", path)
-        assert (code, out) == (
-            EXIT_FEASIBLE,
-            "bipartite: the code is realizable on the line (sparse)\n")
-
-    def test_structured_bipartition_at_the_cap(self, capsys, tmp_path,
-                                               monkeypatch):
-        # 6 words of 4 bits: 6 * 5 * (2 * 4 + 16) = 720 bytes
-        path = write(tmp_path, "c.txt", WALKTHROUGH)
-        monkeypatch.setattr("convexcodes.cli.MAX_DOCUMENT_BYTES", 720)
-        code, out, _ = run(capsys, "certificate", path, "--format",
-                           "structured")
-        assert code == EXIT_FEASIBLE
-        assert len(json.loads(out)["bipartition"]) == 30
-        monkeypatch.setattr("convexcodes.cli.MAX_DOCUMENT_BYTES", 719)
-        code, out, _ = run(capsys, "certificate", path, "--format",
-                           "structured")
-        assert code == EXIT_SIZE_LIMIT

@@ -256,6 +256,13 @@ class TestCodeContainers:
         with pytest.raises(ValueError):
             CodeMultiset.of({w: 0})
 
+    @pytest.mark.parametrize("count", [1.5, "2"])
+    def test_multiset_multiplicity_must_be_int(self, count):
+        # the error names the word whose count is not an int
+        bv = BitVector.from_string
+        with pytest.raises(ValueError, match="for 10$"):
+            CodeMultiset.of({bv("10"): count, bv("11"): 2})
+
     def test_multiset_mixed_lengths(self):
         bv = BitVector.from_string
         with pytest.raises(LengthMismatch):

@@ -431,6 +431,49 @@ class TestCertificates:
         for u, v, _ in _incompatibility_edges(code.sorted_words()):
             assert cert.coloring[u] != cert.coloring[v]
 
+    def test_bipartition_verifies_and_refuses_tampering(self):
+        # every feasible code of the exhaustive oracle's sizes: the
+        # ordering verifies; a swap verifies iff every row stays
+        # consecutive (checked bit by bit here); a missing, extra or
+        # repeated word never does
+        def consecutive(ordering, k):
+            for r in range(k):
+                held = [i for i, w in enumerate(ordering) if w.bit(r)]
+                if held and held[-1] - held[0] + 1 != len(held):
+                    return False
+            return True
+
+        broken = 0
+        for k, sizes in ((3, range(5)), (4, range(4))):
+            universe = [_bv(s) for s in all_words(k)]
+            for size in sizes:
+                for combo in itertools.combinations(universe, size):
+                    code = Code(frozenset(combo), k)
+                    cert = rejection_certificate(code)
+                    if not isinstance(cert, Bipartition):
+                        continue
+                    assert cert.verify(code)
+                    order = list(cert.ordering)
+                    for i, j in itertools.combinations(range(size), 2):
+                        swapped = order[:]
+                        swapped[i], swapped[j] = order[j], order[i]
+                        ok = consecutive(swapped, k)
+                        broken += not ok
+                        assert Bipartition(tuple(swapped)).verify(code) == ok
+                    for i in range(size):
+                        missing = order[:i] + order[i + 1:]
+                        twice = order[:i + 1] + order[i:]
+                        for bad in (missing, twice):
+                            assert not Bipartition(tuple(bad)).verify(code)
+                    for extra in universe:
+                        if extra not in code:
+                            for bad in ([extra] + order, order + [extra]):
+                                assert not Bipartition(tuple(bad)).verify(code)
+                    # nor are the same masks as words of another length
+                    longer = tuple(BitVector(k + 1, w.mask) for w in order)
+                    assert Bipartition(longer).verify(code) == (size == 0)
+        assert broken > 0
+
     @pytest.mark.parametrize("words, row, supplier, error", [
         # ODD_CYCLE_CODE first fails at row 3 of its 4
         (ODD_CYCLE_CODE, 7, "caller", ValueError),

@@ -3,13 +3,15 @@ sensors, each within a runtime budget set at about three times the time
 it took when the budget was set (Python 3.11, one core).  A missed
 budget is a defect to report, not a bound to loosen."""
 
+import json
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from convexcodes.cli import EXIT_INFEASIBLE, main, parse_code_file
+from convexcodes.cli import (EXIT_FEASIBLE, EXIT_INFEASIBLE, main,
+                             parse_code_file)
 from convexcodes.core import CO, BitVector, Code, CodeMultiset, Geometry, SensorMatrix
 from convexcodes.counting import brute_force_dense, brute_force_table
 from convexcodes.geometry import (
@@ -246,10 +248,31 @@ def test_feasible_certificate():
     cert = rejection_certificate(code)
     budget.check()
     assert isinstance(cert, Bipartition)
+    # the ordering checks in O(ones), without a PQ-tree
+    budget = _Budget(0.2)
+    assert cert.verify(code)
+    budget.check()
     assert len(cert.coloring) == len(code) * (len(code) - 1)
     first, second = code.sorted_words()[:2]
     assert (cert.coloring[(first, second)],
             cert.coloring[(second, first)]) == (0, 1)
+
+
+def test_structured_feasible_certificate(tmp_path, capsys):
+    # 10^4 words of 5001 bits, about 50 MB: the document lists the CO
+    # ordering, each word once, so it is as long as the file read
+    code = _staircase(10**4)
+    path = tmp_path / "c.txt"
+    path.write_text("".join(w.to_string() + "\n" for w in
+                            code.sorted_words()))
+    budget = _Budget(4.5)
+    status = main(["certificate", str(path), "--format", "structured"])
+    budget.check()
+    doc = json.loads(capsys.readouterr().out)
+    assert status == EXIT_FEASIBLE and doc["status"] == "feasible"
+    cert = Bipartition(tuple(BitVector.from_string(w)
+                             for w in doc["ordering"]))
+    assert cert.verify(code)
 
 
 def test_infeasible_certificate():
