@@ -632,6 +632,13 @@ class TestDeterminism:
             assert first == second
 
 
+def _staircase_text(n):
+    # n words: the k = n/2 + 1 singletons, then adjacent pairs
+    k = n // 2 + 1
+    masks = [1 << i for i in range(k)] + [0b11 << i for i in range(k - 1)]
+    return "".join(BitVector(k, m).to_string() + "\n" for m in masks[:n])
+
+
 def _sensor_rows(doc):
     """The rows that the sensors of a structured arrangement see."""
     def frac(x):
@@ -821,3 +828,34 @@ class TestSizeGuards:
         code, out, _ = run(capsys, *argv, "--format", "structured")
         assert code == EXIT_FEASIBLE
         assert len(json.loads(out)["counts"]) == (max_n + 1) * (max_k + 1)
+
+    def test_structured_bipartition(self, capsys, tmp_path):
+        # 510 words of 256 bits, whose n(n-1)-pair bipartition map was
+        # over 2^27 bytes: the structured certificate lists the ordering,
+        # each word once, so it is printed in place of a size-limit refusal
+        path = write(tmp_path, "c.txt", _staircase_text(510))
+        code, out, err = run(capsys, "certificate", path, "--format",
+                             "structured")
+        assert (code, err) == (EXIT_FEASIBLE, "")
+        doc = json.loads(out)
+        assert doc["status"] == "feasible"
+        assert sorted(doc["ordering"]) == sorted(
+            _staircase_text(510).splitlines())
+        code, out, _ = run(capsys, "certificate", path)
+        assert (code, out) == (
+            EXIT_FEASIBLE,
+            "bipartite: the code is realizable on the line (sparse)\n")
+
+    def test_structured_bipartition_at_the_cap(self, capsys, tmp_path):
+        # the walkthrough sat at the old 720-byte estimate of its map,
+        # 6 * 5 * (2 * 4 + 16); the cap is gone, and the ordering's
+        # document is far below that estimate
+        import convexcodes.cli
+
+        assert not hasattr(convexcodes.cli, "MAX_DOCUMENT_BYTES")
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        code, out, _ = run(capsys, "certificate", path, "--format",
+                           "structured")
+        assert code == EXIT_FEASIBLE
+        assert len(json.loads(out)["ordering"]) == 6
+        assert len(out) < 720
