@@ -2,10 +2,11 @@
 
 co_order arranges a set of codewords as the columns of a CO matrix via
 PQ-tree reduction.  cco_order reduces the circular problem to the linear
-one by Tucker complementation: fix an anchor codeword and flip every bit
-position in which the anchor is 1 (i.e. XOR all words with the anchor);
-the complemented set is CO-orderable iff the original is CCO-orderable,
-and any CO ordering maps back to a circular one by XOR-ing again.
+one by Tucker complementation: fix an anchor codeword, one of least
+weight, and flip every bit position in which the anchor is 1 (i.e. XOR
+all words with the anchor); the complemented set is CO-orderable iff
+the original is CCO-orderable, and any CO ordering maps back to a
+circular one by XOR-ing again.
 
 Both are one construction, whose only self-check is verify_matrix: the
 regime's signature and exactly the given words as columns.  A feasible
@@ -100,11 +101,15 @@ def _first_failure_touched(rows: list[list[int]]) -> Optional[int]:
 
 
 def _order(words: Code, regime: Regime) -> OrderingResult:
-    # on the circle, complement by the anchor, the last word (the empty
-    # code has none and needs none), and name the leaves by the originals
+    """Recognize words in regime.  On the circle, complement by the
+    anchor a, a word of least weight (the first in sorted order among
+    ties; the empty code has none and needs none), and name the leaves
+    by the originals.  As |a| <= |w| for every word w, the sum over w
+    of |w ^ a| <= |w| + |a| is at most 2 * ones: the complemented rows
+    stay linear in the ones."""
     ws = names = words.sorted_words()
     if regime == CCO and ws:
-        anchor = ws[-1]
+        anchor = min(ws, key=BitVector.popcount)
         ws = sorted((w ^ anchor for w in ws), key=lambda w: w.mask)
         names = [w ^ anchor for w in ws]
     tree = _WordTree(names)

@@ -147,12 +147,19 @@ class RejectionCertificate:
     witnesses: Mapping[int, int] = field(default_factory=dict)
 
     def verify(self) -> bool:
+        """True iff the walk is an odd cycle of the graph; False, never
+        an exception, on malformed evidence."""
         m = len(self.odd_cycle)
         if m < 3 or m % 2 == 0:
             return False
-        # a vertex pairs two distinct words of one length; (a, a) is no
-        # vertex, though the reversal rule would join it to itself
-        if any(a == b or a.n != b.n for a, b in self.odd_cycle):
+        # a vertex pairs two distinct BitVectors of one length; (a, a) is
+        # no vertex, though the reversal rule would join it to itself
+        if not all(isinstance(u, tuple) and len(u) == 2
+                   and all(isinstance(x, BitVector) for x in u)
+                   and u[0] != u[1] and u[0].n == u[1].n
+                   for u in self.odd_cycle):
+            return False
+        if not all(isinstance(r, int) for r in self.witnesses.values()):
             return False
         for i in range(m):
             u = self.odd_cycle[i]
@@ -191,11 +198,11 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     once.  A feasible code is certified by its CO ordering.  An
     infeasible code is shrunk to a minimal infeasible core, starting
     from the row whose reduction failed: r row passes for r core rows,
-    each over at most the ones of that row's component among the rows
-    before it, then at most 4r row passes over the rows of the at most
-    4r words kept, each cut down to the words still kept.  Only the
-    core's graph is searched for an odd cycle, and it is walked, not
-    built: O(c) mask tests per vertex reached for c core words.
+    each over the earlier rows nearest that row, at most the ones of
+    its component, then at most 4r row passes over the rows of the at
+    most 4r words kept, each cut down to the words still kept.  Only
+    the core's graph is searched for an odd cycle, and it is walked,
+    not built: O(c) mask tests per vertex reached for c core words.
 
     failed_row, the Infeasible.failed_row of a line reconstruction of
     the same words (sparse, or dense refused by its CO ordering), skips
@@ -211,6 +218,8 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
         if result.feasible:
             return _ordering_bipartition(ws, result.ordering)
         failed_row = result.failed_row
+        ensure(failed_row is not None,
+               "recognizer rejected the words at no row")
     elif not 0 <= failed_row < words.k:
         raise ValueError("failed_row %d is not a row of %d-bit words"
                          % (failed_row, words.k))
@@ -240,11 +249,11 @@ def _ordering_bipartition(ws: list[BitVector],
     return Bipartition(ordering)
 
 
-def _infeasible_core(ws: list[BitVector], failed: Optional[int] = None
-                     ) -> Optional[list[BitVector]]:
+def _infeasible_core(ws: list[BitVector],
+                     failed: int) -> Optional[list[BitVector]]:
     """A minimal CO-infeasible subset of the CO-infeasible words ws, in
-    their order, given the first row whose reduction fails, if known;
-    None if the words do not fail at the given row (_core_rows).
+    their order, given the first row whose reduction fails; None if the
+    words do not fail at that row (_core_rows).
 
     One word per nonzero pattern on the r core rows of _core_rows, at
     most 4r, is infeasible too; a deletion filter, last word first,
@@ -270,32 +279,27 @@ def _infeasible_core(ws: list[BitVector], failed: Optional[int] = None
     return [words[j] for j in sorted(kept)]
 
 
-def _core_rows(ws: list[BitVector],
-               failed: Optional[int] = None) -> Optional[list[int]]:
+def _core_rows(ws: list[BitVector], failed: int) -> Optional[list[int]]:
     """A minimal set of rows on which the words ws are CO-infeasible, or
-    None if they do not fail at the given row failed.
+    None if they do not fail at row failed.
 
     failed is the first row whose reduction fails when the rows are
-    reduced in order; without it, one pass over every row finds it.
-    CO holds iff it holds on each component of the rows joined by
-    shared words, so only the rows before failed in its component can
-    be needed; rows of fewer than two words never are.  Row filter on
-    those candidates: reduce the core rows, then the candidates, nearest
-    the last failure first, until one fails; it joins the core and the
+    reduced in order.  CO holds iff it holds on each component of the
+    rows joined by shared words, so only the rows before failed that
+    _nearest_rows reaches can be needed.  Row filter on those
+    candidates: reduce the core rows, then the candidates, nearest the
+    last failure first, until one fails; it joins the core and the
     candidates after it go, until the core rows fail alone.  Each pass
-    reduces on a tree over only the words its rows touch.  Only the
-    first pass, seeded with failed, can find no failure: every later
-    pass reduces the rows the pass before failed on.
+    reduces on a tree over only the words its rows touch, and stops
+    within the ball around the last failure that holds the core.  Only
+    the first pass, seeded with failed, can find no failure: every
+    later pass reduces the rows the pass before failed on.
     """
     rows = list(_row_constraints(ws))
-    if failed is None:
-        failed = _first_failure_touched(rows)
-        ensure(failed is not None,
-               "recognizer contradicted itself in the core search")
-    elif failed >= len(rows) or len(rows[failed]) < 2:
+    if failed >= len(rows) or len(rows[failed]) < 2:
         return None  # no reduction of fewer than two words fails
     core = [failed]
-    candidates = _component(rows, failed, len(ws))[::-1]
+    candidates = _nearest_rows(rows, failed)
     while True:
         at = _first_failure_touched([rows[i] for i in core]
                                     + [rows[i] for i in candidates])
@@ -310,25 +314,23 @@ def _core_rows(ws: list[BitVector],
         candidates = candidates[:at][::-1]
 
 
-def _component(rows: list[list[int]], failed: int, n: int) -> list[int]:
+def _nearest_rows(rows: list[list[int]], failed: int) -> list[int]:
     """The rows before failed, of two words or more, that reach row
-    failed through shared words: union-find over the n words."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for row in rows[:failed + 1]:
-        if len(row) > 1:
-            root = find(row[0])
-            for w in row[1:]:
-                parent[find(w)] = root
-    root = find(rows[failed][0])
-    return [i for i in range(failed)
-            if len(rows[i]) > 1 and find(rows[i][0]) == root]
+    failed through shared words, nearest first: one breadth-first walk
+    that expands each word once."""
+    holders: dict[int, list[int]] = {}
+    for i in range(failed):
+        if len(rows[i]) > 1:
+            for w in rows[i]:
+                holders.setdefault(w, []).append(i)
+    reached, seen = [failed], {failed}
+    for i in reached:  # appended to while walked: breadth-first
+        for w in rows[i]:
+            for j in holders.pop(w, ()):
+                if j not in seen:
+                    seen.add(j)
+                    reached.append(j)
+    return reached[1:]
 
 
 def _neighbours(u: Vertex, ws: list[BitVector]):

@@ -74,6 +74,16 @@ def brute_orderable(strings, regime: Regime) -> bool:
     return False
 
 
+def brute_orderings(strings, regime: Regime) -> set[tuple[str, ...]]:
+    """Every column permutation of the words, as strings, that meets the
+    sparse regime: the reference for a recognizer's set of orderings."""
+    k = len(strings[0]) if strings else 0
+    circular = regime.geometry is Geometry.CIRCLE
+    mask = {s: BitVector.from_string(s).mask for s in strings}
+    return {perm for perm in itertools.permutations(strings)
+            if _rows_ok(tuple(mask[s] for s in perm), k, circular)}
+
+
 def brute_dense_multiordering(words: Code, max_len: int) -> bool:
     """Does any column sequence of length <= max_len with support equal to
     words form an HCO matrix?"""

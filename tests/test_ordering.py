@@ -3,7 +3,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_words, brute_orderable
+from conftest import all_words, brute_orderable, brute_orderings
 from convexcodes.core import (
     CCO,
     CO,
@@ -62,11 +62,38 @@ class TestExamples:
         strings = ["1100", "1000", "0100", "0000", "0001", "0110"]
         assert (_co(strings).tree_summary
                 == "{0000 [1000 1100 {0100 0110}] 0001}")
-        assert (_cco(strings).tree_summary
-                == "{0001 {0000 [1000 1100 {0100 0110}]}}")
+        # the circle complements by 0000, a lightest word, so its tree
+        # is the line's; turned around the circle, that tree's orderings
+        # are exactly the circular orderings the permutation oracle takes
+        summary = _cco(strings).tree_summary
+        assert summary == "{0000 [1000 1100 {0100 0110}] 0001}"
+        assert ({p[i:] + p[:i] for p in _summary_orderings(summary)
+                 for i in range(len(p))}
+                == brute_orderings(strings, CCO))
         assert co_order(Code.of([])).tree_summary == "{}"
         assert cco_order(Code.of([])).tree_summary == "{}"
         assert _co(["1100", "1010", "0101", "1111"]).tree_summary is None
+
+
+def _summary_orderings(summary):
+    # the orderings a tree summary stands for: {..} in any order, [..]
+    # forward or reversed
+    tokens = summary.replace("{", " { ").replace("[", " [ ").replace(
+        "}", " } ").replace("]", " ] ").split()
+
+    def node(i):
+        if tokens[i] not in "{[":
+            return {(tokens[i],)}, i + 1
+        close, kids, i = "}" if tokens[i] == "{" else "]", [], i + 1
+        while tokens[i] != close:
+            kid, i = node(i)
+            kids.append(kid)
+        arrangements = (itertools.permutations(kids) if close == "}"
+                        else (kids, kids[::-1]))
+        return {sum(parts, ()) for arranged in arrangements
+                for parts in itertools.product(*arranged)}, i + 1
+
+    return node(0)[0]
 
 
 class TestDeterminism:
@@ -107,6 +134,21 @@ class TestExhaustiveOracle:
                 code = Code.from_strings(combo)
                 assert co_order(code).feasible == brute_orderable(combo, CO)
                 assert cco_order(code).feasible == brute_orderable(combo, CCO)
+
+    def test_every_word_is_an_anchor(self):
+        # Tucker's complementation by any word of the code, not only the
+        # lightest that cco_order takes, gives the same CO feasibility
+        combos = itertools.chain(
+            *(itertools.combinations(all_words(3), size)
+              for size in range(1, 5)),
+            *(itertools.combinations(all_words(4), size)
+              for size in range(1, 4)))
+        for combo in combos:
+            code = Code.from_strings(combo)
+            feasible = cco_order(code).feasible
+            for anchor in code.sorted_words():
+                assert co_order(Code.of(w ^ anchor for w in code.words)
+                                ).feasible == feasible
 
 
 class TestRandomOracle:

@@ -366,6 +366,7 @@ class TestCertificates:
     @pytest.mark.parametrize("edge, row", [
         (3, 0),                 # reversal edge (c, a) -> (a, c): c's row 0 is 0
         (3, 4), (4, 4), (4, -1),    # rows outside 0..3 fail, never raise
+        (1, "1"), (1, 1.5),         # so do rows that are not ints
     ])
     def test_invalid_witnesses_fail(self, edge, row):
         a, b, c, d = map(_bv, ODD_CYCLE_CODE)
@@ -397,6 +398,18 @@ class TestCertificates:
         a, b, c = _bv("101"), _bv("0"), _bv("1")
         assert not RejectionCertificate(
             ((a, b), (b, c), (c, a)), {0: 2, 1: 2, 2: 2}).verify()
+
+    @pytest.mark.parametrize("first", [
+        ("110", "011"),                                 # strings
+        (_bv("110"), _bv("011"), _bv("101")),           # three words
+    ], ids=["strings", "three-words"])
+    def test_malformed_vertices_fail(self, first):
+        # a vertex that is not a pair of BitVectors fails, never raises
+        x, y, z = _bv("110"), _bv("011"), _bv("101")
+        assert RejectionCertificate(
+            ((x, y), (y, z), (z, x)), {0: 0, 1: 1, 2: 2}).verify()
+        assert not RejectionCertificate(
+            (first, (y, z), (z, x)), {0: 0, 1: 1, 2: 2}).verify()
 
     def test_rejection_for_odd_cycle_code(self):
         cert = rejection_certificate(_code(ODD_CYCLE_CODE))
@@ -659,15 +672,16 @@ class TestCertificateScaling:
                 continue
             checked += 1
             ws = code.sorted_words()
-            core = _infeasible_core(ws)
+            failed = co_order(code).failed_row
+            core = _infeasible_core(ws, failed)
             assert not co_order(Code.of(core)).feasible
             for w in core:
                 assert co_order(Code.of(set(core) - {w})).feasible
             # the rows: minimal for the whole code, and, found again on
             # the kept words, minimal for them
-            assert minimal_rows(ws, _core_rows(ws))
+            assert minimal_rows(ws, _core_rows(ws, failed))
             kept = sorted(core, key=lambda w: w.mask)
-            rows = _core_rows(kept)
+            rows = _core_rows(kept, co_order(Code.of(kept)).failed_row)
             assert minimal_rows(kept, rows)
             # a row outside the kept words' core holds one of them
             shared += any(w.bit(r) for w in kept for r in range(code.k)
@@ -693,7 +707,7 @@ class TestCertificateScaling:
         same = 0
         for code in codes:
             ws = code.sorted_words()
-            core = _infeasible_core(ws)
+            core = _infeasible_core(ws, co_order(code).failed_row)
             reference = _bisecting_core(ws, code.k)
             assert minimal(core) and minimal(reference)
             for c in (core, reference):

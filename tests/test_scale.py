@@ -26,6 +26,7 @@ from convexcodes.geometry import (
     open_to_closed,
     realize_matrix,
 )
+from convexcodes.ordering import cco_order, co_order
 from convexcodes.pqtree import PQTree
 from convexcodes.reconstruct import (
     Bipartition,
@@ -241,6 +242,22 @@ def test_sparse_staircase(geometry):
     assert isinstance(m, SensorMatrix) and m.n == len(code)
 
 
+def test_circle_rows_of_the_heaviest_word():
+    # the 10^4-word staircase plus 2000 rows that only its largest-mask
+    # word holds, 16,999 ones: complemented by that word, each new row
+    # would hold every other word, ~2 * 10^7 ones; by a lightest word,
+    # the complement holds at most twice the ones
+    code = _staircase(10**4)
+    top, k, extra = code.sorted_words()[-1], code.k, 2000
+    code = Code.of(BitVector(k + extra, w.mask | (((1 << extra) - 1) << k
+                                                  if w is top else 0))
+                   for w in code.sorted_words())
+    budget = _Budget(0.9)
+    result = cco_order(code)
+    budget.check()
+    assert result.feasible and len(result.ordering) == len(code)
+
+
 def test_feasible_certificate():
     # n(n-1) ~ 10^8 colored pairs are answered on lookup, not stored
     code = _staircase(10**4)
@@ -304,7 +321,8 @@ def test_odd_cycle_walks_the_graph_without_building_it():
     # builds their adjacency lists first peaks above 2 MB, a walk that
     # lists each vertex's neighbours on reaching it near 0.2 MB
     code, cycle = _planted_cycle(200, 51)
-    core = _infeasible_core(code.sorted_words())
+    core = _infeasible_core(code.sorted_words(),
+                            co_order(code).failed_row)
     tracemalloc.start()
     try:
         cert = _odd_cycle(core)
@@ -322,9 +340,10 @@ def test_certificate_of_a_planted_cycle_101(layout, seconds):
     # M_I(101) beside the 10^4-word staircase.  At the end or spread,
     # the row filter sees only the cycle's rows and the time is mostly
     # the odd-cycle search over the core's 101 words.  Tied, every
-    # cycle word also holds one staircase row, all rows are one
-    # component, and each row pass reduces up to every row before the
-    # last failure: the core search is still O(r * ones) there
+    # cycle word also holds one staircase row and all rows are one
+    # component, but the candidates come nearest the failing row
+    # first, so each row pass stops within the cycle's rows, the tied
+    # row and the staircase rows next to it
     code, cycle = _planted_cycle(10**4, 101, layout)
     budget = _Budget(seconds)
     cert = rejection_certificate(code)
@@ -334,13 +353,15 @@ def test_certificate_of_a_planted_cycle_101(layout, seconds):
 
 
 @pytest.mark.parametrize("c, layout, reductions", [
-    (3, "end", 10030), (101, "end", 50602), (101, "spread", 50602)])
+    (3, "end", 10030), (101, "end", 50602), (101, "spread", 50602),
+    (101, "tied", 51202)])
 def test_certificate_reductions(monkeypatch, c, layout, reductions):
     # PQ reductions of one certificate beside the 10^4-word staircase,
     # at most twice the count when the bound was set: the recognition
-    # of the whole code, then small passes over the core's component.
-    # A row filter that reduced every row before the last core row on
-    # each pass would make ~r * 5000
+    # of the whole code, then small passes over the rows nearest the
+    # failing row.  A row filter that reduced every row of the
+    # component before the last core row on each pass would make
+    # ~r * 5000 on the tied layout, where every row is in the component
     code, cycle = _planted_cycle(10**4, c, layout)
     calls = []
     reduce = PQTree.reduce
