@@ -9,17 +9,24 @@ subtree (over a sequence of reductions, O(n + sum of |S|) nodes in total,
 as in Booth & Lueker 1976) and no code path recurses, so tree depth is
 bounded by memory, not by the interpreter stack:
 
+- A reduction keeps its state on the nodes it touches, as Booth & Lueker
+  keep their marks and pertinent counts: each node has a list of its
+  full children (`fulls`) and a count of the pertinent leaves below it
+  (`pcount`), None and 0 between reductions.  The reduction records
+  every node it gives either in one list and resets them on every exit,
+  the no-op, a refused label and a failed reduction included.
 - A reduction runs in two passes over a leaf layer.  One loop over the
-  labels groups the pertinent leaves by parent; a group counts as its
-  size in full leaves, so no leaf enters either pass.  Full subtrees are
-  then found by count, as Booth & Lueker label them: a node whose group
-  holds all its leaves is full and joins its parent's group as one full
-  child, so only partial nodes enter the passes.  The bubble pass climbs
-  from the partial group parents in FIFO order, visiting each node once,
-  until all paths meet.  The labeling pass then works bottom-up from
-  them, labeling a node once all its partial children are labeled and
-  applying the P/Q templates, and stops at the first node that holds
-  every pertinent leaf: the pertinent root.
+  labels groups the pertinent leaves in their parents' `fulls`; a group
+  counts as its size in full leaves, so no leaf enters either pass.
+  Full subtrees are then found by count: a node whose `pcount` reaches
+  its leaf count is full and joins its parent's group as one full child,
+  so only partial nodes enter the passes.  When one group is left, its
+  node holds every pertinent leaf and is reduced at once.  Otherwise the
+  bubble pass climbs from the partial group parents in FIFO order,
+  visiting each node once, until all paths meet.  The labeling pass then
+  works bottom-up from them, labeling a node once all its partial
+  children are labeled and applying the P/Q templates, and stops at the
+  first node that holds every pertinent leaf: the pertinent root.
 - Q children sit in an orientation-agnostic doubly linked list: each child
   stores its two neighbors in unordered slots, so reversing a Q node is an
   O(1) head/tail swap.
@@ -75,7 +82,7 @@ def _find(cell: _Cell) -> _Cell:
 
 class _Node:
     __slots__ = ("kind", "label", "up", "anchor", "nleaves",
-                 "pchildren", "head", "tail", "nb1", "nb2")
+                 "pchildren", "head", "tail", "nb1", "nb2", "fulls", "pcount")
 
     def __init__(self, kind: int, label: int = -1):
         self.kind = kind
@@ -88,6 +95,10 @@ class _Node:
         self.tail: Optional[_Node] = None
         self.nb1: Optional[_Node] = None    # unordered Q-sibling slots
         self.nb2: Optional[_Node] = None
+        # one reduction's full children and pertinent count; at rest,
+        # None and 0, between reductions
+        self.fulls: Optional[list[_Node]] = None
+        self.pcount = 0
 
     def parent(self) -> Optional["_Node"]:
         cell = self.up
@@ -128,9 +139,13 @@ def _adopt_into_p(p: _Node, child: _Node) -> None:
 
 def _new_p(children: Iterable[_Node]) -> _Node:
     p = _Node(PNODE)
+    kids, anchor, total = p.pchildren, p.anchor, 0
     for c in children:
-        _adopt_into_p(p, c)
-    p.nleaves = sum(c.nleaves for c in p.pchildren)
+        kids.add(c)
+        c.up = anchor
+        c.nb1 = c.nb2 = None
+        total += c.nleaves
+    p.nleaves = total
     return p
 
 
@@ -272,9 +287,13 @@ class PQTree:
     def reduce(self, labels: Iterable[int]) -> None:
         """Constrain the leaves in `labels` to be consecutive.
 
-        Raises ValueError for a label outside 0..n-1, and ReductionFailed
-        if no ordering satisfies all constraints reduced so far (the tree
-        is unusable afterwards).
+        Labels are ints, and repeats reduce as their set, which keeps the
+        first of equal labels; a set of fewer than two or of all n leaves
+        is not reduced.  Raises ValueError, leaving the tree as it was,
+        for a label outside 0..n-1 and, in a set that is reduced, for a
+        kept label that only equals an int (1.0, Fraction(1)); raises
+        ReductionFailed if no ordering satisfies all constraints reduced
+        so far (the tree is unusable afterwards).
         """
         s = set(labels)
         if not s <= self.labels:
@@ -282,70 +301,98 @@ class PQTree:
         m = len(s)
         if m <= 1 or m >= self.n:
             return
-        # Leaf layer: group the pertinent leaves by parent, one union-find
-        # step each, compressed into the leaf's own pointer.  groups maps a
-        # node to its full children, count to the leaves they hold.
-        groups: dict[_Node, list[_Node]] = {}
-        leaves = self.leaves
-        for lab in s:
-            leaf = leaves[lab]
-            cell = leaf.up
-            if cell.link is not None:
-                cell = leaf.up = _find(cell)
-            kids = groups.get(cell.owner)
-            if kids is None:
-                groups[cell.owner] = [leaf]
-            else:
-                kids.append(leaf)
-        # A node whose full children hold all its leaves is full: it leaves
-        # groups and counts as one full child of its parent, which may fill
-        # in turn (a parent that fills needs no group).  A full node holding
-        # all m leaves makes the reduction a no-op; the root, with n > m
-        # leaves, never fills.
-        count = {par: len(kids) for par, kids in groups.items()}
-        full = [par for par, c in count.items() if c == par.nleaves]
-        while full:
-            node = full.pop()
-            size = node.nleaves
-            if size == m:
-                return
-            groups.pop(node, None)
-            par = node.parent()
-            c = count[par] = count.get(par, 0) + size
-            if c == par.nleaves:
-                full.append(par)
-            else:
-                kids = groups.get(par)
+        # every node given a fulls list or a pcount; every exit resets them
+        touched: list[_Node] = []
+        try:
+            # Leaf layer: group the pertinent leaves by parent, one
+            # union-find step each, compressed into the leaf's own pointer.
+            leaves = self.leaves
+            for lab in s:
+                try:
+                    leaf = leaves[lab]
+                except TypeError:
+                    raise ValueError("leaf label %r is not an int"
+                                     % (lab,)) from None
+                cell = leaf.up
+                if cell.link is not None:
+                    cell = leaf.up = _find(cell)
+                par = cell.owner
+                kids = par.fulls
                 if kids is None:
-                    groups[par] = [node]
+                    par.fulls = [leaf]
+                    touched.append(par)
                 else:
-                    kids.append(node)
-        # The nodes left in groups, and every node above them up to the
-        # pertinent root, are partial.
-        up, pert_children = _bubble(list(groups))
-        # Labeling pass, bottom-up: a node is labeled once all its partial
-        # children are, and the first one holding all m leaves is the
-        # pertinent root.  count ends as each labeled node's pertinent
-        # leaves; the templates rewrite a node in place.
-        waiting = {par: len(kids) for par, kids in pert_children.items()}
-        ready = [par for par, kids in pert_children.items() if not kids]
-        while ready:
-            par = ready.pop()
-            partials = pert_children[par]
-            pc = count.get(par, 0)
-            for child in partials:
-                pc += count[child]
-            fulls = groups.get(par, [])
-            if pc == m:
-                self._reduce_root(par, fulls, partials)
+                    kids.append(leaf)
+            full = []
+            for par in touched:
+                c = par.pcount = len(par.fulls)
+                if c == par.nleaves:
+                    full.append(par)
+            # A node whose full children hold all its leaves is full and
+            # counts as one full child of its parent, which may fill in
+            # turn (a parent that fills needs no group).  A full node
+            # holding all m leaves makes the reduction a no-op; the root,
+            # with n > m leaves, never fills.
+            while full:
+                node = full.pop()
+                size = node.nleaves
+                if size == m:
+                    return
+                cell = node.up
+                if cell.link is not None:
+                    cell = node.up = _find(cell)
+                par = cell.owner
+                c = par.pcount
+                if not c:
+                    touched.append(par)
+                c = par.pcount = c + size
+                if c == par.nleaves:
+                    full.append(par)
+                else:
+                    kids = par.fulls
+                    if kids is None:
+                        par.fulls = [node]
+                    else:
+                        kids.append(node)
+            # The nodes left with full children, and every node above them
+            # up to the pertinent root, are partial.  A lone such node holds
+            # all m leaves: it is the pertinent root, with no partial child.
+            groups = [node for node in touched if node.fulls is not None
+                      and node.pcount != node.nleaves]
+            if len(groups) == 1:
+                node = groups[0]
+                self._reduce_root(node, node.fulls, [])
                 return
-            self._label(par, fulls, partials)
-            count[par] = pc
-            grand = up[par]
-            waiting[grand] -= 1
-            if not waiting[grand]:
-                ready.append(grand)
-        raise InternalError("pertinent leaves have no common ancestor")
+            up, pert_children = _bubble(groups)
+            # Labeling pass, bottom-up: a node is labeled once all its
+            # partial children are, and the first one holding all m leaves
+            # is the pertinent root.  pcount ends as each labeled node's
+            # pertinent leaves; the templates rewrite a node in place.
+            waiting = {par: len(kids) for par, kids in pert_children.items()}
+            ready = [par for par, kids in pert_children.items() if not kids]
+            while ready:
+                par = ready.pop()
+                partials = pert_children[par]
+                pc = par.pcount
+                for child in partials:
+                    pc += child.pcount
+                fulls = par.fulls or []
+                if pc == m:
+                    self._reduce_root(par, fulls, partials)
+                    return
+                self._label(par, fulls, partials)
+                if not par.pcount:
+                    touched.append(par)
+                par.pcount = pc
+                grand = up[par]
+                waiting[grand] -= 1
+                if not waiting[grand]:
+                    ready.append(grand)
+            raise InternalError("pertinent leaves have no common ancestor")
+        finally:
+            for node in touched:
+                node.fulls = None
+                node.pcount = 0
 
     # Labeling of a partial node below the pertinent root whose partial
     # children are labeled; full nodes never get here, the leaf layer

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .core import (
     CO,
@@ -149,6 +149,9 @@ class RejectionCertificate:
     def verify(self) -> bool:
         """True iff the walk is an odd cycle of the graph; False, never
         an exception, on malformed evidence."""
+        if not (isinstance(self.odd_cycle, Sequence)
+                and isinstance(self.witnesses, Mapping)):
+            return False
         m = len(self.odd_cycle)
         if m < 3 or m % 2 == 0:
             return False

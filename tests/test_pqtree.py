@@ -9,7 +9,8 @@ import random
 import subprocess
 import sys
 import textwrap
-from collections import deque
+from collections import Counter, deque
+from fractions import Fraction
 
 import pytest
 
@@ -104,23 +105,18 @@ def _staircase(n: int) -> list[list[int]]:
 @pytest.fixture
 def visits(monkeypatch):
     """Counts parent lookups: one per pertinent leaf and one per node the
-    full-node climb or the bubble pass visits; the templates look no
-    parent up.  The leaf layer looks the leaves' parents up without
-    _Node.parent, so each reduction adds its |S| by hand."""
+    full-node climb or the bubble pass visits.  The leaf layer and the
+    climb read a node's parent cell inline and the bubble pass through
+    _Node.parent, so the count is of reads of the `up` slot; the
+    templates only write it."""
     count = [0]
-    parent = pqtree._Node.parent
-    reduce = PQTree.reduce
+    slot = pqtree._Node.__dict__["up"]
 
-    def counting(node):
+    def read(node):
         count[0] += 1
-        return parent(node)
+        return slot.__get__(node, pqtree._Node)
 
-    def counting_leaves(tree, labels):
-        count[0] += len(set(labels))
-        return reduce(tree, labels)
-
-    monkeypatch.setattr(pqtree._Node, "parent", counting)
-    monkeypatch.setattr(PQTree, "reduce", counting_leaves)
+    monkeypatch.setattr(pqtree._Node, "up", property(read, slot.__set__))
     return count
 
 
@@ -140,7 +136,8 @@ class TestLinearWork:
     @pytest.mark.parametrize("family", [_nested, _two_ended, _staircase])
     def test_visits_per_reduction(self, family, visits):
         for size, seen in _reduce_all(300, family(300), visits):
-            assert seen <= 3 * size + 2, (size, seen)
+            # the leaf layer reads each pertinent leaf's parent once
+            assert size <= seen <= 3 * size + 2, (size, seen)
 
     def test_random_intervals_amortized(self, visits):
         # a single reduction can walk a chain of partial nodes; the
@@ -248,6 +245,25 @@ class TestLabelCheck:
             assert tree.summary() == before
         tree.reduce([3, 4])
         assert tree.summary() == "{0 [{1 2} 3 4] 5}"
+
+    @pytest.mark.parametrize("bad", [1.0, Fraction(4), 5.0])
+    def test_labels_that_only_equal_ints_are_refused(self, bad):
+        # 1.0 == 1 passes the range check; the leaf layer refuses it,
+        # after grouping the int labels iterated before it
+        tree, ref = PQTree(6), PQTree(6)
+        for t in (tree, ref):
+            t.reduce([1, 2, 3])
+        for labels in ([0, bad], [bad, 4, 5], [0, 2, 3, bad]):
+            with pytest.raises(ValueError):
+                tree.reduce(labels)
+            assert tree.summary() == ref.summary()
+        # labels reduce as their set, which keeps an int given first and
+        # drops the equal label after it
+        tree.reduce([3, 4, 3.0, Fraction(4)])
+        ref.reduce([3, 4])
+        for t in (tree, ref):
+            t.reduce([0, 1])
+        assert tree.summary() == ref.summary() == "{[0 1 2 3 4] 5}"
 
     @pytest.mark.parametrize("labels", [[1, 1, 2], [2, 1, 2, 1], [0, 0],
                                         [3, 3, 3]])
@@ -507,6 +523,68 @@ class TestAgainstReference:
                 assert tree.summary() == ref.summary(), constraints
         assert outcomes == {True, False}
         assert deep > 3000
+
+
+class TestStateAtRest:
+    def test_every_exit_path(self, monkeypatch):
+        # a reduction keeps its counts and groups on the nodes it touches;
+        # every exit (done, no-op, refused label, failure) must leave each
+        # node it ever made back at rest, and a refused call must leave the
+        # tree as a fresh one that never saw it
+        made = []
+        init = pqtree._Node.__init__
+
+        def recorded(node, *args, **kwargs):
+            init(node, *args, **kwargs)
+            made.append(node)
+
+        def at_rest():
+            return all(x.fulls is None and x.pcount == 0 for x in made)
+
+        reduce_root = PQTree._reduce_root
+        exits = Counter()
+
+        def counted(self, *args):
+            exits["done"] += 1
+            return reduce_root(self, *args)
+
+        monkeypatch.setattr(pqtree._Node, "__init__", recorded)
+        monkeypatch.setattr(PQTree, "_reduce_root", counted)
+        rng = random.Random(2024)
+        for case in range(2400):
+            n = 2 + case % 11
+            constraints = _mixed_family(n, rng)
+            made.clear()
+            tree, fresh = PQTree(n), PQTree(n)
+            failed_at = _run(fresh, constraints)
+            for i, c in enumerate(constraints):
+                # an int-valued float after the first label: the leaf
+                # layer has grouped a leaf when it meets it
+                later = [lab for lab in range(n) if lab not in c
+                         and lab > min(c)] if c else []
+                if later and len(set(c)) + 1 < n:
+                    before = tree.summary()
+                    with pytest.raises(ValueError):
+                        tree.reduce(c + [float(later[0])])
+                    exits["refused"] += 1
+                    assert tree.summary() == before, constraints[:i + 1]
+                    assert at_rest(), constraints[:i + 1]
+                done = exits["done"]
+                try:
+                    tree.reduce(c)
+                except ReductionFailed:
+                    exits["failed"] += 1
+                    assert i == failed_at, constraints
+                    break
+                finally:
+                    assert at_rest(), constraints[:i + 1]
+                if 1 < len(set(c)) < n and exits["done"] == done:
+                    exits["no-op"] += 1
+            else:
+                assert failed_at is None, constraints
+                assert tree.frontier() == fresh.frontier(), constraints
+                assert tree.summary() == fresh.summary(), constraints
+        assert min(exits[k] for k in ("done", "no-op", "refused", "failed")) > 100
 
 
 # Seeded codes in the shapes the recognizers meet: rows are row masks,

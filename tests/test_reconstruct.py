@@ -336,6 +336,11 @@ class TestDenseLinear:
         assert result.reason
 
 
+# Tucker's triangle 110, 011, 101 as an odd cycle of three vertices
+_TRIANGLE = ((_bv("110"), _bv("011")), (_bv("011"), _bv("101")),
+             (_bv("101"), _bv("110")))
+
+
 class TestCertificates:
     def test_reference_cycle_verifies(self):
         a, b, c, d = map(_bv, ODD_CYCLE_CODE)
@@ -410,6 +415,20 @@ class TestCertificates:
             ((x, y), (y, z), (z, x)), {0: 0, 1: 1, 2: 2}).verify()
         assert not RejectionCertificate(
             (first, (y, z), (z, x)), {0: 0, 1: 1, 2: 2}).verify()
+
+    @pytest.mark.parametrize("cycle, witnesses", [
+        (None, {}),                                     # no walk
+        (5, {}),
+        ("ab" * 3, {}),                                 # not pairs
+        ({0, 1, 2}, {}),                                # no order
+        (_TRIANGLE, None),                              # no mapping
+        (_TRIANGLE, [0, 1, 2]),
+        (_TRIANGLE, ((0, 0), (1, 1), (2, 2))),
+    ])
+    def test_malformed_containers_fail(self, cycle, witnesses):
+        # verify answers False, never raises, whatever it is handed
+        assert RejectionCertificate(_TRIANGLE, {0: 0, 1: 1, 2: 2}).verify()
+        assert RejectionCertificate(cycle, witnesses).verify() is False
 
     def test_rejection_for_odd_cycle_code(self):
         cert = rejection_certificate(_code(ODD_CYCLE_CODE))
