@@ -11,10 +11,12 @@ bounded by memory, not by the interpreter stack:
 
 - A reduction keeps its state on the nodes it touches, as Booth & Lueker
   keep their marks and pertinent counts: each node has a list of its
-  full children (`fulls`) and a count of the pertinent leaves below it
-  (`pcount`), None and 0 between reductions.  The reduction records
-  every node it gives either in one list and resets them on every exit,
-  the no-op, a refused label and a failed reduction included.
+  full children (`fulls`), a count of the pertinent leaves below it
+  (`pcount`), a list of its partial children (`partials`) and a count of
+  those not yet labeled (`waiting`), None, 0, None and 0 between
+  reductions.  The reduction records every node it gives any of them in
+  one list and resets all four on every exit, the no-op, a refused label
+  and a failed reduction included.
 - A reduction runs in two passes over a leaf layer.  One loop over the
   labels groups the pertinent leaves in their parents' `fulls`; a group
   counts as its size in full leaves, so no leaf enters either pass.
@@ -82,7 +84,8 @@ def _find(cell: _Cell) -> _Cell:
 
 class _Node:
     __slots__ = ("kind", "label", "up", "anchor", "nleaves",
-                 "pchildren", "head", "tail", "nb1", "nb2", "fulls", "pcount")
+                 "pchildren", "head", "tail", "nb1", "nb2", "fulls", "pcount",
+                 "partials", "waiting")
 
     def __init__(self, kind: int, label: int = -1):
         self.kind = kind
@@ -95,10 +98,12 @@ class _Node:
         self.tail: Optional[_Node] = None
         self.nb1: Optional[_Node] = None    # unordered Q-sibling slots
         self.nb2: Optional[_Node] = None
-        # one reduction's full children and pertinent count; at rest,
-        # None and 0, between reductions
+        # one reduction's state, at rest between reductions: see the
+        # module docstring
         self.fulls: Optional[list[_Node]] = None
         self.pcount = 0
+        self.partials: Optional[list[_Node]] = None
+        self.waiting = 0
 
     def parent(self) -> Optional["_Node"]:
         cell = self.up
@@ -236,42 +241,12 @@ def _pertinent_run(fulls: list[_Node], partials: list[_Node]) -> list[_Node]:
     return run
 
 
-def _bubble(starts: list[_Node]) -> tuple[dict[_Node, _Node],
-                                           dict[_Node, list[_Node]]]:
-    """Bubble pass of a reduction: FIFO from the partial nodes that have
-    full children upward, each node visited once, until every path has
-    merged into one.
-
-    Returns each visited node's parent and each node's partial
-    children.  The merge node may lie above the
-    pertinent root, but FIFO order pops a node of a still-open path
-    between any two steps above it, so the pass costs O(size of the
-    pertinent subtree).
-    """
-    up: dict[_Node, _Node] = {}
-    pert_children: dict[_Node, list[_Node]] = {node: [] for node in starts}
-    queue = deque(starts)
-    while len(queue) > 1:
-        node = queue.popleft()
-        par = node.parent()
-        if par is None:
-            # the tree root waits until the paths still open reach it
-            queue.append(node)
-            continue
-        up[node] = par
-        kids = pert_children.get(par)
-        if kids is None:
-            pert_children[par] = [node]
-            queue.append(par)
-        else:
-            kids.append(node)
-    return up, pert_children
-
-
 class PQTree:
     """PQ-tree over leaves labeled 0..n-1."""
 
     def __init__(self, n: int):
+        if n < 0:
+            raise ValueError("a PQ-tree needs n >= 0 leaves, not %d" % n)
         self.n = n
         self.labels = frozenset(range(n))
         self.leaves = [_Node(LEAF, label=i) for i in range(n)]
@@ -301,7 +276,7 @@ class PQTree:
         m = len(s)
         if m <= 1 or m >= self.n:
             return
-        # every node given a fulls list or a pcount; every exit resets them
+        # every node given reduction state; every exit puts it at rest
         touched: list[_Node] = []
         try:
             # Leaf layer: group the pertinent leaves by parent, one
@@ -363,16 +338,40 @@ class PQTree:
                 node = groups[0]
                 self._reduce_root(node, node.fulls, [])
                 return
-            up, pert_children = _bubble(groups)
+            # Bubble pass: FIFO from the groups upward, each node visited
+            # once, until every path has merged into one.  A node's partial
+            # children gather in its `partials`, and `waiting` counts them.
+            # The merge node may lie above the pertinent root, but FIFO
+            # order pops a node of a still-open path between any two steps
+            # above it, so the pass costs O(size of the pertinent subtree).
+            for node in groups:
+                node.partials = []
+            queue = deque(groups)
+            while len(queue) > 1:
+                node = queue.popleft()
+                par = node.parent()
+                if par is None:
+                    # the tree root waits until the paths still open reach it
+                    queue.append(node)
+                    continue
+                kids = par.partials
+                if kids is None:
+                    par.partials = [node]
+                    touched.append(par)
+                    queue.append(par)
+                else:
+                    kids.append(node)
+                par.waiting += 1
             # Labeling pass, bottom-up: a node is labeled once all its
             # partial children are, and the first one holding all m leaves
             # is the pertinent root.  pcount ends as each labeled node's
-            # pertinent leaves; the templates rewrite a node in place.
-            waiting = {par: len(kids) for par, kids in pert_children.items()}
-            ready = [par for par, kids in pert_children.items() if not kids]
+            # pertinent leaves.  The templates rewrite a node in place and
+            # never move a labeled node within its parent, so parent()
+            # still finds the node the bubble pass climbed to.
+            ready = [node for node in groups if not node.waiting]
             while ready:
                 par = ready.pop()
-                partials = pert_children[par]
+                partials = par.partials
                 pc = par.pcount
                 for child in partials:
                     pc += child.pcount
@@ -381,18 +380,16 @@ class PQTree:
                     self._reduce_root(par, fulls, partials)
                     return
                 self._label(par, fulls, partials)
-                if not par.pcount:
-                    touched.append(par)
                 par.pcount = pc
-                grand = up[par]
-                waiting[grand] -= 1
-                if not waiting[grand]:
+                grand = par.parent()
+                grand.waiting -= 1
+                if not grand.waiting:
                     ready.append(grand)
             raise InternalError("pertinent leaves have no common ancestor")
         finally:
             for node in touched:
-                node.fulls = None
-                node.pcount = 0
+                node.fulls = node.partials = None
+                node.pcount = node.waiting = 0
 
     # Labeling of a partial node below the pertinent root whose partial
     # children are labeled; full nodes never get here, the leaf layer

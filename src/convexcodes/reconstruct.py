@@ -94,8 +94,12 @@ class Bipartition:
 
     def verify(self, words: Code) -> bool:
         """True iff the ordering lists each word of words once and every
-        row of its line matrix is consecutive: O(ones), no PQ-tree."""
+        row of its line matrix is consecutive: O(ones), no PQ-tree.
+        False, never an exception, on malformed evidence."""
         cols = self.ordering
+        if not (isinstance(cols, Sequence)
+                and all(isinstance(w, BitVector) for w in cols)):
+            return False
         if len(cols) != len(words) or set(cols) != words.words:
             return False
         return regime_check(

@@ -104,9 +104,10 @@ def _staircase(n: int) -> list[list[int]]:
 
 @pytest.fixture
 def visits(monkeypatch):
-    """Counts parent lookups: one per pertinent leaf and one per node the
-    full-node climb or the bubble pass visits.  The leaf layer and the
-    climb read a node's parent cell inline and the bubble pass through
+    """Counts parent lookups: one per pertinent leaf, one per node the
+    full-node climb or the bubble pass visits and one per node the
+    labeling pass labels.  The leaf layer and the climb read a node's
+    parent cell inline, the bubble and labeling passes through
     _Node.parent, so the count is of reads of the `up` slot; the
     templates only write it."""
     count = [0]
@@ -232,6 +233,11 @@ class TestLabelCheck:
         PQTree(0).reduce([])
         with pytest.raises(ValueError):
             PQTree(0).reduce([0])
+
+    @pytest.mark.parametrize("n", [-1, -5])
+    def test_negative_size_is_refused(self, n):
+        with pytest.raises(ValueError):
+            PQTree(n)
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_out_of_range_among_valid_labels(self, bad):
@@ -539,7 +545,8 @@ class TestStateAtRest:
             made.append(node)
 
         def at_rest():
-            return all(x.fulls is None and x.pcount == 0 for x in made)
+            return all(x.fulls is None and x.pcount == 0
+                       and x.partials is None and x.waiting == 0 for x in made)
 
         reduce_root = PQTree._reduce_root
         exits = Counter()

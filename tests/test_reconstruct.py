@@ -430,6 +430,19 @@ class TestCertificates:
         assert RejectionCertificate(_TRIANGLE, {0: 0, 1: 1, 2: 2}).verify()
         assert RejectionCertificate(cycle, witnesses).verify() is False
 
+    @pytest.mark.parametrize("ordering", [
+        None,                                           # no ordering
+        5,
+        [[1], [2]],                                     # unhashable words
+        ("110", "011"),                                 # strings
+        {_bv("110"), _bv("011")},                       # no order
+    ], ids=["none", "int", "lists", "strings", "set"])
+    def test_malformed_orderings_fail(self, ordering):
+        # verify answers False, never raises, whatever it is handed
+        code = _code(["110", "011"])
+        assert Bipartition((_bv("110"), _bv("011"))).verify(code)
+        assert Bipartition(ordering).verify(code) is False
+
     def test_rejection_for_odd_cycle_code(self):
         cert = rejection_certificate(_code(ODD_CYCLE_CODE))
         assert isinstance(cert, RejectionCertificate)
