@@ -305,18 +305,19 @@ def cmd_certificate(args, em: _Emitter) -> None:
 def cmd_enumerate(args, em: _Emitter) -> None:
     regime = _regime(args)
     N, K = args.max_n, args.max_k
-    if args.oracle and N > ORACLE_MAX_N:
-        raise SizeLimit("%s is limited to n <= %d"
-                        % ("brute_force_dense"
-                           if regime.density is Density.DENSE
-                           else "sparse oracle", ORACLE_MAX_N))
+    dense = regime.density is Density.DENSE
+    # the sparse oracle's row listing is this command's own loop
+    if args.oracle and not dense and N > ORACLE_MAX_N:
+        raise SizeLimit("sparse oracle is limited to n <= %d" % ORACLE_MAX_N)
     if (N + 1) * (K + 1) > MAX_ENUMERATE_CELLS:
         raise SizeLimit("enumerate is limited to 2^16 table cells,"
                         " (max-n + 1)(max-k + 1) = %d" % ((N + 1) * (K + 1)))
-    if regime.density is Density.DENSE and N > MAX_DENSE_N:
+    if dense and N > MAX_DENSE_N:
         raise SizeLimit("dense enumerate is limited to max-n <= %d"
                         % MAX_DENSE_N)
-    if regime.density is Density.SPARSE:
+    # the dense oracle refuses its own n before anything is counted
+    bf = brute_force_table(N, regime.geometry) if args.oracle and dense else None
+    if not dense:
         table = {
             (n, k): count_sparse(n, k, regime.geometry)
             for n in range(N + 1)
@@ -328,8 +329,7 @@ def cmd_enumerate(args, em: _Emitter) -> None:
         table = {(n, k): gf.count(n, k)
                  for n in range(N + 1) for k in range(K + 1)}
     if args.oracle:
-        if regime.density is Density.DENSE:
-            bf = brute_force_table(N, regime.geometry)
+        if dense:
             expected = {key: bf.count(*key) for key in table}
         else:
             rows = [len(valid_dense_rows(n, regime.geometry))

@@ -394,14 +394,12 @@ class SensorMatrix:
         m._init(tuple(rows), cols, geometry)
         return m
 
+    # Both constructors give every column k bits, so no length check.
     def column_set(self) -> Code:
-        if self.n == 0:
-            return Code(frozenset(), self.k)
-        return Code.of(self.columns)
+        return Code(frozenset(self.columns), self.k)
 
     def column_multiset(self) -> CodeMultiset:
-        counts = Counter(self.columns)
-        return CodeMultiset.of(counts) if counts else CodeMultiset({}, self.k)
+        return CodeMultiset(dict(Counter(self.columns)), self.k)
 
     def row_strings(self) -> list[str]:
         return [r.to_string() for r in self.rows]
@@ -421,29 +419,6 @@ class SensorMatrix:
         return f"SensorMatrix({self.row_strings()}, {self.geometry.value})"
 
 
-def adjacent_column_pairs(n: int, geometry: Geometry) -> list[tuple[int, int]]:
-    """Index pairs of spatially adjacent columns (cyclic on the circle)."""
-    if n < 2:
-        return []
-    pairs = [(j, j + 1) for j in range(n - 1)]
-    if geometry is Geometry.CIRCLE:
-        pairs.append((n - 1, 0))
-    return pairs
-
-
-def inharmonious_adjacent_pairs(
-    m: SensorMatrix, geometry: Geometry | None = None
-) -> list[tuple[int, int]]:
-    """Adjacent column index pairs that are inharmonious."""
-    geometry = geometry or m.geometry
-    cols = m.columns
-    return [
-        (i, j)
-        for i, j in adjacent_column_pairs(m.n, geometry)
-        if inharmonious(cols[i], cols[j])
-    ]
-
-
 def regime_check(m: SensorMatrix, regime: Regime) -> bool:
     """Matrix signature of the regime: every row a discrete interval, and in
     the dense regimes no adjacent inharmonious column pair.
@@ -453,10 +428,12 @@ def regime_check(m: SensorMatrix, regime: Regime) -> bool:
     """
     if not all(is_discrete_interval(r, regime.geometry) for r in m.rows):
         return False
-    if regime.density is Density.DENSE and inharmonious_adjacent_pairs(
-        m, regime.geometry
-    ):
-        return False
+    if regime.density is Density.DENSE:
+        cols = m.columns
+        if any(map(inharmonious, cols, cols[1:])):
+            return False
+        if regime.geometry is Geometry.CIRCLE and len(cols) > 1:
+            return not inharmonious(cols[-1], cols[0])
     return True
 
 

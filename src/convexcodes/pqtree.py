@@ -22,10 +22,9 @@ bounded by memory, not by the interpreter stack:
   counts as its size in full leaves, so no leaf enters either pass.
   Full subtrees are then found by count: a node whose `pcount` reaches
   its leaf count is full and joins its parent's group as one full child,
-  so only partial nodes enter the passes.  When one group is left, its
-  node holds every pertinent leaf and is reduced at once.  Otherwise the
-  bubble pass climbs from the partial group parents in FIFO order,
-  visiting each node once, until all paths meet.  The labeling pass then
+  so only partial nodes enter the passes.  The bubble pass climbs from
+  the partial group parents in FIFO order, visiting each node once, until
+  all paths meet (a lone group is already met).  The labeling pass then
   works bottom-up from them, labeling a node once all its partial
   children are labeled and applying the P/Q templates, and stops at the
   first node that holds every pertinent leaf: the pertinent root.
@@ -331,13 +330,10 @@ class PQTree:
                         kids.append(node)
             # The nodes left with full children, and every node above them
             # up to the pertinent root, are partial.  A lone such node holds
-            # all m leaves: it is the pertinent root, with no partial child.
+            # all m leaves: the bubble pass does not run, and the labeling
+            # pass finds it the pertinent root, with no partial child.
             groups = [node for node in touched if node.fulls is not None
                       and node.pcount != node.nleaves]
-            if len(groups) == 1:
-                node = groups[0]
-                self._reduce_root(node, node.fulls, [])
-                return
             # Bubble pass: FIFO from the groups upward, each node visited
             # once, until every path has merged into one.  A node's partial
             # children gather in its `partials`, and `waiting` counts them.

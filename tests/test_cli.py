@@ -3,6 +3,7 @@ import io
 import json
 import locale
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -345,6 +346,20 @@ class TestCertificate:
         assert code == EXIT_INFEASIBLE
         assert "witness row" in out
 
+    def test_readme_sample(self, capsys, tmp_path):
+        # README's certificate sample, byte for byte, on the code it writes
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        lines = readme.splitlines()
+        start = lines.index("$ convexcodes certificate bad.txt")
+        assert lines[start - 1] == r"$ printf '1100\n1010\n0101\n1111\n' > bad.txt"
+        end = lines.index("```", start)
+        want = lines[start + 1:end]
+        assert len(want) == 6
+        path = write(tmp_path, "bad.txt", ODD_CYCLE)
+        code, out, _ = run(capsys, "certificate", path)
+        assert code == EXIT_INFEASIBLE
+        assert out == "".join(line + "\n" for line in want)
+
     def test_structured_verifies(self, capsys, tmp_path):
         from convexcodes.reconstruct import RejectionCertificate
 
@@ -459,7 +474,7 @@ class TestEnumerate:
         assert code == EXIT_SIZE_LIMIT
 
     @pytest.mark.parametrize("regime, message", [
-        ("dense", "brute_force_dense is limited to n <= 14"),
+        ("dense", "brute_force_table is limited to n <= 14"),
         ("sparse", "sparse oracle is limited to n <= 14"),
     ], ids=["dense", "sparse"])
     def test_oracle_limit_checked_before_counting(self, capsys, monkeypatch,
@@ -467,7 +482,8 @@ class TestEnumerate:
         def refuse(*args):
             raise AssertionError("counted before checking the oracle limit")
 
-        for name in ("gf_dense_linear", "count_sparse", "brute_force_table"):
+        # the dense oracle itself refuses, so it runs unreplaced
+        for name in ("gf_dense_linear", "count_sparse"):
             monkeypatch.setattr("convexcodes.cli." + name, refuse)
         code, out, _ = run(
             capsys, "enumerate", "--regime", regime,

@@ -15,9 +15,7 @@ from convexcodes.core import (
     Geometry,
     LengthMismatch,
     SensorMatrix,
-    adjacent_column_pairs,
     inharmonious,
-    inharmonious_adjacent_pairs,
     is_discrete_interval,
     regime_check,
     row_stats,
@@ -248,6 +246,10 @@ class TestCodeContainers:
         with pytest.raises(LengthMismatch):
             Code.from_strings(["10", "100"])
 
+    def test_code_iterates_sorted(self):
+        c = Code.from_strings(["011", "110", "100"])
+        assert list(c) == c.sorted_words()
+
     def test_multiset(self):
         w = BitVector.from_string("10")
         ms = CodeMultiset.of({w: 3})
@@ -294,6 +296,26 @@ class TestSensorMatrix:
         assert SensorMatrix.from_columns(cols, Geometry.LINE, k=2).k == 2
         with pytest.raises(LengthMismatch):
             SensorMatrix.from_columns(cols, Geometry.LINE, k=3)
+
+    def test_immutable(self):
+        m = SensorMatrix.from_strings(["110", "011"], Geometry.LINE)
+        for name in ("rows", "columns", "geometry", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+        assert m.row_strings() == ["110", "011"]
+
+    def test_equal_matrices_hash_equal(self):
+        a = SensorMatrix.from_strings(["110", "011"], Geometry.LINE)
+        b = SensorMatrix.from_columns(a.columns, Geometry.LINE)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        circle = SensorMatrix.from_strings(["110", "011"], Geometry.CIRCLE)
+        assert len({a, b, circle}) == 2
+
+    def test_reprs_show_words(self):
+        assert repr(BitVector.from_string("0110")) == "BitVector('0110')"
+        m = SensorMatrix.from_strings(["110", "011"], Geometry.CIRCLE)
+        assert repr(m) == "SensorMatrix(['110', '011'], circle)"
 
     def test_column_set_and_multiset(self):
         m = SensorMatrix.from_strings(["110", "011"], Geometry.LINE)
@@ -427,11 +449,14 @@ class TestRunTranspose:
 
 class TestRegimeCheck:
     def test_adjacency_is_cyclic_only_on_circle(self):
-        assert adjacent_column_pairs(4, Geometry.LINE) == [(0, 1), (1, 2), (2, 3)]
-        assert adjacent_column_pairs(4, Geometry.CIRCLE) == [
-            (0, 1), (1, 2), (2, 3), (3, 0)
-        ]
-        assert adjacent_column_pairs(1, Geometry.LINE) == []
+        # 10 | 11 | 01: harmonious side by side, but 01 wraps round to 10
+        cols = [BitVector.from_string(c) for c in ("10", "11", "01")]
+        m = SensorMatrix.from_columns(cols, Geometry.LINE)
+        assert regime_check(m, HCO)
+        assert not regime_check(m, HCCO)
+        one = SensorMatrix.from_columns(cols[:1], Geometry.LINE)
+        assert regime_check(one, HCO)
+        assert regime_check(one, HCCO)
 
     def test_signature_names(self):
         assert CO.name == "CO"
@@ -454,7 +479,6 @@ class TestRegimeCheck:
         )
         assert regime_check(m, CO)
         assert not regime_check(m, HCO)
-        assert inharmonious_adjacent_pairs(m) == [(0, 1), (2, 3)]
 
     def test_cco_but_not_co(self):
         m = SensorMatrix.from_strings(["1001", "1100"], Geometry.CIRCLE)

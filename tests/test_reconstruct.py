@@ -792,6 +792,12 @@ class TestCertificateScaling:
                 with pytest.raises(KeyError):
                     cert.coloring[key]
 
+    def test_coloring_repr_shows_ordering(self):
+        cert = rejection_certificate(Code.from_strings(["110", "011"]))
+        assert repr(cert.coloring) == "_OrderColoring(%r)" % (cert.ordering,)
+        for w in cert.ordering:
+            assert repr(w) in repr(cert.coloring)
+
     def test_large_infeasible_code_within_budget(self):
         budget = _Budget(3)
         cert = rejection_certificate(_staircase_with_triangle(2000))
