@@ -9,17 +9,17 @@ open and deliberately unimplemented; asking for it yields Unsupported.
 
 The module also certifies the sparse line case both ways, and each
 certificate is checkable without trusting the recognizer.  A feasible
-code gets a Bipartition: its CO ordering, whose line matrix has every
-row consecutive.  An infeasible one gets a RejectionCertificate: an odd
-cycle in the incompatibility graph of a minimal core, which the
-recognizer's own row constraints pick out.
+code gets a Bipartition: the recognizer's CO ordering as is, whose line
+matrix has every row consecutive, with no 2-coloring attached.  An
+infeasible one gets a RejectionCertificate: an odd cycle in the
+incompatibility graph of a minimal core, which the recognizer's own row
+constraints pick out.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -83,14 +83,11 @@ Vertex = tuple[BitVector, BitVector]
 @dataclass(frozen=True)
 class Bipartition:
     """A CO ordering of the words, the certificate of their sparse-line
-    feasibility.  coloring, the proper 2-coloring of the incompatibility
-    graph it stands for, is built on first read."""
+    feasibility.  The proper 2-coloring of the incompatibility graph it
+    stands for, (a, b) -> int(pos[a] > pos[b]) for the positions pos of
+    the words in the ordering, is not stored."""
 
     ordering: tuple[BitVector, ...]
-
-    @cached_property
-    def coloring(self) -> Mapping[Vertex, int]:
-        return _OrderColoring(self.ordering)
 
     def verify(self, words: Code) -> bool:
         """True iff the ordering lists each word of words once and every
@@ -104,35 +101,6 @@ class Bipartition:
             return False
         return regime_check(
             SensorMatrix.from_columns(cols, Geometry.LINE, k=words.k), CO)
-
-
-class _OrderColoring(Mapping):
-    """Read-only map (a, b) -> 1 if a comes after b in ordering, else 0,
-    over the pairs of distinct words: O(n) to build, O(1) per lookup,
-    iterated in the order of the ordering."""
-
-    def __init__(self, ordering: tuple[BitVector, ...]):
-        self._ordering = ordering
-        self._position = {w: i for i, w in enumerate(ordering)}
-
-    def __getitem__(self, pair) -> int:
-        if isinstance(pair, tuple) and len(pair) == 2:
-            i = self._position.get(pair[0])
-            j = self._position.get(pair[1])
-            if i is not None and j is not None and i != j:
-                return int(i > j)
-        raise KeyError(pair)
-
-    def __iter__(self):
-        return ((a, b) for a in self._ordering for b in self._ordering
-                if a is not b)
-
-    def __len__(self) -> int:
-        n = len(self._ordering)
-        return n * (n - 1)
-
-    def __repr__(self) -> str:
-        return "_OrderColoring(%r)" % (self._ordering,)
 
 
 @dataclass(frozen=True)
@@ -194,7 +162,8 @@ def _valid_type2(u: Vertex, v: Vertex, row: int) -> bool:
 
 
 def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
-    """2-color the incompatibility graph, or exhibit an odd cycle.
+    """Certify sparse-line feasibility by an ordering, or refute it by an
+    odd cycle of the incompatibility graph.
 
     A Bipartition, the CO ordering, certifies sparse-line feasibility; a
     RejectionCertificate refutes it.  Both verify independently of the
@@ -202,8 +171,9 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     incompatibility graph is bipartite).
 
     The recognizer does the heavy work, and recognizes the whole code
-    once.  A feasible code is certified by its CO ordering.  An
-    infeasible code is shrunk to a minimal infeasible core, starting
+    once.  A feasible code is certified by co_order's ordering as is,
+    the column order of the matrix a sparse line reconstruction gives.
+    An infeasible code is shrunk to a minimal infeasible core, starting
     from the row whose reduction failed: r row passes for r core rows,
     each over the earlier rows nearest that row, at most the ones of
     its component, then at most 4r row passes over the rows of the at
@@ -214,23 +184,22 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     failed_row, the Infeasible.failed_row of a line reconstruction of
     the same words (sparse, or dense refused by its CO ordering), skips
     their recognition, so the certificate makes none at all; the core
-    search and the cycle keep their self-checks.  A failed_row outside
-    range(words.k), or one at which the words do not fail, raises
-    ValueError.
+    search and the cycle keep their self-checks.  A failed_row that is
+    no int in range(words.k), or one at which the words do not fail,
+    raises ValueError.
     """
-    ws = words.sorted_words()
     given = failed_row is not None
     if not given:
         result = co_order(words)
         if result.feasible:
-            return _ordering_bipartition(ws, result.ordering)
+            return Bipartition(result.ordering)
         failed_row = result.failed_row
         ensure(failed_row is not None,
                "recognizer rejected the words at no row")
-    elif not 0 <= failed_row < words.k:
-        raise ValueError("failed_row %d is not a row of %d-bit words"
+    elif not (isinstance(failed_row, int) and 0 <= failed_row < words.k):
+        raise ValueError("failed_row %r is not a row of %d-bit words"
                          % (failed_row, words.k))
-    core = _infeasible_core(ws, failed_row)
+    core = _infeasible_core(words.sorted_words(), failed_row)
     if core is None:
         # the search could not start at failed_row: a library bug if the
         # recognizer named the row, else the caller's mistake
@@ -241,19 +210,6 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
            "recognizer rejected a code whose core has a bipartite "
            "incompatibility graph")
     return cert
-
-
-def _ordering_bipartition(ws: list[BitVector],
-                          ordering: tuple[BitVector, ...]) -> Bipartition:
-    # Bipartition.coloring colors (a, b) by whether a comes after b.
-    # Proper: (a,b)-(b,a) clearly, and a type-2 edge (a,b)-(b,c) has a
-    # row holding a and c but not b, so b is not between a and c and the
-    # pairs disagree.  Orient the ordering so that (ws[0], ws[1]) gets
-    # 0, as the BFS started there colors it: then a connected graph gets
-    # the same coloring as the search, which is unique up to swapping.
-    if len(ws) > 1 and ordering.index(ws[0]) > ordering.index(ws[1]):
-        ordering = ordering[::-1]
-    return Bipartition(ordering)
 
 
 def _infeasible_core(ws: list[BitVector],

@@ -1,5 +1,6 @@
-"""Shared helpers: small-universe generators, brute-force oracles and the
-teardown that unfreezes the heap after a runtime budget."""
+"""Shared helpers: small-universe generators, brute-force oracles, the
+PQ-tree's parent-read counter and the teardown that unfreezes the heap
+after a runtime budget."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import itertools
 
 import pytest
 
+from convexcodes import pqtree
 from convexcodes.core import (
     BitVector,
     Code,
@@ -25,6 +27,25 @@ def _unfreeze_heap():
     its check()."""
     yield
     gc.unfreeze()
+
+
+@pytest.fixture
+def visits(monkeypatch):
+    """Counts parent lookups: one per pertinent leaf, one per node the
+    full-node climb or the bubble pass visits and one per node the
+    labeling pass labels.  The leaf layer and the climb read a node's
+    parent cell inline, the bubble and labeling passes through
+    _Node.parent, so the count is of reads of the `up` slot; the
+    templates only write it."""
+    count = [0]
+    slot = pqtree._Node.__dict__["up"]
+
+    def read(node):
+        count[0] += 1
+        return slot.__get__(node, pqtree._Node)
+
+    monkeypatch.setattr(pqtree._Node, "up", property(read, slot.__set__))
+    return count
 
 
 def all_words(k: int) -> list[str]:

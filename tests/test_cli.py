@@ -340,6 +340,22 @@ class TestCertificate:
         words = parse_code_file(WALKTHROUGH).support
         assert cert == rejection_certificate(words) and cert.verify(words)
 
+    def test_structured_ordering_is_the_check_column_order(self, capsys,
+                                                           tmp_path):
+        # the certificate lists the columns of the matrix check prints,
+        # in that order: an ordering and its reverse both verify, and the
+        # certificate once printed this code's in reverse
+        path = write(tmp_path, "c.txt", "1010\n0110\n1001\n")
+        code, out, _ = run(capsys, "check", path, "--format", "structured")
+        assert code == EXIT_FEASIBLE
+        rows = json.loads(out)["matrix"]
+        columns = ["".join(col) for col in zip(*rows)]
+        code, out, _ = run(capsys, "certificate", path, "--format",
+                           "structured")
+        assert code == EXIT_FEASIBLE
+        assert json.loads(out)["ordering"] == columns == [
+            "0110", "1010", "1001"]
+
     def test_odd_cycle_with_witnesses(self, capsys, tmp_path):
         path = write(tmp_path, "c.txt", ODD_CYCLE)
         code, out, _ = run(capsys, "certificate", path)

@@ -102,25 +102,6 @@ def _staircase(n: int) -> list[list[int]]:
     return [[i, i + 1] for i in range(n - 1)]
 
 
-@pytest.fixture
-def visits(monkeypatch):
-    """Counts parent lookups: one per pertinent leaf, one per node the
-    full-node climb or the bubble pass visits and one per node the
-    labeling pass labels.  The leaf layer and the climb read a node's
-    parent cell inline, the bubble and labeling passes through
-    _Node.parent, so the count is of reads of the `up` slot; the
-    templates only write it."""
-    count = [0]
-    slot = pqtree._Node.__dict__["up"]
-
-    def read(node):
-        count[0] += 1
-        return slot.__get__(node, pqtree._Node)
-
-    monkeypatch.setattr(pqtree._Node, "up", property(read, slot.__set__))
-    return count
-
-
 def _reduce_all(n: int, constraints, visits) -> list[tuple[int, int]]:
     """(|S|, visits) of each reduction that reaches the tree."""
     tree = PQTree(n)
