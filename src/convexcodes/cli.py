@@ -189,13 +189,6 @@ class _Emitter:
                 print(line)
 
 
-def _certificate_doc(cert: RejectionCertificate) -> dict:
-    return {
-        "odd_cycle": [[a.to_string(), b.to_string()] for a, b in cert.odd_cycle],
-        "witnesses": {str(i): r for i, r in sorted(cert.witnesses.items())},
-    }
-
-
 def _regime(args) -> Regime:
     geometry = Geometry.LINE if args.geometry == "line" else Geometry.CIRCLE
     density = Density.SPARSE if args.regime == "sparse" else Density.DENSE
@@ -253,6 +246,21 @@ def _emit_arrangement(em: _Emitter, arr: IntervalArrangement,
         em.text("interval %d: %s" % (i, _interval_text(iv)))
 
 
+def _emit_odd_cycle(em: _Emitter, cert: RejectionCertificate) -> None:
+    """The odd cycle of check's CO refusal and of certificate, each pair
+    with its witness row where it has one."""
+    pairs = [(a.to_string(), b.to_string()) for a, b in cert.odd_cycle]
+    em.set("certificate", {
+        "odd_cycle": pairs,
+        "witnesses": {str(i): r for i, r in sorted(cert.witnesses.items())},
+    })
+    em.text("not bipartite: odd cycle of %d ordering relations" % len(pairs))
+    for i, (a, b) in enumerate(pairs):
+        wit = cert.witnesses.get(i)
+        suffix = "" if wit is None else "  # witness row %d" % wit
+        em.text("  (%s, %s)%s" % (a, b, suffix))
+
+
 def cmd_check(args, em: _Emitter) -> None:
     ms, regime, result = _reconstruct(args, em)
     if isinstance(result, SensorMatrix):
@@ -264,10 +272,7 @@ def cmd_check(args, em: _Emitter) -> None:
         ensure(isinstance(cert, RejectionCertificate),
                "recognizer rejected a code with a bipartite incompatibility"
                " graph")
-        em.set("certificate", _certificate_doc(cert))
-        em.text("odd cycle (%d vertices):" % len(cert.odd_cycle))
-        for a, b in cert.odd_cycle:
-            em.text("  (%s, %s)" % (a.to_string(), b.to_string()))
+        _emit_odd_cycle(em, cert)
 
 
 def cmd_realize(args, em: _Emitter) -> None:
@@ -292,14 +297,7 @@ def cmd_certificate(args, em: _Emitter) -> None:
         em.text("bipartite: the code is realizable on the line (sparse)")
         return
     em.set("status", "infeasible")
-    em.set("certificate", _certificate_doc(cert))
-    em.text("not bipartite: odd cycle of %d ordering relations"
-            % len(cert.odd_cycle))
-    for i in range(len(cert.odd_cycle)):
-        a, b = cert.odd_cycle[i]
-        wit = cert.witnesses.get(i)
-        suffix = "" if wit is None else "  # witness row %d" % wit
-        em.text("  (%s, %s)%s" % (a.to_string(), b.to_string(), suffix))
+    _emit_odd_cycle(em, cert)
 
 
 def cmd_enumerate(args, em: _Emitter) -> None:

@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import json
 import locale
 import os
@@ -12,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import all_words, brute_orderable
 from convexcodes import counting
 from convexcodes.cli import (
     EXIT_FEASIBLE,
@@ -24,7 +26,8 @@ from convexcodes.cli import (
     main,
     parse_code_file,
 )
-from convexcodes.core import BitVector, Geometry, InternalError, SizeLimit
+from convexcodes.core import (CO, BitVector, Code, Geometry, InternalError,
+                              SizeLimit)
 from convexcodes.counting import (
     CountTable,
     brute_force_table,
@@ -36,6 +39,7 @@ from convexcodes.geometry import (
     SensorSet,
     extract_code_sparse,
 )
+from tucker import _staircase_with_triangle, kinds
 
 WALKTHROUGH = "1100\n1000\n0100\n0000\n0001\n0110\n"
 ODD_CYCLE = "1100\n1010\n0101\n1111\n"
@@ -130,8 +134,6 @@ class TestCheck:
         # reconstruction found failing; it recognizes fewer words only
         import convexcodes.ordering as ordering
 
-        from test_reconstruct import _staircase_with_triangle
-
         code = _staircase_with_triangle(40)
         path = write(tmp_path, "c.txt", "".join(
             w.to_string() + "\n" for w in code.sorted_words()))
@@ -146,9 +148,34 @@ class TestCheck:
         argv = ["check", path] + (["--multiset"] if multiset else [])
         status, out, _ = run(capsys, *argv)
         assert status == EXIT_INFEASIBLE
-        assert out.splitlines()[1] == "odd cycle (3 vertices):"
+        assert out.splitlines()[1] == (
+            "not bipartite: odd cycle of 3 ordering relations")
         assert sizes.count(len(code)) == 1
         assert max(sizes) == len(code)
+
+    @pytest.mark.parametrize("multiset", [False, True])
+    def test_refusal_ends_with_the_certificate(self, capsys, tmp_path,
+                                               multiset):
+        # on every CO-infeasible code of the exhaustive oracle's sizes and
+        # every Tucker kind up to 7 words, check prints its refusal line
+        # and then certificate's stdout, byte for byte
+        codes = [Code.from_strings(combo)
+                 for k, sizes in ((3, range(1, 5)), (4, range(1, 4)))
+                 for size in sizes
+                 for combo in itertools.combinations(all_words(k), size)
+                 if not brute_orderable(combo, CO)]
+        assert len(codes) == 33
+        path = tmp_path / "c.txt"
+        for code in codes + list(kinds(7).values()):
+            path.write_text("".join(w.to_string() + "\n"
+                                    for w in code.sorted_words()))
+            status, out, _ = run(capsys, "check", str(path),
+                                 *(["--multiset"] if multiset else []))
+            refusal, _, rest = out.partition("\n")
+            assert status == EXIT_INFEASIBLE
+            assert refusal.startswith("infeasible: no CO column ordering")
+            assert (EXIT_INFEASIBLE, rest, "") == run(capsys, "certificate",
+                                                      str(path))
 
     def test_multiset_dense_rejection(self, capsys, tmp_path):
         path = write(tmp_path, "c.txt", "100\n010\n001\n000\n")
@@ -192,7 +219,7 @@ class TestRealize:
 
 # Exact stdout of a refused code, by output format.  check, realize and
 # normalize print the same refusal; check's infeasible report on the line
-# adds the odd-cycle certificate.
+# adds the odd cycle exactly as certificate prints it.
 UNSUPPORTED = {
     "text": "unsupported: no reconstruction algorithm is known for the circular"
     " sensor-dense regime\n",
@@ -211,12 +238,12 @@ INFEASIBLE = {
 }
 CHECK_INFEASIBLE = {
     "text": "infeasible: no CO column ordering exists: row 3 fails\n"
-    "odd cycle (5 vertices):\n"
-    "  (1100, 1111)\n"
+    "not bipartite: odd cycle of 5 ordering relations\n"
+    "  (1100, 1111)  # witness row 2\n"
     "  (1010, 1100)\n"
-    "  (1100, 1010)\n"
-    "  (1010, 0101)\n"
-    "  (0101, 1100)\n",
+    "  (1100, 1010)  # witness row 1\n"
+    "  (1010, 0101)  # witness row 0\n"
+    "  (0101, 1100)  # witness row 3\n",
     "structured": '{\n'
     '  "certificate": {\n'
     '    "odd_cycle": [\n'

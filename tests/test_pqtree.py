@@ -18,6 +18,7 @@ from convexcodes import pqtree
 from convexcodes.core import BitVector, Code
 from convexcodes.ordering import cco_order, co_order
 from convexcodes.pqtree import LEAF, PNODE, PQTree, ReductionFailed
+from tucker import m_i
 
 
 def _consecutive(order, constraint) -> bool:
@@ -639,11 +640,11 @@ def _dense_complete_code(k, rng):
 
 
 def _obstruction_code(s, rng):
-    """Random line intervals plus a planted Tucker triangle on three new
+    """Random line intervals plus Tucker's triangle, M_I(3), on three new
     rows and columns: infeasible on the line and on the circle."""
     rows = _line_rows(s, rng)
     k = len(rows)
-    cols = _columns(rows, s) | {0b101 << k, 0b011 << k, 0b110 << k}
+    cols = _columns(rows, s) | {w.mask << k for w in m_i(3).words}
     return Code.of(BitVector(k + 3, m) for m in cols)
 
 

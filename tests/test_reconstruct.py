@@ -48,6 +48,7 @@ from convexcodes.reconstruct import (
     rejection_certificate,
 )
 from test_acceptance import _Budget
+from tucker import _planted_cycle, _staircase_with_triangle
 
 ODD_CYCLE_CODE = ["1100", "1010", "0101", "1111"]
 
@@ -559,37 +560,6 @@ class TestCertificates:
                                 OrderingResult(False, failed_row=row))
         with pytest.raises(error):
             rejection_certificate(code, **given)
-
-
-def _staircase_with_triangle(n):
-    # n staircase words (singletons and adjacent pairs, CO-feasible) on
-    # rows 0..r-1, plus a Tucker triangle on three new rows: each of the
-    # rows r, r+1, r+2 makes two of the three new columns adjacent
-    return _planted_cycle(n, 3)[0]
-
-
-def _planted_cycle(n, c, layout="end"):
-    # Tucker's M_I(c) beside n staircase words: c new words, word j
-    # holding cycle rows j and j - 1 (mod c), which no staircase word
-    # holds.  "end" puts the c cycle rows after the n // 2 + 1 staircase
-    # rows; "spread" makes cycle row j row (j + 1) k // c - 1 of all k
-    # rows, the staircase rows filling the others in order; "tied" is
-    # spread with every cycle word also in the middle staircase row, so
-    # that all rows are one component and the cycle is the only
-    # obstruction.  Returns the code and the cycle words.
-    s = n // 2 + 1
-    k = s + c
-    cycle_rows = ([s + j for j in range(c)] if layout == "end"
-                  else [(j + 1) * k // c - 1 for j in range(c)])
-    taken = set(cycle_rows)
-    place = [i for i in range(k) if i not in taken]
-    tie = 1 << place[s // 2] if layout == "tied" else 0
-    stairs = ([1 << place[i] for i in range(s)]
-              + [1 << place[i] | 1 << place[i + 1] for i in range(s - 1)])
-    cycle = [1 << cycle_rows[j] | 1 << cycle_rows[j - 1] | tie
-             for j in range(c)]
-    return (Code.of(BitVector(k, m) for m in stairs[:n] + cycle),
-            {BitVector(k, m) for m in cycle})
 
 
 def _bisecting_core(ws, k):

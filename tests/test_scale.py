@@ -41,7 +41,7 @@ from convexcodes.reconstruct import (
 )
 from test_acceptance import _Budget
 from test_geometry import _reference_margin
-from test_reconstruct import _planted_cycle, _staircase_with_triangle
+from tucker import _planted_cycle, _staircase_with_triangle
 
 
 def _staircase(n):
@@ -388,7 +388,7 @@ def test_cli_check_of_a_large_infeasible_file(tmp_path, capsys):
     assert status == EXIT_INFEASIBLE
     assert out[:2] == ["infeasible: no CO column ordering exists: row 5003"
                        " fails",
-                       "odd cycle (3 vertices):"]
+                       "not bipartite: odd cycle of 3 ordering relations"]
 
 
 def test_parse_staircase_file():
