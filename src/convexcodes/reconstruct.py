@@ -12,13 +12,13 @@ certificate is checkable without trusting the recognizer.  A feasible
 code gets a Bipartition: the recognizer's CO ordering as is, whose line
 matrix has every row consecutive, with no 2-coloring attached.  An
 infeasible one gets a RejectionCertificate: an odd cycle in the
-incompatibility graph of a minimal core, which the recognizer's own row
-constraints pick out.
+incompatibility graph, written down from a Tucker core, which the
+recognizer's own row constraints pick out.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -31,6 +31,7 @@ from .core import (
     CodeMultiset,
     Geometry,
     SensorMatrix,
+    _set_positions,
     ensure,
     inharmonious,
     regime_check,
@@ -105,7 +106,8 @@ class Bipartition:
 
 @dataclass(frozen=True)
 class RejectionCertificate:
-    """An odd closed walk in the incompatibility graph.
+    """An odd closed walk in the incompatibility graph, which holds an
+    odd cycle; a vertex may recur, and verify checks each edge alone.
 
     odd_cycle lists the vertices (ordered column pairs) in cyclic order;
     consecutive vertices, wrapping around, are joined by graph edges.
@@ -173,20 +175,19 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     The recognizer does the heavy work, and recognizes the whole code
     once.  A feasible code is certified by co_order's ordering as is,
     the column order of the matrix a sparse line reconstruction gives.
-    An infeasible code is shrunk to a minimal infeasible core, starting
-    from the row whose reduction failed: r row passes for r core rows,
-    each over the earlier rows nearest that row, at most the ones of
-    its component, then at most 4r row passes over the rows of the at
-    most 4r words kept, each cut down to the words still kept.  Only
-    the core's graph is searched for an odd cycle, and it is walked,
-    not built: O(c) mask tests per vertex reached for c core words.
+    An infeasible code is shrunk to a Tucker core, starting from the
+    row whose reduction failed: r row passes for r core rows, each over
+    the earlier rows nearest that row, at most the ones of its
+    component, then at most 4r row passes over the core rows, each cut
+    down to the words still kept.  The odd cycle is then written down
+    from the core in O(ones), with no search of the graph.
 
     failed_row, the Infeasible.failed_row of a line reconstruction of
     the same words (sparse, or dense refused by its CO ordering), skips
     their recognition, so the certificate makes none at all; the core
     search and the cycle keep their self-checks.  A failed_row that is
     no int in range(words.k), or one at which the words do not fail,
-    raises ValueError.
+    raises ValueError; so may one after the first row they fail at.
     """
     given = failed_row is not None
     if not given:
@@ -200,28 +201,31 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
         raise ValueError("failed_row %r is not a row of %d-bit words"
                          % (failed_row, words.k))
     core = _infeasible_core(words.sorted_words(), failed_row)
-    if core is None:
-        # the search could not start at failed_row: a library bug if the
-        # recognizer named the row, else the caller's mistake
-        ensure(given, "recognizer contradicted itself in the core search")
-        raise ValueError("the words do not fail at row %d" % failed_row)
-    cert = _odd_cycle(core)
-    ensure(cert is not None,
-           "recognizer rejected a code whose core has a bipartite "
-           "incompatibility graph")
+    cert = None if core is None else _odd_cycle(*core)
+    if cert is None:
+        # no Tucker core at failed_row: a library bug if the recognizer
+        # named the row, else the caller's mistake
+        ensure(given, "recognizer rejected a code whose core has a "
+               "bipartite incompatibility graph")
+        raise ValueError("the words do not first fail at row %d"
+                         % failed_row)
     return cert
 
 
-def _infeasible_core(ws: list[BitVector],
-                     failed: int) -> Optional[list[BitVector]]:
-    """A minimal CO-infeasible subset of the CO-infeasible words ws, in
-    their order, given the first row whose reduction fails; None if the
-    words do not fail at that row (_core_rows).
+def _infeasible_core(ws: list[BitVector], failed: int
+                     ) -> Optional[tuple[list[BitVector], int]]:
+    """A Tucker core of the CO-infeasible words ws, given the first row
+    whose reduction fails: a subset of them, in their order, and the
+    mask of the rows on which it is CO-infeasible and minimal in words
+    and in rows; None if the words do not fail at that row (_core_rows).
 
-    One word per nonzero pattern on the r core rows of _core_rows, at
-    most 4r, is infeasible too; a deletion filter, last word first,
-    drops each word whose removal leaves the rest infeasible: one row
-    pass over the kept words' rows, cut down to the others.
+    The r rows of _core_rows are minimal for all the words, so for
+    every subset still infeasible on them.  One word per nonzero
+    pattern on those rows, at most 4r, is infeasible there; a deletion
+    filter, last word first, drops each word whose removal leaves the
+    rest infeasible: one row pass over the core rows, cut down to the
+    others.  Minimal both ways, the kept words on the core rows are one
+    of Tucker's five kinds, up to the order of rows and words.
     """
     core = _core_rows(ws, failed)
     if core is None:
@@ -232,14 +236,15 @@ def _infeasible_core(ws: list[BitVector],
         firsts.setdefault(w.mask & on_core, w)
     firsts.pop(0, None)
     words = list(firsts.values())
-    rows = [row for row in _row_constraints(words) if len(row) > 1]
+    rows = [row for i, row in enumerate(_row_constraints(words))
+            if on_core >> i & 1]
     kept = set(range(len(words)))
     for j in reversed(range(len(words))):
         others = kept - {j}
         if _first_failure_touched([[i for i in row if i in others]
                                    for row in rows]) is not None:
             kept = others
-    return [words[j] for j in sorted(kept)]
+    return [words[j] for j in sorted(kept)], on_core
 
 
 def _core_rows(ws: list[BitVector], failed: int) -> Optional[list[int]]:
@@ -296,70 +301,63 @@ def _nearest_rows(rows: list[list[int]], failed: int) -> list[int]:
     return reached[1:]
 
 
-def _neighbours(u: Vertex, ws: list[BitVector]):
-    """The neighbours of u = (a, b) in the incompatibility graph of the
-    words ws, each with its witness row (None for the reversal), in the
-    order of the triples of ws that join them: (b, a); (x, a) for x
-    before a, when a row holds x and b but not a; (b, c) for every c,
-    when a row holds a and c but not b; then (x, a) for x after a.  The
-    witness is the least such row; O(c) mask tests for c words."""
-    a, b = u
-    yield (b, a), None
-    into, out = b.mask & ~a.mask, a.mask & ~b.mask
-    for x in ws:
-        if x is a:
-            for c in ws:
-                hit = c.mask & out
-                if hit and c is not a:
-                    yield (b, c), (hit & -hit).bit_length() - 1
-        else:
-            hit = x.mask & into
-            if hit and x is not b:
-                yield (x, a), (hit & -hit).bit_length() - 1
+def _odd_cycle(ws: list[BitVector],
+               rows: int) -> Optional[RejectionCertificate]:
+    """An odd cycle of the incompatibility graph of the Tucker core ws
+    on the rows of the mask rows, written down from its three words with
+    the fewest of those rows; None if there are fewer than three words,
+    or those three are no asteroidal triple.
 
-
-def _odd_cycle(ws: list[BitVector]) -> Optional[RejectionCertificate]:
-    """An odd cycle of the incompatibility graph of ws by breadth-first
-    search, or None if the graph is bipartite.  A vertex's color is the
-    parity of its BFS depth.  The graph is walked, never built: each
-    vertex lists its neighbours when the search reaches it."""
-    depth: dict[Vertex, int] = {}
-    parent: dict[Vertex, tuple[Vertex, Optional[int]]] = {}
-    for start in ((a, b) for a in ws for b in ws if a is not b):
-        if start in depth:
-            continue
-        depth[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, row in _neighbours(u, ws):
-                if v not in depth:
-                    depth[v] = depth[u] + 1
-                    parent[v] = (u, row)
-                    queue.append(v)
-                elif (depth[v] - depth[u]) % 2 == 0:
-                    return _cycle_through(u, v, row, depth, parent)
-    return None
-
-
-def _cycle_through(u: Vertex, v: Vertex, row, depth, parent) -> RejectionCertificate:
-    # climb the deeper end of the same-parity edge (u, v) until the ends
-    # meet; the two tree paths and the edge close an odd cycle, whose
-    # edge i, vertices[i] to vertices[i + 1], has row rows[i] (or None)
-    left, right = [u], [v]
-    left_rows, right_rows = [], []
-    while left[-1] != right[-1]:
-        path, rows = ((left, left_rows) if depth[left[-1]] >= depth[right[-1]]
-                      else (right, right_rows))
-        up, r = parent[path[-1]]
-        path.append(up)
-        rows.append(r)
-    vertices = left + right[-2::-1]
-    rows = left_rows + right_rows[::-1] + [row]
-    cert = RejectionCertificate(
-        tuple(vertices), {i: r for i, r in enumerate(rows) if r is not None})
+    In each of Tucker's kinds they are one: any two of them, s and t,
+    are joined by a path of words s = z0, z1, ..., zm = t, each two
+    consecutive ones sharing a row rj that the third, p, does not hold.
+    That path is the walk (s,p) (p,z1) (z1,p) ... (p,t) of 2m - 1 edges,
+    rj the witness into (p,zj).  The paths from x to y around q, from q
+    to x around y and from y to q around x close an odd cycle.  Each is
+    a shortest path, found breadth-first over the rows: O(ones) in all.
+    """
+    if len(ws) < 3:
+        return None
+    holders = _set_positions((w.mask & rows for w in ws), rows.bit_length())
+    x, y, q = sorted(range(len(ws)),
+                     key=lambda j: (ws[j].mask & rows).bit_count())[:3]
+    vertices: list[Vertex] = []
+    witnesses: dict[int, int] = {}
+    for s, t, p in ((x, y, q), (q, x, y), (y, q, x)):
+        towards = _paths_to(t, ws, holders, rows & ~ws[p].mask)
+        if s not in towards:
+            return None
+        z = s
+        while z != t:
+            if z != s:
+                vertices.append((ws[p], ws[z]))
+            witnesses[len(vertices)] = towards[z][1]
+            vertices.append((ws[z], ws[p]))
+            z = towards[z][0]
+    cert = RejectionCertificate(tuple(vertices), witnesses)
     ensure(cert.verify(), "extracted cycle failed self-verification")
     return cert
+
+
+def _paths_to(t: int, ws: list[BitVector], holders: list[list[int]],
+              free: int) -> dict[int, tuple[int, int]]:
+    """For each word reached from word t through rows of the mask free
+    (holders lists each row's words), the next word on a shortest path
+    to t and the row they share: one breadth-first walk that expands
+    each row and word once."""
+    towards = {t: (t, -1)}
+    reached = [t]
+    for z in reached:  # appended to while walked: breadth-first
+        hit = ws[z].mask & free
+        free ^= hit
+        while hit:
+            r = (hit & -hit).bit_length() - 1
+            hit &= hit - 1
+            for u in holders[r]:
+                if u not in towards:
+                    towards[u] = (z, r)
+                    reached.append(u)
+    return towards
 
 
 def _no_ordering(name: str, result: OrderingResult) -> Infeasible:

@@ -239,17 +239,21 @@ INFEASIBLE = {
 CHECK_INFEASIBLE = {
     "text": "infeasible: no CO column ordering exists: row 3 fails\n"
     "not bipartite: odd cycle of 5 ordering relations\n"
-    "  (1100, 1111)  # witness row 2\n"
-    "  (1010, 1100)\n"
-    "  (1100, 1010)  # witness row 1\n"
-    "  (1010, 0101)  # witness row 0\n"
-    "  (0101, 1100)  # witness row 3\n",
+    "  (1100, 0101)  # witness row 0\n"
+    "  (0101, 1010)  # witness row 1\n"
+    "  (1010, 1100)  # witness row 2\n"
+    "  (1100, 1111)\n"
+    "  (1111, 1100)  # witness row 3\n",
     "structured": '{\n'
     '  "certificate": {\n'
     '    "odd_cycle": [\n'
     '      [\n'
     '        "1100",\n'
-    '        "1111"\n'
+    '        "0101"\n'
+    '      ],\n'
+    '      [\n'
+    '        "0101",\n'
+    '        "1010"\n'
     '      ],\n'
     '      [\n'
     '        "1010",\n'
@@ -257,21 +261,17 @@ CHECK_INFEASIBLE = {
     '      ],\n'
     '      [\n'
     '        "1100",\n'
-    '        "1010"\n'
+    '        "1111"\n'
     '      ],\n'
     '      [\n'
-    '        "1010",\n'
-    '        "0101"\n'
-    '      ],\n'
-    '      [\n'
-    '        "0101",\n'
+    '        "1111",\n'
     '        "1100"\n'
     '      ]\n'
     '    ],\n'
     '    "witnesses": {\n'
-    '      "0": 2,\n'
-    '      "2": 1,\n'
-    '      "3": 0,\n'
+    '      "0": 0,\n'
+    '      "1": 1,\n'
+    '      "2": 2,\n'
     '      "4": 3\n'
     '    }\n'
     '  },\n'

@@ -541,6 +541,10 @@ class TestCertificates:
         (ODD_CYCLE_CODE, 1.5, "caller", ValueError),
         (ODD_CYCLE_CODE, 1.0, "caller", ValueError),
         (ODD_CYCLE_CODE, "1", "caller", ValueError),
+        # first fails at row 3: seeded with row 4, the core search finds
+        # rows that are no Tucker core, and no odd cycle is written down
+        (["00011", "00110", "01000", "01110", "10011", "11010"], 4,
+         "caller", ValueError),
     ])
     def test_failed_row_errors_name_who_gave_the_row(
             self, monkeypatch, words, row, supplier, error):
@@ -560,6 +564,26 @@ class TestCertificates:
                                 OrderingResult(False, failed_row=row))
         with pytest.raises(error):
             rejection_certificate(code, **given)
+
+
+def _on_rows(words, rows):
+    # the words cut down to the given rows, feasible by the recognizer
+    return co_order(Code.of(
+        BitVector(len(rows), sum(w.bit(r) << i for i, r in enumerate(rows)))
+        for w in words)).feasible
+
+
+def _minimal_rows(words, rows):
+    # infeasible on the rows, feasible once any one of them is dropped
+    return (not _on_rows(words, rows)
+            and all(_on_rows(words, rows[:i] + rows[i + 1:])
+                    for i in range(len(rows))))
+
+
+def _tucker_core(words, rows):
+    # minimal in rows, and feasible once any word is dropped
+    return (_minimal_rows(words, rows)
+            and all(_on_rows(set(words) - {w}, rows) for w in words))
 
 
 def _bisecting_core(ws, k):
@@ -670,18 +694,6 @@ class TestCertificateScaling:
     def test_core_is_minimal_and_holds_the_certificate(self):
         from convexcodes.reconstruct import _core_rows, _infeasible_core
 
-        def on_rows(words, rows):
-            # the words cut down to the given rows, by the recognizer
-            return co_order(Code.of(
-                BitVector(len(rows), sum(w.bit(r) << i
-                                         for i, r in enumerate(rows)))
-                for w in words)).feasible
-
-        def minimal_rows(words, rows):
-            return (not on_rows(words, rows)
-                    and all(on_rows(words, rows[:i] + rows[i + 1:])
-                            for i in range(len(rows))))
-
         checked = shared = 0
         codes = itertools.chain(_random_codes(43, 400),
                                 _shared_obstruction_codes(59, 400),
@@ -692,33 +704,27 @@ class TestCertificateScaling:
             checked += 1
             ws = code.sorted_words()
             failed = co_order(code).failed_row
-            core = _infeasible_core(ws, failed)
-            assert not co_order(Code.of(core)).feasible
-            for w in core:
-                assert co_order(Code.of(set(core) - {w})).feasible
-            # the rows: minimal for the whole code, and, found again on
-            # the kept words, minimal for them
-            assert minimal_rows(ws, _core_rows(ws, failed))
-            kept = sorted(core, key=lambda w: w.mask)
-            rows = _core_rows(kept, co_order(Code.of(kept)).failed_row)
-            assert minimal_rows(kept, rows)
-            # a row outside the kept words' core holds one of them
-            shared += any(w.bit(r) for w in kept for r in range(code.k)
+            core, on_core = _infeasible_core(ws, failed)
+            rows = [r for r in range(code.k) if on_core >> r & 1]
+            assert sorted(_core_rows(ws, failed)) == rows
+            # on the core rows, minimal for the whole code, the kept
+            # words are infeasible and minimal in words and in rows: a
+            # Tucker core
+            assert _minimal_rows(ws, rows) and _tucker_core(core, rows)
+            # a row outside the core holds one of its words
+            shared += any(w.bit(r) for w in core for r in range(code.k)
                           if r not in rows)
             cert = rejection_certificate(code)
             assert isinstance(cert, RejectionCertificate) and cert.verify()
-            assert {x for pair in cert.odd_cycle for x in pair} <= set(core)
+            assert {x for pair in cert.odd_cycle for x in pair} == set(core)
         assert checked >= 500 and shared >= 400
 
     def test_row_filter_against_the_bisecting_core(self):
         # the word-prefix bisection the row filter replaced: both cores
-        # must hold a verified odd cycle, and the filter's must be minimal
+        # must be certified by a verified odd cycle, the bisecting one
+        # minimal in words, and the filter's minimal in words and in
+        # rows on its core rows, its cycle through every word
         from convexcodes.reconstruct import _infeasible_core, _odd_cycle
-
-        def minimal(core):
-            return (not co_order(Code.of(core)).feasible
-                    and all(co_order(Code.of(set(core) - {w})).feasible
-                            for w in core))
 
         codes = [c for c in _random_codes(53, 400)
                  if not co_order(c).feasible]
@@ -726,12 +732,18 @@ class TestCertificateScaling:
         same = 0
         for code in codes:
             ws = code.sorted_words()
-            core = _infeasible_core(ws, co_order(code).failed_row)
+            core, on_core = _infeasible_core(ws, co_order(code).failed_row)
             reference = _bisecting_core(ws, code.k)
-            assert minimal(core) and minimal(reference)
-            for c in (core, reference):
-                cert = _odd_cycle(sorted(c, key=lambda w: w.mask))
-                assert cert is not None and cert.verify()
+            assert _tucker_core(core, [r for r in range(code.k)
+                                       if on_core >> r & 1])
+            assert not _on_rows(reference, range(code.k))
+            assert all(_on_rows(set(reference) - {w}, range(code.k))
+                       for w in reference)
+            cert = _odd_cycle(core, on_core)
+            assert cert is not None and cert.verify()
+            assert {w for pair in cert.odd_cycle for w in pair} == set(core)
+            cert = rejection_certificate(Code.of(reference))
+            assert isinstance(cert, RejectionCertificate) and cert.verify()
             same += set(core) == set(reference)
         assert len(codes) >= 100 and same >= len(codes) // 2
 
@@ -861,48 +873,25 @@ def _reference_extract(u, v, row, parent):
 
 
 def test_odd_cycle_equals_the_reference():
-    from convexcodes.reconstruct import _odd_cycle
-
+    # the cycle is written down from a Tucker core, not searched for:
+    # the words are refuted exactly when a search of their whole graph
+    # finds an odd cycle, and the refutation verifies
     rng = random.Random(67)
     found = bipartite = 0
     for _ in range(2000):
         k = rng.randint(2, 6)
-        # distinct words in random order: the order steers the search
         ws = [BitVector(k, m) for m in
               rng.sample(range(1 << k), rng.randint(1, min(8, 1 << k)))]
-        cert, reference = _odd_cycle(ws), _reference_odd_cycle(ws)
+        cert = rejection_certificate(Code.of(ws))
+        reference = _reference_odd_cycle(ws)
         if reference is None:
-            assert cert is None
+            assert isinstance(cert, Bipartition)
             bipartite += 1
             continue
-        assert cert.odd_cycle == reference.odd_cycle
-        assert list(cert.witnesses.items()) == list(reference.witnesses.items())
-        assert cert.verify()
+        assert reference.verify()
+        assert isinstance(cert, RejectionCertificate) and cert.verify()
         found += 1
     assert found >= 300 and bipartite >= 300
-
-
-def test_neighbours_are_the_reference_adjacency_lists():
-    # the walk lists each vertex's neighbours in the order the built
-    # graph held them, where the reversal (b, a) stood twice, once for
-    # each of the two ordered pairs that add it
-    from convexcodes.reconstruct import _neighbours
-
-    rng = random.Random(71)
-    witnessed = 0
-    for _ in range(1000):
-        k = rng.randint(2, 7)
-        ws = [BitVector(k, m) for m in
-              rng.sample(range(1 << k), rng.randint(1, min(10, 1 << k)))]
-        adj = {(a, b): [] for a in ws for b in ws if a is not b}
-        for u, v, row in _incompatibility_edges(ws):
-            adj[u].append((v, row))
-            adj[v].append((u, row))
-        for (a, b), reference in adj.items():
-            assert reference[:2] == [((b, a), None)] * 2
-            assert list(_neighbours((a, b), ws)) == reference[1:]
-            witnessed += len(reference) - 2
-    assert witnessed >= 10000
 
 
 class TestMultiset:

@@ -41,7 +41,7 @@ from convexcodes.reconstruct import (
 )
 from test_acceptance import _Budget
 from test_geometry import _reference_margin
-from tucker import _planted_cycle, _staircase_with_triangle
+from tucker import _planted_cycle, _staircase_with_triangle, m_i, m_ii, m_iii
 
 
 def _staircase(n):
@@ -315,20 +315,36 @@ def test_certificate_of_a_planted_odd_cycle():
 
 def test_odd_cycle_walks_the_graph_without_building_it():
     # the core of M_I(51) has 51 * 50 = 2550 pair vertices; a search that
-    # builds their adjacency lists first peaks above 2 MB, a walk that
-    # lists each vertex's neighbours on reaching it near 0.2 MB
+    # builds their adjacency lists first peaks above 2 MB, a cycle
+    # written down from the core's rows holds only its own vertices
     code, cycle = _planted_cycle(200, 51)
     core = _infeasible_core(code.sorted_words(),
                             co_order(code).failed_row)
     tracemalloc.start()
     try:
-        cert = _odd_cycle(core)
+        cert = _odd_cycle(*core)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert cert is not None and cert.verify()
     assert {w for pair in cert.odd_cycle for w in pair} == cycle
     assert peak < 500_000, peak
+
+
+@pytest.mark.parametrize("make, c", [(m_i, 801), (m_ii, 403), (m_iii, 403)],
+                         ids=["M_I(801)", "M_II(403)", "M_III(403)"])
+def test_odd_cycle_of_a_lone_tucker_kind(make, c):
+    # the kind is its own core, all words on all rows, so no core search
+    # runs: the cycle is written down in O(ones), where a breadth-first
+    # search over the c (c - 1) word pairs took tens of seconds
+    code = make(c)
+    ws = code.sorted_words()
+    budget = _Budget(0.5)
+    cert = _odd_cycle(ws, (1 << code.k) - 1)
+    budget.check()
+    assert cert is not None and cert.verify()
+    assert {w for pair in cert.odd_cycle for w in pair} == set(ws)
+    assert len(cert.odd_cycle) <= 2 * sum(w.popcount() for w in ws)
 
 
 @pytest.mark.parametrize("layout, seconds", [

@@ -1,17 +1,18 @@
 """The Tucker fixtures: obstructions by the permutation oracle, minimal
-where the oracle reaches, certified on every word, infeasible on the
-circle once complemented, and recognized in work linear in their size."""
+where the oracle reaches, certified on every word, also with their rows
+repeated, infeasible on the circle once complemented, and recognized in
+work linear in their size."""
 
 import random
-from functools import partial
 
 import pytest
 
 from conftest import brute_orderable
 from convexcodes.core import CCO, CO, BitVector, Code
 from convexcodes.ordering import cco_order, co_order
-from convexcodes.reconstruct import RejectionCertificate, rejection_certificate
-from tucker import kinds, m_i, m_ii, m_iii, m_iv, m_v, permuted
+from convexcodes.reconstruct import (RejectionCertificate, _infeasible_core,
+                                     rejection_certificate)
+from tucker import kinds, m_i, m_ii, m_iii, m_iv, m_v, permuted, repeated
 
 # every kind the permutation oracle reaches: 7 words, 5040 orderings
 KINDS = kinds(7)
@@ -79,17 +80,32 @@ def test_complemented_kind_is_infeasible_on_the_circle(name):
 @pytest.mark.parametrize("t", [2, 3])
 @pytest.mark.parametrize("c", [3, 4, 5, 6])
 def test_repeated_rows_stay_infeasible(c, t):
-    code = m_i(c, t)
+    code = repeated(m_i(c), t)
     ws = code.sorted_words()
     assert len(ws) == c and code.k == c * t
     assert not brute_orderable(_strings(ws, range(code.k)), CO)
     assert not co_order(code).feasible
 
 
+@pytest.mark.parametrize("t", [2, 3])
+@pytest.mark.parametrize("name", list(KINDS))
+def test_repeated_rows_are_certified_on_one_copy_each(name, t):
+    # copies of a row are one constraint: the Tucker core keeps one copy
+    # of each row, and the odd cycle still passes through every word
+    code = repeated(KINDS[name], t)
+    ws = code.sorted_words()
+    cert = rejection_certificate(code)
+    assert isinstance(cert, RejectionCertificate) and cert.verify()
+    assert {w for pair in cert.odd_cycle for w in pair} == set(ws)
+    _, rows = _infeasible_core(ws, co_order(code).failed_row)
+    copies = [r // t for r in range(code.k) if rows >> r & 1]
+    assert sorted(copies) == list(range(KINDS[name].k))
+
+
 # M_I's ids are its row repetition t
 @pytest.mark.parametrize("make", [
     pytest.param(m_i, id="1"),
-    pytest.param(partial(m_i, t=5), id="5"),
+    pytest.param(lambda c: repeated(m_i(c), 5), id="5"),
     pytest.param(m_ii, id="M_II"),
     pytest.param(m_iii, id="M_III"),
 ])

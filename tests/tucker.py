@@ -21,13 +21,19 @@ from __future__ import annotations
 from convexcodes.core import BitVector, Code
 
 
-def m_i(c: int, t: int = 1) -> Code:
-    """M_I(c), c >= 3, with every row repeated t >= 1 times: word j
-    holds rows j t .. j t + t - 1 and those of row j - 1 (mod c), of
-    c t rows."""
+def m_i(c: int) -> Code:
+    """M_I(c), c >= 3: word j holds rows j and j - 1 (mod c)."""
+    return Code.of(BitVector(c, 1 << j | 1 << (j - 1) % c) for j in range(c))
+
+
+def repeated(code: Code, t: int) -> Code:
+    """The code with every row repeated t >= 1 times: row i becomes the
+    rows i t .. i t + t - 1."""
     block = (1 << t) - 1
-    return Code.of(BitVector(c * t, block << j * t | block << (j - 1) % c * t)
-                   for j in range(c))
+    return Code.of(BitVector(code.k * t, sum(block << i * t
+                                             for i in range(code.k)
+                                             if w.mask >> i & 1))
+                   for w in code.words)
 
 
 def _of_rows(c: int, rows: list[set[int]]) -> Code:
