@@ -14,9 +14,9 @@ exceeded, 64 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import comb
 from typing import Optional
 
@@ -169,7 +169,43 @@ def _interval_text(iv: Interval1D) -> str:
     return "%s%s, %s%s" % (left, lo, hi, right)
 
 
+def _json_text(o, indent: str = "") -> str:
+    """json.dumps(o, indent=2, sort_keys=True), byte for byte, for str
+    keys and str, int, bool, None, list, tuple and dict values; any other
+    type, and a key that is not a str, is a TypeError.  json.dumps with
+    an indent runs its pure-Python encoder; here only the strings are
+    encoded, by the same C function json.dumps calls without one."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = indent + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        items = [_json_text(v, inner) for v in o]
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [_quote(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(o.items())]
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(o).__name__)
+
+
 class _Emitter:
+    """The output of one command: a document in structured mode, lines
+    in text mode.  Each command builds only the form it prints; the
+    status goes in the document in both, for main's exit code."""
+
     def __init__(self, structured: bool):
         self.structured = structured
         self.doc: dict = {}
@@ -183,7 +219,7 @@ class _Emitter:
 
     def flush(self):
         if self.structured:
-            print(json.dumps(self.doc, indent=2, sort_keys=True))
+            print(_json_text(self.doc))
         else:
             for line in self.lines:
                 print(line)
@@ -232,15 +268,18 @@ def _reconstruct(args, em: _Emitter):
 def _emit_matrix(em: _Emitter, m: SensorMatrix) -> None:
     rows = m.row_strings()
     em.set("status", "feasible")
-    em.set("matrix", rows)
-    em.text("feasible")
-    for row in rows:
-        em.text(row)
+    if em.structured:
+        em.set("matrix", rows)
+    else:
+        em.text("feasible")
+        em.lines.extend(rows)
 
 
 def _emit_arrangement(em: _Emitter, arr: IntervalArrangement,
                       sensors: SensorSet) -> None:
-    em.set("arrangement", _arrangement_doc(arr, sensors))
+    if em.structured:
+        em.set("arrangement", _arrangement_doc(arr, sensors))
+        return
     em.text("sensors: %s" % " ".join(_frac_str(p) for p in sensors.positions))
     for i, iv in enumerate(arr.intervals):
         em.text("interval %d: %s" % (i, _interval_text(iv)))
@@ -250,10 +289,12 @@ def _emit_odd_cycle(em: _Emitter, cert: RejectionCertificate) -> None:
     """The odd cycle of check's CO refusal and of certificate, each pair
     with its witness row where it has one."""
     pairs = [(a.to_string(), b.to_string()) for a, b in cert.odd_cycle]
-    em.set("certificate", {
-        "odd_cycle": pairs,
-        "witnesses": {str(i): r for i, r in sorted(cert.witnesses.items())},
-    })
+    if em.structured:
+        em.set("certificate", {
+            "odd_cycle": pairs,
+            "witnesses": {str(i): r for i, r in cert.witnesses.items()},
+        })
+        return
     em.text("not bipartite: odd cycle of %d ordering relations" % len(pairs))
     for i, (a, b) in enumerate(pairs):
         wit = cert.witnesses.get(i)
@@ -300,6 +341,19 @@ def cmd_certificate(args, em: _Emitter) -> None:
     _emit_odd_cycle(em, cert)
 
 
+def _counts_doc(table: dict) -> dict:
+    # the writer sorts the "n,k" keys
+    return {"%d,%d" % key: v for key, v in table.items()}
+
+
+def _table_lines(table: dict, N: int, K: int) -> list[str]:
+    lines = ["n\\k\t" + "\t".join(str(k) for k in range(K + 1))]
+    for n in range(N + 1):
+        lines.append(str(n) + "\t" + "\t".join(
+            str(table[(n, k)]) for k in range(K + 1)))
+    return lines
+
+
 def cmd_enumerate(args, em: _Emitter) -> None:
     regime = _regime(args)
     N, K = args.max_n, args.max_k
@@ -338,14 +392,10 @@ def cmd_enumerate(args, em: _Emitter) -> None:
             if expected[key] != v:
                 raise InternalError("oracle mismatch at n=%d k=%d" % key)
     em.set("status", "feasible")
-    em.set("counts", {
-        "%d,%d" % key: v for key, v in sorted(table.items())
-    })
-    header = "n\\k\t" + "\t".join(str(k) for k in range(K + 1))
-    em.text(header)
-    for n in range(N + 1):
-        em.text(str(n) + "\t" + "\t".join(
-            str(table[(n, k)]) for k in range(K + 1)))
+    if em.structured:
+        em.set("counts", _counts_doc(table))
+    else:
+        em.lines.extend(_table_lines(table, N, K))
 
 
 def cmd_normalize(args, em: _Emitter) -> None:

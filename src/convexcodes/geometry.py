@@ -305,8 +305,6 @@ def realize_matrix(
         raise RegimeViolation("cannot realize a zero-column circular matrix")
     sensors = SensorSet(tuple(Fraction(t, n) if circle else Fraction(t + 1)
                               for t in range(n)))
-    ps = sensors.positions
-    eps = Fraction(1, 4 * n) if circle else Fraction(1, 4)
     ivs: list[Interval1D] = []
     for r in m.rows:
         if r.is_zero:
@@ -314,10 +312,15 @@ def realize_matrix(
         elif r.is_ones:
             ivs.append(Interval1D.whole())
         else:
+            # lo is the (g mod n + 1)-th sensor less the margin, hi the
+            # f-th plus it, each one rational (1 <= f <= n; g < n on the
+            # line), the circle's taken into [0, 1)
             f, g = row_stats(r, regime.geometry)
-            lo, hi = ps[g % n] - eps, ps[f - 1] + eps
             if circle:
-                lo, hi = lo % 1, hi % 1
+                lo = Fraction((4 * (g % n) - 1) % (4 * n), 4 * n)
+                hi = Fraction(4 * f - 3, 4 * n)
+            else:
+                lo, hi = Fraction(4 * g + 3, 4), Fraction(4 * f + 1, 4)
             ivs.append(Interval1D.open(lo, hi))
     arr = IntervalArrangement(tuple(ivs), regime.geometry)
     ensure(_rows(arr, sensors) == [r.mask for r in m.rows],

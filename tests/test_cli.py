@@ -12,6 +12,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import all_words, brute_orderable
 from convexcodes import counting
@@ -22,6 +23,7 @@ from convexcodes.cli import (
     EXIT_SIZE_LIMIT,
     EXIT_UNSUPPORTED,
     ParseError,
+    _json_text,
     count_sparse,
     main,
     parse_code_file,
@@ -760,6 +762,88 @@ class TestNormalizeMultiset:
                             assert (_sensor_rows(json.loads(out)["arrangement"])
                                     == matrix["matrix"])
         assert feasible > 100
+
+
+# every character, control characters, quotes, backslashes, line
+# separators and astral ones more often
+_json_strings = st.text(st.characters(exclude_categories=())
+                        | st.sampled_from('\x00\x1f\x7f"\\/\u2028\xe9\U0001f600'))
+_json_ints = (st.integers()
+              | st.integers(-10 ** 30, 10 ** 30)
+              | st.sampled_from([10 ** 30, -10 ** 30, -1, 0]))
+_json_docs = st.recursive(
+    _json_strings | _json_ints | st.booleans() | st.none(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_json_strings, inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestJsonText:
+    @given(_json_docs)
+    @example({"": [], "a": {}, "b": [[], {}, ()], "c": {"d": [{}]}})
+    @example([-10 ** 30, 10 ** 30, True, False, None, "\x00\u2028\U0001f600"])
+    @settings(max_examples=400)
+    def test_equals_json_dumps(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("doc", [
+        1.5, {1, 2}, b"01", {1: "one"}, ["1", [2.0]], {"a": {"b": {3}}},
+        {"a": 1, 2: "b"},
+    ], ids=["float", "set", "bytes", "int key", "nested float", "nested set",
+            "mixed keys"])
+    def test_other_types_are_type_errors(self, doc):
+        with pytest.raises(TypeError):
+            _json_text(doc)
+
+
+class TestOneForm:
+    """Each command builds only the form it prints: structured output
+    never renders the text lines, text output never builds the
+    document.  The spies also count the builders the chosen form uses,
+    so they are the ones the commands call."""
+
+    @staticmethod
+    def _spy(monkeypatch, name, calls):
+        import convexcodes.cli as cli
+
+        original = getattr(cli, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+
+    @pytest.mark.parametrize("argv", [
+        ["realize"], ["realize", "--geometry", "circle"],
+        ["normalize", "--transform", "open"], ["normalize"],
+        ["enumerate", "--max-n", "4", "--max-k", "6"],
+        ["enumerate", "--regime", "dense", "--max-n", "4", "--max-k", "6"],
+    ], ids=lambda argv: " ".join(argv))
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_builders_of_the_other_form_never_run(self, capsys, tmp_path,
+                                                  monkeypatch, argv, fmt):
+        calls = dict.fromkeys(["_interval_text", "_table_lines",
+                               "_arrangement_doc", "_counts_doc"], 0)
+        for name in calls:
+            self._spy(monkeypatch, name, calls)
+        if argv[0] != "enumerate":
+            argv = argv[:1] + [write(tmp_path, "c.txt", WALKTHROUGH)] + argv[1:]
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == EXIT_FEASIBLE
+        arrangement = argv[0] != "enumerate"
+        if fmt == "structured":
+            assert calls == {"_interval_text": 0, "_table_lines": 0,
+                             "_arrangement_doc": int(arrangement),
+                             "_counts_doc": int(not arrangement)}
+        else:
+            intervals = sum(line.startswith("interval ")
+                            for line in out.splitlines())
+            assert calls == {"_interval_text": intervals,
+                             "_table_lines": int(not arrangement),
+                             "_arrangement_doc": 0, "_counts_doc": 0}
+            assert intervals == (4 if arrangement else 0)
 
 
 class TestOneResultPath:

@@ -41,7 +41,8 @@ from convexcodes.reconstruct import (
 )
 from test_acceptance import _Budget
 from test_geometry import _reference_margin
-from tucker import _planted_cycle, _staircase_with_triangle, m_i, m_ii, m_iii
+from tucker import (_planted_cycle, _staircase_with_triangle, m_i, m_ii,
+                    m_iii, repeated)
 
 
 def _staircase(n):
@@ -345,6 +346,25 @@ def test_odd_cycle_of_a_lone_tucker_kind(make, c):
     assert cert is not None and cert.verify()
     assert {w for pair in cert.odd_cycle for w in pair} == set(ws)
     assert len(cert.odd_cycle) <= 2 * sum(w.popcount() for w in ws)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(m_i, id="M_I"),
+    pytest.param(lambda c: repeated(m_i(c), 5), id="M_I x 5 rows"),
+    pytest.param(m_ii, id="M_II"),
+    pytest.param(m_iii, id="M_III"),
+])
+def test_co_order_refuses_a_lone_tucker_kind(visits, make):
+    # c = 10^3 words, refused at the kind's last row in at most 3 parent
+    # reads of the PQ-tree per one (measured 4,120 / 12,112 / 6,115 /
+    # 5,115 reads on 2,000 / 10,000 / 3,994 / 2,994 ones)
+    code = make(1000)
+    ones = sum(w.popcount() for w in code.words)
+    budget = _Budget(0.5)
+    result = co_order(code)
+    budget.check()
+    assert not result.feasible
+    assert visits[0] <= 3 * ones, (visits[0], ones)
 
 
 @pytest.mark.parametrize("layout, seconds", [
