@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from operator import xor
+from operator import attrgetter, xor
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -256,7 +256,7 @@ class Code:
 
     def sorted_words(self) -> list[BitVector]:
         # ascending mask value; cheap even for very long words
-        return sorted(self.words, key=lambda w: w.mask)
+        return sorted(self.words, key=attrgetter("mask"))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -387,8 +387,8 @@ class SensorMatrix:
         rows = []
         for bounds in _row_runs(cols, k):
             mask = 0
-            for lo, hi in zip(bounds[::2], bounds[1::2]):
-                mask |= (1 << hi) - (1 << lo)
+            for i in range(0, len(bounds), 2):
+                mask |= (1 << bounds[i + 1]) - (1 << bounds[i])
             rows.append(BitVector(len(cols), mask))
         m = cls.__new__(cls)
         m._init(tuple(rows), cols, geometry)

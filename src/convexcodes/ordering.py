@@ -75,9 +75,12 @@ def _row_constraints(words: list[BitVector]) -> Iterator[list[int]]:
     i: its runs, cut from one shared index list at C speed."""
     index = list(range(len(words)))
     for bounds in _row_runs(words, words[0].n if words else 0):
+        if len(bounds) == 2:
+            yield index[bounds[0]:bounds[1]]
+            continue
         labels = []
-        for lo, hi in zip(bounds[::2], bounds[1::2]):
-            labels += index[lo:hi]
+        for i in range(0, len(bounds), 2):
+            labels += index[bounds[i]:bounds[i + 1]]
         yield labels
 
 
@@ -109,14 +112,17 @@ def _order(words: Code, regime: Regime) -> OrderingResult:
     stay linear in the ones."""
     ws = names = words.sorted_words()
     if regime == CCO and ws:
-        anchor = min(ws, key=BitVector.popcount)
-        ws = sorted((w ^ anchor for w in ws), key=lambda w: w.mask)
-        names = [w ^ anchor for w in ws]
+        a = min(ws, key=BitVector.popcount).mask
+        # each original under its complemented mask, which sorts them
+        flipped = {w.mask ^ a: w for w in ws}
+        masks = sorted(flipped)
+        names = list(map(flipped.__getitem__, masks))
+        ws = [BitVector(words.k, m) for m in masks]
     tree = _WordTree(names)
     failed = _first_failure(tree, _row_constraints(ws))
     if failed is not None:
         return OrderingResult(False, failed_row=failed)
-    cols = tuple(names[j] for j in tree.frontier())
+    cols = tuple(map(names.__getitem__, tree.frontier()))
     m = SensorMatrix.from_columns(cols, regime.geometry, k=words.k)
     verify_matrix(m, regime, words)
     return OrderingResult(True, cols, tree, m)

@@ -33,7 +33,9 @@ bounded by memory, not by the interpreter stack:
   O(1) head/tail swap.
 - Parent pointers go through union-find cells.  Splicing all children of a
   Q node into another Q node redirects one cell instead of re-parenting
-  each child.
+  each child.  Only P and Q nodes have an anchor cell for their children
+  to point at; a leaf has none, so a tree over n leaves makes one cell
+  per internal node.
 - Q chains are edited through two primitives: `_q_attach` links one
   detached node at either end of a chain, and `_dissolve` hands a Q
   node's whole chain to another node through its anchor cell.
@@ -49,7 +51,7 @@ bounded by memory, not by the interpreter stack:
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import InternalError, ensure
 
@@ -90,7 +92,8 @@ class _Node:
         self.kind = kind
         self.label = label                  # leaf column label
         self.up: Optional[_Cell] = None     # resolves to parent (None at root)
-        self.anchor = _Cell(self)           # cell adopted by this node's children
+        # cell adopted by this node's children; a leaf has none
+        self.anchor = None if kind == LEAF else _Cell(self)
         self.nleaves = 1 if kind == LEAF else 0
         self.pchildren: Optional[set] = set() if kind == PNODE else None
         self.head: Optional[_Node] = None   # Q endpoints
@@ -194,7 +197,7 @@ def _take_chain(node: _Node, q: _Node) -> None:
     _dissolve(q, node)
 
 
-def _full_block(p: _Node, fulls: list[_Node]) -> Optional[_Node]:
+def _full_block(p: _Node, fulls: Sequence[_Node]) -> Optional[_Node]:
     """Detach P node p's full children as one block: the child itself
     when there is one, a new P node over them when there are more."""
     p.pchildren.difference_update(fulls)
@@ -218,7 +221,8 @@ def _empty_block(p: _Node, nleaves: int) -> Optional[_Node]:
     return e
 
 
-def _pertinent_run(fulls: list[_Node], partials: list[_Node]) -> list[_Node]:
+def _pertinent_run(fulls: Sequence[_Node],
+                   partials: list[_Node]) -> list[_Node]:
     """The pertinent children of a Q node in sibling order.  Raises
     ReductionFailed unless they are consecutive, with partial children
     only at the two ends of the run."""
@@ -342,7 +346,7 @@ class PQTree:
             # above it, so the pass costs O(size of the pertinent subtree).
             for node in groups:
                 node.partials = []
-            queue = deque(groups)
+            queue = deque(groups) if len(groups) > 1 else ()
             while len(queue) > 1:
                 node = queue.popleft()
                 par = node.parent()
@@ -371,7 +375,7 @@ class PQTree:
                 pc = par.pcount
                 for child in partials:
                     pc += child.pcount
-                fulls = par.fulls or []
+                fulls = par.fulls or ()
                 if pc == m:
                     self._reduce_root(par, fulls, partials)
                     return
@@ -391,7 +395,7 @@ class PQTree:
     # children are labeled; full nodes never get here, the leaf layer
     # counts them.  The node is left a Q node whose children run
     # full-side-first from head, in its own place in its parent.
-    def _label(self, node: _Node, fulls: list[_Node],
+    def _label(self, node: _Node, fulls: Sequence[_Node],
                partials: list[_Node]) -> int:
         if node.kind == PNODE:
             if len(partials) > 1:
@@ -445,7 +449,7 @@ class PQTree:
     # full one ends the leaf layer), and has at least two pertinent
     # children: a child holding all of them would be the root, and reduce
     # returns early for fewer than two leaves.
-    def _reduce_root(self, r: _Node, fulls: list[_Node],
+    def _reduce_root(self, r: _Node, fulls: Sequence[_Node],
                      partials: list[_Node]) -> None:
         if r.kind == PNODE:
             if len(partials) > 2:

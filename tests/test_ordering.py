@@ -118,6 +118,31 @@ class TestDeterminism:
             assert first.tree_summary == second.tree_summary
 
 
+def test_circle_complements_each_word_once(monkeypatch):
+    # cco_order complements each of the n words by the anchor once and
+    # names the leaves by the originals: with the k rows of the checked
+    # matrix, at most n + k BitVectors
+    rng = random.Random(80)
+    k, s = 80, 160
+    rows = []
+    for _ in range(k):
+        arc = ((1 << rng.randrange(1, s)) - 1) << rng.randrange(s)
+        rows.append((arc | arc >> s) & ((1 << s) - 1))
+    code = Code.of(BitVector(k, sum(1 << i for i, r in enumerate(rows)
+                                    if r >> j & 1)) for j in range(s))
+    made = []
+    init = BitVector.__init__
+
+    def recorded(w, *args, **kwargs):
+        init(w, *args, **kwargs)
+        made.append(w)
+
+    monkeypatch.setattr(BitVector, "__init__", recorded)
+    r = cco_order(code)
+    assert r.feasible and len(r.ordering) == len(code) > k
+    assert len(made) <= len(code) + k
+
+
 class TestExhaustiveOracle:
     def test_all_subsets_length_three(self):
         universe = all_words(3)

@@ -517,8 +517,9 @@ class TestStateAtRest:
     def test_every_exit_path(self, monkeypatch):
         # a reduction keeps its counts and groups on the nodes it touches;
         # every exit (done, no-op, refused label, failure) must leave each
-        # node it ever made back at rest, and a refused call must leave the
-        # tree as a fresh one that never saw it
+        # node it ever made back at rest, with no anchor cell on a leaf,
+        # and a refused call must leave the tree as a fresh one that never
+        # saw it
         made = []
         init = pqtree._Node.__init__
 
@@ -528,7 +529,8 @@ class TestStateAtRest:
 
         def at_rest():
             return all(x.fulls is None and x.pcount == 0
-                       and x.partials is None and x.waiting == 0 for x in made)
+                       and x.partials is None and x.waiting == 0
+                       and (x.kind != LEAF or x.anchor is None) for x in made)
 
         reduce_root = PQTree._reduce_root
         exits = Counter()
@@ -574,6 +576,49 @@ class TestStateAtRest:
                 assert tree.frontier() == fresh.frontier(), constraints
                 assert tree.summary() == fresh.summary(), constraints
         assert min(exits[k] for k in ("done", "no-op", "refused", "failed")) > 100
+
+
+class TestCells:
+    """Only P and Q nodes get an anchor cell for their children to point
+    at, so a tree makes one cell per internal node and none per leaf."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        cells, internal = [], []
+        cell_init, node_init = pqtree._Cell.__init__, pqtree._Node.__init__
+
+        def cell(c, *args, **kwargs):
+            cell_init(c, *args, **kwargs)
+            cells.append(c)
+
+        def node(x, *args, **kwargs):
+            node_init(x, *args, **kwargs)
+            if x.kind != LEAF:
+                internal.append(x)
+
+        monkeypatch.setattr(pqtree._Cell, "__init__", cell)
+        monkeypatch.setattr(pqtree._Node, "__init__", node)
+        return cells, internal
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 500])
+    def test_fresh_tree_cells(self, monkeypatch, n):
+        cells, _ = self._recorded(monkeypatch)
+        PQTree(n)
+        assert len(cells) == (1 if n >= 2 else 0)
+
+    def test_one_cell_per_internal_node(self, monkeypatch):
+        cells, internal = self._recorded(monkeypatch)
+        rng = random.Random(2024)
+        grown = 0
+        for case in range(2400):
+            n = 2 + case % 11
+            constraints = _mixed_family(n, rng)
+            cells.clear()
+            internal.clear()
+            _run(PQTree(n), constraints)
+            assert len(cells) == len(internal), constraints
+            grown += len(internal) > 1
+        assert grown > 1000
 
 
 # Seeded codes in the shapes the recognizers meet: rows are row masks,
