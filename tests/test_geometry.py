@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -870,6 +871,75 @@ def test_swaps_equal_the_reference():
         kinds.add((arr.geometry, closed, isinstance(out, str),
                    sensors is None))
     assert len(kinds) == 16
+
+
+def _arrangement_text(arr):
+    """The exact endpoints and closedness of arr, as lowest terms."""
+    def end(e):
+        return None if e is None else (e.numerator, e.denominator)
+
+    return repr((arr.geometry.value, [
+        (iv.kind.value, end(iv.lo), end(iv.hi), iv.lo_closed, iv.hi_closed)
+        for iv in arr.intervals]))
+
+
+def _prime_arrangement(geometry, rng, k):
+    # k open intervals (arcs) whose ends and sensors each lie over their
+    # own prime from 1009 up, never at a whole number
+    primes = [p for p in range(1009, 1500)
+              if all(p % d for d in range(2, 39))][:3 * k]
+    span = 1 if geometry is Geometry.CIRCLE else 100
+
+    def point(p):
+        return F(p * rng.randrange(span) + rng.randrange(1, p), p)
+
+    ends = [point(p) for p in primes[:2 * k]]
+    ivs = []
+    for i in range(k):
+        lo, hi = ends[2 * i], ends[2 * i + 1]
+        if geometry is Geometry.LINE:
+            lo, hi = min(lo, hi), max(lo, hi)
+        ivs.append(Interval1D.open(lo, hi))
+    return (IntervalArrangement(tuple(ivs), geometry),
+            SensorSet.of(point(p) for p in primes[2 * k:]))
+
+
+# sha256 of the exact output of realize_matrix, normalize_arbitrary and
+# both swaps, with and without sensors, on the seeded inputs below: a
+# change that moves any endpoint, or flips any closedness, changes it
+_ARRANGEMENTS_SHA256 = ("e2928ef777e2e51e11cc08b423b4e8721a4697de557338c95de"
+                        "70781c9c2b453")
+
+
+def test_arrangements_are_pinned():
+    h = hashlib.sha256()
+
+    def pin(*parts):
+        h.update(repr(parts).encode())
+
+    cases = []
+    rng = random.Random(97)
+    matrices = [(regime, SensorMatrix([rand_interval_row(rng, n, regime.geometry)
+                                       for _ in range(k)], regime.geometry))
+                for regime in (CO, CCO) for k, n in ((6, 5), (40, 30), (120, 90))]
+    matrices += [(regime, rand_matrix(rng, regime, k_max=8, n_max=10))
+                 for regime in (HCO, HCCO) for _ in range(3)]
+    for regime, m in matrices:
+        arr, sensors = realize_matrix(m, regime)
+        pin(regime.name, m.row_strings(), _arrangement_text(arr),
+            sensors.positions)
+        cases.append((arr, sensors))
+    rng = random.Random(1009)
+    for geometry in (Geometry.LINE, Geometry.CIRCLE):
+        for k in (3, 20):
+            cases.append(_prime_arrangement(geometry, rng, k))
+    for arr, sensors in cases:
+        pin(_arrangement_text(normalize_arbitrary(arr, sensors)))
+        for s in (None, sensors):
+            closed = open_to_closed(arr, sensors=s)
+            pin(_arrangement_text(closed),
+                _arrangement_text(closed_to_open(closed, sensors=s)))
+    assert h.hexdigest() == _ARRANGEMENTS_SHA256
 
 
 U = F(1, 2**64)
