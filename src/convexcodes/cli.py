@@ -169,32 +169,39 @@ def _interval_text(iv: Interval1D) -> str:
     return "%s%s, %s%s" % (left, lo, hi, right)
 
 
+# the writer of each scalar type, by exact type: a scalar item of a list
+# or dict is written by one lookup, with no call of _json_text
+_scalar = {str: _quote, int: int.__repr__,
+           bool: {True: "true", False: "false"}.__getitem__,
+           type(None): {None: "null"}.__getitem__}.get
+
+
 def _json_text(o, indent: str = "") -> str:
     """json.dumps(o, indent=2, sort_keys=True), byte for byte, for str
     keys and str, int, bool, None, list, tuple and dict values; any other
     type, and a key that is not a str, is a TypeError.  json.dumps with
     an indent runs its pure-Python encoder; here only the strings are
     encoded, by the same C function json.dumps calls without one."""
+    f = _scalar(type(o))
+    if f:
+        return f(o)
+    # subclasses of str and int
     if isinstance(o, str):
         return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
     if isinstance(o, int):
         return int.__repr__(o)
     inner = indent + "  "
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
-        items = [_json_text(v, inner) for v in o]
+        items = [f(v) if (f := _scalar(type(v))) else _json_text(v, inner)
+                 for v in o]
         return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent)
     if isinstance(o, dict):
         if not o:
             return "{}"
-        items = [_quote(k) + ": " + _json_text(v, inner)
+        items = [_quote(k) + ": " + (f(v) if (f := _scalar(type(v)))
+                                     else _json_text(v, inner))
                  for k, v in sorted(o.items())]
         return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent)
     raise TypeError("Object of type %s is not JSON serializable"

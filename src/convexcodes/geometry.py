@@ -5,13 +5,20 @@ clockwise from lo to hi and may wrap around.  On the line an endpoint of
 None denotes a ray (unbounded on that side), and a ray side is never
 closed.  All arithmetic is done with fractions.Fraction; there are no
 tolerances anywhere.  Row reads, endpoint sorts, bisections and the
-swaps' margin order rationals by one exact integer key, _key, and tell
-distinct values apart by their lowest terms: none compares or hashes a
-Fraction unless two values lie within 2^-64 of each other, and the
-margin subtracts only the differences whose floor keys put them within
-a few units of 2^-64 of the least.  Dense extraction compares only the
+swaps' margin order rationals by one exact integer key, _key: none
+compares or hashes a Fraction unless two values lie within 2^-64 of
+each other, and the margin subtracts only the differences whose floor
+keys put them within a few units of 2^-64 of the least.  Dense extraction compares only the
 order of the endpoints: it reads integer places, one per endpoint and
 one per region between and beyond them, and makes no Fraction.
+
+Every coordinate is keyed once: an interval keys its ends when it is
+made, a sensor set its positions, and realize_matrix and the swaps make
+each end's key from the integers they write it from.  Every arrangement
+is read once: it keeps its sorted ends, its dense code and its rows at
+the last sensor set read, so a chain of calls on one arrangement, as
+the round trip of realize_matrix followed by a normalization, sorts,
+places and reads it once.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -57,6 +65,18 @@ def _key(x) -> tuple[int, Fraction]:
     return (x.numerator << 64) // x.denominator, x
 
 
+def _ratio(p: int, q: int) -> tuple[int, Fraction]:
+    """_key(Fraction(p, q)) for q > 0, keyed from the integers: the floor
+    of p 2^64 / q is the same in any terms."""
+    return (p << 64) // q, Fraction(p, q)
+
+
+# one turn of the circle in floor keys: floor((x + 1) 2^64) is
+# floor(x 2^64) + _TURN, and 0 <= x < 1 exactly when 0 <= floor(x 2^64)
+# < _TURN
+_TURN = 1 << 64
+
+
 @dataclass(frozen=True)
 class Interval1D:
     """One interval (or arc): Proper with endpoint data, or Empty / Whole.
@@ -71,17 +91,42 @@ class Interval1D:
     hi: Optional[Fraction] = None
     lo_closed: bool = False
     hi_closed: bool = False
+    # the finite ends' order keys, None on a ray side and off a proper
+    # interval, made once for every row read, sort and margin
+    lo_key: Optional[tuple[int, Fraction]] = field(
+        init=False, repr=False, compare=False)
+    hi_key: Optional[tuple[int, Fraction]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lo_key",
+                           None if self.lo is None else _key(self.lo))
+        object.__setattr__(self, "hi_key",
+                           None if self.hi is None else _key(self.hi))
 
     @classmethod
     def proper(cls, lo, hi, lo_closed=False, hi_closed=False) -> "Interval1D":
         if (lo is None and lo_closed) or (hi is None and hi_closed):
             raise DegenerateInterval("a ray side cannot be closed")
-        lo = None if lo is None else _frac(lo)
-        hi = None if hi is None else _frac(hi)
-        if lo is not None and hi is not None and lo == hi:
-            if not (lo_closed and hi_closed):
-                raise DegenerateInterval("coincident endpoints must be closed")
-        return cls(Kind.PROPER, lo, hi, lo_closed, hi_closed)
+        return cls._keyed(None if lo is None else _key(_frac(lo)),
+                          None if hi is None else _key(_frac(hi)),
+                          lo_closed, hi_closed)
+
+    @classmethod
+    def _keyed(cls, lo_key, hi_key, lo_closed, hi_closed) -> "Interval1D":
+        """proper() at ends already keyed, None on a ray side: the keys
+        are kept as given, and the fields are set as the frozen __init__
+        sets them, bypassing __setattr__, in one update of the instance
+        dict."""
+        if lo_key is not None and lo_key == hi_key and not (
+                lo_closed and hi_closed):
+            raise DegenerateInterval("coincident endpoints must be closed")
+        iv = object.__new__(cls)
+        iv.__dict__.update(
+            kind=Kind.PROPER, lo=None if lo_key is None else lo_key[1],
+            hi=None if hi_key is None else hi_key[1], lo_closed=lo_closed,
+            hi_closed=hi_closed, lo_key=lo_key, hi_key=hi_key)
+        return iv
 
     @classmethod
     def open(cls, lo, hi) -> "Interval1D":
@@ -136,6 +181,11 @@ class Interval1D:
 
 @dataclass(frozen=True)
 class IntervalArrangement:
+    """Intervals (or arcs) on one geometry.  What is derived from them is
+    derived once and kept on the instance, no part of equality: the
+    sorted distinct end keys, the dense code's columns and the rows at
+    the last SensorSet read."""
+
     intervals: tuple[Interval1D, ...]
     geometry: Geometry
 
@@ -146,12 +196,30 @@ class IntervalArrangement:
                 if iv.kind is Kind.PROPER:
                     if iv.lo is None or iv.hi is None:
                         raise DegenerateInterval("circle arcs need both endpoints")
-                    if not (0 <= iv.lo < 1 and 0 <= iv.hi < 1):
+                    if not (0 <= iv.lo_key[0] < _TURN
+                            and 0 <= iv.hi_key[0] < _TURN):
                         raise DegenerateInterval("arc endpoints must lie in [0, 1)")
 
     @property
     def k(self) -> int:
         return len(self.intervals)
+
+    @cached_property
+    def _end_keys(self) -> list[tuple[int, Fraction]]:
+        return _ends(self)
+
+    @cached_property
+    def _columns(self) -> set[int]:
+        return _dense_columns(self, self._end_keys)
+
+    def _rows_at(self, sensors: "SensorSet") -> list[int]:
+        """_rows(self, sensors), kept with the sensor set it was read at
+        until another set is read."""
+        read = self.__dict__.get("_read")
+        if read is None or read[0] is not sensors:
+            read = (sensors, _rows(self, sensors))
+            object.__setattr__(self, "_read", read)
+        return read[1]
 
 
 @dataclass(frozen=True)
@@ -172,6 +240,15 @@ class SensorSet:
     def of(cls, positions: Iterable) -> "SensorSet":
         return cls(tuple(sorted(_frac(p) for p in positions)))
 
+    @classmethod
+    def _keyed(cls, keys: tuple[tuple[int, Fraction], ...]) -> "SensorSet":
+        """The set at strictly increasing keys the caller has made, kept
+        as given; the fields are set as Interval1D._keyed sets them."""
+        sensors = object.__new__(cls)
+        sensors.__dict__.update(positions=tuple(p for _, p in keys),
+                                keys=keys)
+        return sensors
+
     def __len__(self) -> int:
         return len(self.positions)
 
@@ -191,8 +268,7 @@ def _row_mask(iv: Interval1D, keys: Sequence[tuple[int, Fraction]],
     arc wraps."""
     if iv.kind is not Kind.PROPER:
         return (1 << len(keys)) - 1 if iv.kind is Kind.WHOLE else 0
-    lo = None if iv.lo is None else _key(iv.lo)
-    hi = None if iv.hi is None else _key(iv.hi)
+    lo, hi = iv.lo_key, iv.hi_key
     i = 0 if lo is None else (
         bisect_left if iv.lo_closed else bisect_right)(keys, lo)
     j = len(keys) if hi is None else (
@@ -204,22 +280,21 @@ def _row_mask(iv: Interval1D, keys: Sequence[tuple[int, Fraction]],
 
 
 def _ends(arr: IntervalArrangement) -> list[tuple[int, Fraction]]:
-    """The keys of the distinct endpoints of arr, sorted.  A Fraction is
-    in lowest terms, so (numerator, denominator) tells values apart
-    exactly without hashing them."""
-    ends = {(e.numerator, e.denominator): e
-            for iv in arr.intervals for e in iv.endpoints()}
-    return sorted(map(_key, ends.values()))
+    """The keys of the distinct endpoints of arr, sorted.  Equal keys sort
+    next to each other, and one made once and shared by several ends
+    compares equal to itself without comparing its Fraction."""
+    keys = sorted([k for iv in arr.intervals for k in (iv.lo_key, iv.hi_key)
+                   if k is not None])
+    return keys[:1] + [b for a, b in zip(keys, keys[1:]) if a != b]
 
 
 def _rows(arr: IntervalArrangement, sensors: SensorSet) -> list[int]:
     """The row masks of arr at the sensors."""
-    ps = sensors.positions
-    circle = arr.geometry is Geometry.CIRCLE
-    if circle and ps and not (0 <= ps[0] and ps[-1] < 1):
+    keys = sensors.keys
+    if (arr.geometry is Geometry.CIRCLE and keys
+            and not (0 <= keys[0][0] and keys[-1][0] < _TURN)):
         raise ValueError("circle sensor positions must lie in [0, 1)")
-    return [_row_mask(iv, sensors.keys, arr.geometry)
-            for iv in arr.intervals]
+    return [_row_mask(iv, keys, arr.geometry) for iv in arr.intervals]
 
 
 def extract_code_sparse(
@@ -229,7 +304,7 @@ def extract_code_sparse(
     cost O(k log n) bisections for k intervals and n sensors; the columns
     are their transpose."""
     ps = sensors.positions
-    rows = [BitVector(len(ps), mask) for mask in _rows(arr, sensors)]
+    rows = [BitVector(len(ps), mask) for mask in arr._rows_at(sensors)]
     m = (SensorMatrix(rows, arr.geometry) if rows else  # k = 0 keeps n columns
          SensorMatrix.from_columns([BitVector(0)] * len(ps), arr.geometry,
                                    k=0))
@@ -244,9 +319,13 @@ def _dense_columns(arr: IntervalArrangement,
     each region beside one; on the circle, 0 and 2m are the region
     across 0.  Each interval toggles its bit at the first place it holds
     and just past the last, a wrapping arc also at 0, and each column is
-    the previous one with its place's toggles applied."""
-    place = {(e.numerator, e.denominator): 2 * i + 1
-             for i, (_, e) in enumerate(ends)}
+    the previous one with its place's toggles applied.  An end's floor
+    key finds its place unless two ends share one, within 2^-64 of each
+    other: then its whole key does, hashing the Fraction."""
+    place = {f: 2 * i + 1 for i, (f, _) in enumerate(ends)}
+    exact = len(place) < len(ends)
+    if exact:
+        place = {k: 2 * i + 1 for i, k in enumerate(ends)}
     top = 2 * len(ends)
     circle = arr.geometry is Geometry.CIRCLE
     toggles = [0] * (top + 2)
@@ -256,10 +335,11 @@ def _dense_columns(arr: IntervalArrangement,
             if iv.kind is Kind.WHOLE:
                 toggles[0] ^= bit
             continue
-        a = 0 if iv.lo is None else place[iv.lo.numerator, iv.lo.denominator]
-        b = top if iv.hi is None else place[iv.hi.numerator, iv.hi.denominator]
-        i = a + (iv.lo is not None and not iv.lo_closed)
-        j = b + (iv.hi is None or iv.hi_closed)
+        lo, hi = iv.lo_key, iv.hi_key
+        a = 0 if lo is None else place[lo if exact else lo[0]]
+        b = top if hi is None else place[hi if exact else hi[0]]
+        i = a + (lo is not None and not iv.lo_closed)
+        j = b + (hi is None or iv.hi_closed)
         if circle and a > b:
             # the arc wraps past 0: places from i on, and those before j
             toggles[i] ^= bit
@@ -279,8 +359,7 @@ def _dense_columns(arr: IntervalArrangement,
 def extract_code_dense(arr: IntervalArrangement) -> Code:
     """The full image of the codeword map over the ambient space, read
     at integer places from the order of the endpoints alone."""
-    return Code(frozenset(BitVector(arr.k, c)
-                          for c in _dense_columns(arr, _ends(arr))), arr.k)
+    return Code(frozenset(BitVector(arr.k, c) for c in arr._columns), arr.k)
 
 
 def realize_matrix(
@@ -303,8 +382,12 @@ def realize_matrix(
     circle = regime.geometry is Geometry.CIRCLE
     if circle and n == 0:
         raise RegimeViolation("cannot realize a zero-column circular matrix")
-    sensors = SensorSet(tuple(Fraction(t, n) if circle else Fraction(t + 1)
-                              for t in range(n)))
+    sensors = SensorSet._keyed(tuple(_ratio(t, n) if circle else _ratio(t + 1, 1)
+                                     for t in range(n)))
+    # each end made once, keyed from its integers, and shared by the rows
+    # that end at its sensor
+    los: dict[int, tuple[int, Fraction]] = {}
+    his: dict[int, tuple[int, Fraction]] = {}
     ivs: list[Interval1D] = []
     for r in m.rows:
         if r.is_zero:
@@ -316,14 +399,16 @@ def realize_matrix(
             # f-th plus it, each one rational (1 <= f <= n; g < n on the
             # line), the circle's taken into [0, 1)
             f, g = row_stats(r, regime.geometry)
-            if circle:
-                lo = Fraction((4 * (g % n) - 1) % (4 * n), 4 * n)
-                hi = Fraction(4 * f - 3, 4 * n)
-            else:
-                lo, hi = Fraction(4 * g + 3, 4), Fraction(4 * f + 1, 4)
-            ivs.append(Interval1D.open(lo, hi))
+            lo, hi = los.get(g), his.get(f)
+            if lo is None:
+                lo = los[g] = (_ratio((4 * (g % n) - 1) % (4 * n), 4 * n)
+                               if circle else _ratio(4 * g + 3, 4))
+            if hi is None:
+                hi = his[f] = (_ratio(4 * f - 3, 4 * n) if circle
+                               else _ratio(4 * f + 1, 4))
+            ivs.append(Interval1D._keyed(lo, hi, False, False))
     arr = IntervalArrangement(tuple(ivs), regime.geometry)
-    ensure(_rows(arr, sensors) == [r.mask for r in m.rows],
+    ensure(arr._rows_at(sensors) == [r.mask for r in m.rows],
            "sparse round trip failed")
     return arr, sensors
 
@@ -343,10 +428,10 @@ def normalize_arbitrary(
     """
     if not sensors.positions:
         raise ValueError("sensor set must be nonempty")
-    ps = sensors.positions
-    n = len(ps)
+    keys = sensors.keys
+    n = len(keys)
     full = (1 << n) - 1
-    before = _rows(arr, sensors)
+    before = arr._rows_at(sensors)
     out: list[Interval1D] = []
     for mask in before:
         if mask == 0:
@@ -354,22 +439,18 @@ def normalize_arbitrary(
         elif mask == full:
             out.append(Interval1D.whole())
         else:
+            # the ends are sensors, keyed with the set
             f, g = row_stats(BitVector(n, mask), arr.geometry)
             if arr.geometry is Geometry.LINE:
-                lo = None if g == 0 else ps[g]
-                hi = None if f == n else ps[f]
+                lo = None if g == 0 else keys[g]
+                hi = None if f == n else keys[f]
             else:
-                lo, hi = ps[g % n], ps[f % n]
-            out.append(Interval1D.proper(lo, hi, lo is not None, False))
+                lo, hi = keys[g % n], keys[f % n]
+            out.append(Interval1D._keyed(lo, hi, lo is not None, False))
     result = IntervalArrangement(tuple(out), arr.geometry)
-    ensure(_rows(result, sensors) == before,
+    ensure(result._rows_at(sensors) == before,
            "normalization changed the sparse code")
     return result
-
-
-# one turn of the circle in floor keys: floor((x + 1) 2^64) is
-# floor(x 2^64) + _TURN
-_TURN = 1 << 64
 
 
 def _least(cands: list[tuple[int, Fraction, Fraction, int]],
@@ -429,6 +510,14 @@ def _margin(arr: IntervalArrangement, ends: list[tuple[int, Fraction]],
     return _least(dists, eps)
 
 
+def _moved(x: Fraction, c: int, d: int, circle: bool) -> tuple[int, Fraction]:
+    """The key of x + c / d, written as one rational (p d + c q) / (q d)
+    for x = p / q, the circle's taken mod 1 on its numerator."""
+    q = x.denominator
+    p, q = x.numerator * d + c * q, q * d
+    return _ratio(p % q if circle else p, q)
+
+
 def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
           close: bool) -> IntervalArrangement:
     """Both swaps: move each finite end by the margin, inward to close and
@@ -442,28 +531,35 @@ def _swap(arr: IntervalArrangement, sensors: Optional[SensorSet],
                                      % ("open" if close else "closed"))
     # read first: circle sensors off the circle are refused before the
     # margin measures distances to them
-    before = None if sensors is None else _rows(arr, sensors)
-    ends = _ends(arr)
-    eps = _margin(arr, ends, sensors)
-    shift = eps if close else -eps
+    before = None if sensors is None else arr._rows_at(sensors)
+    eps = _margin(arr, arr._end_keys, sensors)
+    c, d = (eps.numerator if close else -eps.numerator), eps.denominator
+    circle = arr.geometry is Geometry.CIRCLE
+    # lower ends move by c / d and upper ends back, each key once: the
+    # move of a key that several lower (or upper) ends share is kept by
+    # the key's id, which arr holds, and shared as well
+    los: dict[int, tuple[int, Fraction]] = {}
+    his: dict[int, tuple[int, Fraction]] = {}
     out = []
     for iv in arr.intervals:
         if iv.kind is not Kind.PROPER:
             out.append(iv)
             continue
-        lo = None if iv.lo is None else iv.lo + shift
-        hi = None if iv.hi is None else iv.hi - shift
-        if arr.geometry is Geometry.CIRCLE:
-            lo, hi = lo % 1, hi % 1
-        out.append(Interval1D.proper(lo, hi, close and lo is not None,
+        lo, hi = iv.lo_key, iv.hi_key
+        if lo is not None:
+            lo = los.get(id(lo)) or los.setdefault(
+                id(lo), _moved(lo[1], c, d, circle))
+        if hi is not None:
+            hi = his.get(id(hi)) or his.setdefault(
+                id(hi), _moved(hi[1], -c, d, circle))
+        out.append(Interval1D._keyed(lo, hi, close and lo is not None,
                                      close and hi is not None))
     result = IntervalArrangement(tuple(out), arr.geometry)
     name = "closure" if close else "interior"
-    ensure(_dense_columns(result, _ends(result))
-           == _dense_columns(arr, ends),
+    ensure(result._columns == arr._columns,
            "%s changed the dense code" % name)
     if before is not None:
-        ensure(_rows(result, sensors) == before,
+        ensure(result._rows_at(sensors) == before,
                "%s changed the sparse code" % name)
     return result
 

@@ -685,13 +685,14 @@ class TestOpenClosedSwap:
 
     def test_swap_sorts_each_arrangement_once(self, monkeypatch):
         # the input's endpoints feed both the margin and the dense
-        # self-check, and the output's are sorted for its side of it
+        # self-check, and the output's are sorted for its side of it;
+        # the input keeps its sort, so a second swap of it sorts only
+        # its own output
         import convexcodes.geometry as g
 
         arr, sensors = realize_matrix(
             SensorMatrix.from_strings(["0110", "1100", "0111"],
                                       Geometry.LINE), CO)
-        want = open_to_closed(arr, sensors=sensors)
         calls = []
         ends = g._ends
 
@@ -700,8 +701,35 @@ class TestOpenClosedSwap:
             return ends(a)
 
         monkeypatch.setattr(g, "_ends", counted)
-        assert open_to_closed(arr, sensors=sensors) == want
-        assert calls == [arr, want]
+        first = open_to_closed(arr, sensors=sensors)
+        again = open_to_closed(arr, sensors=sensors)
+        assert first == again and first is not again
+        assert [id(a) for a in calls] == [id(arr), id(first), id(again)]
+
+    def test_normalize_open_reads_each_arrangement_once(self, monkeypatch,
+                                                         tmp_path, capsys):
+        # normalize --transform open makes three arrangements, realized,
+        # closed and reopened: each is sorted once, placed once for its
+        # dense code and read once at the sensors, the realized one by
+        # its round trip, the other two by their swap's self-check
+        import convexcodes.geometry as g
+        from convexcodes.cli import main
+
+        seen = {"_ends": [], "_dense_columns": [], "_rows": []}
+        for name, calls in seen.items():
+            def counted(arr, *args, calls=calls, fn=getattr(g, name)):
+                calls.append(arr)
+                return fn(arr, *args)
+
+            monkeypatch.setattr(g, name, counted)
+        path = tmp_path / "c.txt"
+        path.write_text("0110\n1100\n0111\n1000\n")
+        assert main(["normalize", str(path), "--transform", "open"]) == 0
+        capsys.readouterr()
+        made = [id(arr) for arr in seen["_rows"]]
+        assert len(made) == len(set(made)) == 3
+        for name, calls in seen.items():
+            assert sorted(map(id, calls)) == sorted(made), name
 
     def test_mixed_arrangement_rejected(self):
         arr = IntervalArrangement(

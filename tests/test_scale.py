@@ -12,7 +12,8 @@ import pytest
 
 from convexcodes.cli import (EXIT_FEASIBLE, EXIT_INFEASIBLE, main,
                              parse_code_file)
-from convexcodes.core import CO, BitVector, Code, CodeMultiset, Geometry, SensorMatrix
+from convexcodes.core import (CCO, CO, BitVector, Code, CodeMultiset, Geometry,
+                              SensorMatrix)
 from convexcodes.counting import brute_force_dense, brute_force_table
 from convexcodes.geometry import (
     Interval1D,
@@ -88,8 +89,9 @@ def test_realize_random_intervals():
 
 
 def test_open_closed_swaps_with_sensors():
-    # each swap bisects the 10^4 sensors from every endpoint, reads the
-    # sensor rows twice and checks the dense code at ~2 * 10^4 integer
+    # each swap bisects the 10^4 sensors from every endpoint, reads its
+    # output's sensor rows (its input's were read once, by the round trip
+    # or the swap before) and checks the dense code at ~2 * 10^4 integer
     # places
     arr, sensors = realize_matrix(_random_intervals(5000, 10**4), CO)
     budget = _Budget(3.3)
@@ -100,6 +102,46 @@ def test_open_closed_swaps_with_sensors():
     budget.check()
     assert all(iv.lo_closed for iv in closed.intervals if iv.lo is not None)
     assert not any(iv.lo_closed for iv in reopened.intervals)
+
+
+def _random_arcs(k, n):
+    # k arcs of 1 to n - 1 sensors from a random start, many wrapping
+    rng = random.Random(5001)
+    full = (1 << n) - 1
+    rows = []
+    for _ in range(k):
+        start, length = rng.randrange(n), rng.randrange(1, n)
+        mask = ((1 << length) - 1) << start
+        rows.append(BitVector(n, (mask | mask >> n) & full))
+    return SensorMatrix(rows, Geometry.CIRCLE)
+
+
+@pytest.fixture(scope="module")
+def random_arcs():
+    return _random_arcs(5000, 10**4)
+
+
+def test_realize_random_arcs(random_arcs):
+    budget = _Budget(0.6)
+    arr, sensors = realize_matrix(random_arcs, CCO)
+    budget.check()
+    assert len(arr.intervals) == 5000 and len(sensors) == 10**4
+
+
+def test_circle_swaps_with_sensors(random_arcs):
+    # the circle's ends are taken mod 1 as they move, and the margin
+    # measures the gap and the sensor distances across 0 too
+    arr, sensors = realize_matrix(random_arcs, CCO)
+    budget = _Budget(1.0)
+    closed = open_to_closed(arr, sensors=sensors)
+    budget.check()
+    budget = _Budget(1.0)
+    reopened = closed_to_open(closed, sensors=sensors)
+    budget.check()
+    assert all(iv.lo_closed and iv.hi_closed for iv in closed.intervals)
+    assert not any(iv.lo_closed or iv.hi_closed for iv in reopened.intervals)
+    _, seen = extract_code_sparse(reopened, sensors)
+    assert seen.rows == random_arcs.rows
 
 
 def _primes_from(lo, count):
@@ -142,8 +184,10 @@ def prime_denominators():
 ], ids=["sparse", "dense", "open_to_closed"])
 def test_prime_denominators(prime_denominators, call, seconds):
     # rationals are ordered by an integer key, not over a common
-    # denominator, so no cost grows with its size
+    # denominator, so no cost grows with its size; a fresh arrangement
+    # of the same intervals has read, sorted and placed nothing yet
     arr, sensors = prime_denominators
+    arr = IntervalArrangement(arr.intervals, arr.geometry)
     budget = _Budget(seconds)
     call(arr, sensors)
     budget.check()
