@@ -213,14 +213,18 @@ def row_stats(row: BitVector, geometry: Geometry) -> tuple[int, int]:
         raise ValueError("row is not a discrete interval for this geometry")
     if row.is_zero:
         raise DegenerateRow("all-zero row")
-    if geometry is Geometry.LINE:
-        f = row.mask.bit_length()
-        g = (row.mask & -row.mask).bit_length() - 1
-        return f, g
-    if row.is_ones:
+    if geometry is Geometry.CIRCLE and row.is_ones:
         raise DegenerateRow("all-one row on the circle")
-    mask = row.mask
-    nxt = (mask >> 1) | ((mask & 1) << (row.n - 1))  # bit i = bit i + 1, cyclically
+    return _row_ends(row.mask, row.n, geometry)
+
+
+def _row_ends(mask: int, n: int, geometry: Geometry) -> tuple[int, int]:
+    """row_stats of the row with this mask of n bits, for callers that
+    hold a mask already known to be a discrete interval, nonzero and, on
+    the circle, not all ones."""
+    if geometry is Geometry.LINE:
+        return mask.bit_length(), (mask & -mask).bit_length() - 1
+    nxt = (mask >> 1) | ((mask & 1) << (n - 1))  # bit i = bit i + 1, cyclically
     # the 1 before a 0 ends the 1-block; the 0 before a 1 ends the 0-block
     f, g = (mask & ~nxt).bit_length(), (nxt & ~mask).bit_length()
     ensure(f > 0 and g > 0, "circle row without block ends")

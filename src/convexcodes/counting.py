@@ -22,8 +22,8 @@ from .core import (
     Regime,
     SizeLimit,
     _block_contiguous,
+    _row_ends,
     ensure,
-    row_stats,
 )
 
 
@@ -253,7 +253,7 @@ def _oracle_groups(n: int,
         if not line and r.is_ones:
             special += 1
             continue
-        f, g = row_stats(r, geometry)
+        f, g = _row_ends(r.mask, n, geometry)
         seen = gmask.get(f, 0)
         ensure(not seen >> g & 1, "two rows share (f, g) = (%d, %d)" % (f, g))
         ensure(not line or g < f, "line row with g = %d >= f = %d" % (g, f))

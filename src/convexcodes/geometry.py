@@ -38,9 +38,9 @@ from .core import (
     Regime,
     RegimeViolation,
     SensorMatrix,
+    _row_ends,
     ensure,
     regime_check,
-    row_stats,
 )
 
 
@@ -77,6 +77,17 @@ def _ratio(p: int, q: int) -> tuple[int, Fraction]:
 _TURN = 1 << 64
 
 
+def _check_ends(lo_key, hi_key, lo_closed: bool, hi_closed: bool) -> None:
+    """The ends of every proper interval, however it is made: a ray side
+    (a key of None) is never closed, and coincident ends are both
+    closed."""
+    if (lo_key is None and lo_closed) or (hi_key is None and hi_closed):
+        raise DegenerateInterval("a ray side cannot be closed")
+    if lo_key is not None and lo_key == hi_key and not (
+            lo_closed and hi_closed):
+        raise DegenerateInterval("coincident endpoints must be closed")
+
+
 @dataclass(frozen=True)
 class Interval1D:
     """One interval (or arc): Proper with endpoint data, or Empty / Whole.
@@ -99,15 +110,15 @@ class Interval1D:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lo_key",
-                           None if self.lo is None else _key(self.lo))
-        object.__setattr__(self, "hi_key",
-                           None if self.hi is None else _key(self.hi))
+        lo_key = None if self.lo is None else _key(self.lo)
+        hi_key = None if self.hi is None else _key(self.hi)
+        if self.kind is Kind.PROPER:
+            _check_ends(lo_key, hi_key, self.lo_closed, self.hi_closed)
+        object.__setattr__(self, "lo_key", lo_key)
+        object.__setattr__(self, "hi_key", hi_key)
 
     @classmethod
     def proper(cls, lo, hi, lo_closed=False, hi_closed=False) -> "Interval1D":
-        if (lo is None and lo_closed) or (hi is None and hi_closed):
-            raise DegenerateInterval("a ray side cannot be closed")
         return cls._keyed(None if lo is None else _key(_frac(lo)),
                           None if hi is None else _key(_frac(hi)),
                           lo_closed, hi_closed)
@@ -118,9 +129,7 @@ class Interval1D:
         are kept as given, and the fields are set as the frozen __init__
         sets them, bypassing __setattr__, in one update of the instance
         dict."""
-        if lo_key is not None and lo_key == hi_key and not (
-                lo_closed and hi_closed):
-            raise DegenerateInterval("coincident endpoints must be closed")
+        _check_ends(lo_key, hi_key, lo_closed, hi_closed)
         iv = object.__new__(cls)
         iv.__dict__.update(
             kind=Kind.PROPER, lo=None if lo_key is None else lo_key[1],
@@ -230,7 +239,8 @@ class SensorSet:
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # strictly increasing: the bisections of _row_mask rely on it
+        # strictly increasing: the bisections of _row_mask and _margin
+        # rely on it
         keys = tuple(_key(p) for p in self.positions)
         if any(a >= b for a, b in zip(keys, keys[1:])):
             raise ValueError("sensor positions must be distinct and sorted")
@@ -398,7 +408,7 @@ def realize_matrix(
             # lo is the (g mod n + 1)-th sensor less the margin, hi the
             # f-th plus it, each one rational (1 <= f <= n; g < n on the
             # line), the circle's taken into [0, 1)
-            f, g = row_stats(r, regime.geometry)
+            f, g = _row_ends(r.mask, n, regime.geometry)
             lo, hi = los.get(g), his.get(f)
             if lo is None:
                 lo = los[g] = (_ratio((4 * (g % n) - 1) % (4 * n), 4 * n)
@@ -440,7 +450,7 @@ def normalize_arbitrary(
             out.append(Interval1D.whole())
         else:
             # the ends are sensors, keyed with the set
-            f, g = row_stats(BitVector(n, mask), arr.geometry)
+            f, g = _row_ends(mask, n, arr.geometry)
             if arr.geometry is Geometry.LINE:
                 lo = None if g == 0 else keys[g]
                 hi = None if f == n else keys[f]
@@ -496,7 +506,10 @@ def _margin(arr: IntervalArrangement, ends: list[tuple[int, Fraction]],
     dists = []
     for k in ends:
         fe, e = k
-        above, below = bisect_right(keys, k), bisect_left(keys, k) - 1
+        # the keys strictly increase: the one below an end on a sensor
+        # is two places down
+        above = bisect_right(keys, k)
+        below = above - 2 if above and keys[above - 1] == k else above - 1
         if above < n:
             fp, p = keys[above]
             dists.append((fp - fe, p, e, 0))

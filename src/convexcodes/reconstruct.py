@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from .core import (
@@ -74,6 +75,11 @@ class Multiordering:
             raise ValueError("column length differs from support length")
 
     def matrix(self) -> SensorMatrix:
+        """The line matrix of the columns, built once."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> SensorMatrix:
         return SensorMatrix.from_columns(self.columns, Geometry.LINE,
                                          k=self.support.k)
 
@@ -377,41 +383,9 @@ def reconstruct_sparse(words: Code, geometry: Geometry):
     return result.matrix
 
 
-def _prune_surplus(cols: list[BitVector], target: Mapping[BitVector, int]) -> None:
-    """Remove copies above target whenever removal keeps every adjacent
-    pair harmonious, until no such copy remains: always the leftmost
-    removable copy first, in one pass."""
-    counts: dict[BitVector, int] = {}
-    for c in cols:
-        counts[c] = counts.get(c, 0) + 1
-    i = 0
-    while i < len(cols):
-        c = cols[i]
-        left = cols[i - 1] if i > 0 else None
-        right = cols[i + 1] if i + 1 < len(cols) else None
-        if counts[c] <= target.get(c, 1) or (
-                left is not None and right is not None
-                and inharmonious(left, right)):
-            i += 1
-        else:
-            # positions before i - 1 keep their neighbours, and counts only
-            # fall, so none of them became removable
-            del cols[i]
-            counts[c] -= 1
-            i = max(i - 1, 0)
-
-
-def reconstruct_dense_linear(words: Code):
-    """An HCO multiordering of words, or Infeasible.
-
-    Extends the canonical CO ordering: between every adjacent
-    inharmonious pair (x, y) the positionwise product x AND y is
-    inserted.  The product is harmonious with both neighbors; if it is
-    not itself a codeword the code admits no HCO multiordering at all.
-    The output is not length-minimized beyond the 2|words| - 1 bound;
-    reconstruct_multiset_dense_linear trims surplus copies when exact
-    multiplicities are requested.
-    """
+def _meet_inserted(words: Code):
+    """The columns of reconstruct_dense_linear as a list, or Infeasible:
+    both dense-line reconstructions start from it."""
     result = co_order(words)
     if not result.feasible:
         return _no_ordering("CO", result)
@@ -426,10 +400,27 @@ def reconstruct_dense_linear(words: Code):
                 )
             cols.append(glue)
         cols.append(w)
-    mo = Multiordering(tuple(cols), words)
-    verify_matrix(mo.matrix(), HCO, words)
     ensure(len(cols) <= max(2 * len(words) - 1, 0),
            "dense multiordering exceeds 2|words| - 1 columns")
+    return cols
+
+
+def reconstruct_dense_linear(words: Code):
+    """An HCO multiordering of words, or Infeasible.
+
+    Extends the canonical CO ordering: between every adjacent
+    inharmonious pair (x, y) the positionwise product x AND y is
+    inserted.  The product is harmonious with both neighbors; if it is
+    not itself a codeword the code admits no HCO multiordering at all.
+    The output is not length-minimized beyond the 2|words| - 1 bound;
+    reconstruct_multiset_dense_linear trims surplus copies when exact
+    multiplicities are requested.
+    """
+    cols = _meet_inserted(words)
+    if isinstance(cols, Infeasible):
+        return cols
+    mo = Multiordering(tuple(cols), words)
+    verify_matrix(mo.matrix(), HCO, words)
     return mo
 
 
@@ -456,38 +447,41 @@ def reconstruct_multiset_sparse(ms: CodeMultiset, geometry: Geometry):
     return m
 
 
+def _exact(cols: list[BitVector], entries: Mapping[BitVector, int]):
+    """The dense columns cols with exactly the multiplicities entries,
+    or Infeasible, in one left-to-right pass with a stack: the top copy
+    is dropped, leftmost first, while it is surplus and its neighbours,
+    the one below it and the next column, are harmonious.  A column at
+    or under its count is never dropped, so a short one's missing copies
+    go in next to its first.  A copy kept above its count is needed by
+    every HCO matrix with this support, so a surplus is Infeasible."""
+    copies = Counter(cols)
+    short = {c: entries[c] - n for c, n in copies.items() if n < entries[c]}
+    kept: list[BitVector] = []
+    for right in [*cols, None]:
+        while kept and copies[kept[-1]] > entries[kept[-1]] and (
+                right is None or len(kept) == 1
+                or not inharmonious(kept[-2], right)):
+            copies[kept.pop()] -= 1
+        if right is not None:
+            kept.extend([right] * (short.pop(right, 0) + 1))
+    surplus = [c for c, n in copies.items() if n > entries[c]]
+    if surplus:
+        worst = min(surplus, key=BitVector.to_string)
+        return Infeasible("every HCO matrix with this support needs %d "
+                          "copies of %s" % (copies[worst], worst.to_string()))
+    return kept
+
+
 def reconstruct_multiset_dense_linear(ms: CodeMultiset):
-    """An HCO matrix with exactly the requested multiplicities, or Infeasible.
-
-    Starts from a dense multiordering of the support, removes surplus
-    copies whose removal keeps all adjacent pairs harmonious, and then
-    duplicates columns adjacent to themselves to meet any remaining
-    demand.  A copy that survives the removal phase is structurally
-    required: every HCO matrix with this support uses at least that many
-    copies, so a shortfall is a genuine Infeasible.
-    """
-    base = reconstruct_dense_linear(ms.support)
-    if isinstance(base, Infeasible):
-        return base
-    cols = list(base.columns)
-    _prune_surplus(cols, ms.entries)
-    counts = Counter(cols)
-
-    over = {c: counts[c] - ms.entries[c] for c in counts if counts[c] > ms.entries[c]}
-    if over:
-        worst = min(over, key=BitVector.to_string)
-        return Infeasible(
-            "every HCO matrix with this support needs %d copies of %s"
-            % (counts[worst], worst.to_string())
-        )
-
-    deficit = {c: ms.entries[c] - counts[c] for c in counts}
-    out: list[BitVector] = []
-    for c in cols:
-        out.append(c)
-        if deficit[c] > 0:
-            out.extend([c] * deficit[c])
-            deficit[c] = 0
-    verify_matrix(SensorMatrix.from_columns(out, Geometry.LINE, k=ms.k),
-                  HCO, ms)
-    return Multiordering(tuple(out), ms.support)
+    """An HCO matrix with exactly the requested multiplicities, or
+    Infeasible: the support's dense columns laid out by _exact."""
+    support = ms.support
+    cols = _meet_inserted(support)
+    if not isinstance(cols, Infeasible):
+        cols = _exact(cols, ms.entries)
+    if isinstance(cols, Infeasible):
+        return cols
+    mo = Multiordering(tuple(cols), support)
+    verify_matrix(mo.matrix(), HCO, ms)
+    return mo

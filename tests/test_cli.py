@@ -29,7 +29,7 @@ from convexcodes.cli import (
     parse_code_file,
 )
 from convexcodes.core import (CO, BitVector, Code, Geometry, InternalError,
-                              SizeLimit)
+                              SensorMatrix, SizeLimit)
 from convexcodes.counting import (
     CountTable,
     brute_force_table,
@@ -40,6 +40,15 @@ from convexcodes.geometry import (
     IntervalArrangement,
     SensorSet,
     extract_code_sparse,
+)
+from convexcodes.reconstruct import (
+    Multiordering,
+    Unsupported,
+    reconstruct_dense_circular,
+    reconstruct_dense_linear,
+    reconstruct_multiset_dense_linear,
+    reconstruct_multiset_sparse,
+    reconstruct_sparse,
 )
 from tucker import _staircase_with_triangle, kinds
 
@@ -193,6 +202,47 @@ class TestCheck:
             capsys, "check", path, "--regime", "dense", "--multiset"
         )
         assert code == EXIT_FEASIBLE
+
+
+def test_each_answer_builds_at_most_two_matrices(capsys, tmp_path,
+                                                 monkeypatch):
+    # the recognizer's own checked matrix, and the answer's, which its
+    # self-check and the CLI share
+    builds = []
+    from_columns = SensorMatrix.from_columns.__func__
+
+    def counted(cls, *args, **kwargs):
+        builds.append(None)
+        return from_columns(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SensorMatrix, "from_columns", classmethod(counted))
+    ms = parse_code_file(PADDING)
+    line, circle = Geometry.LINE, Geometry.CIRCLE
+    for name, call in (
+            ("sparse line", lambda: reconstruct_sparse(ms.support, line)),
+            ("sparse circle", lambda: reconstruct_sparse(ms.support, circle)),
+            ("dense line", lambda: reconstruct_dense_linear(ms.support)),
+            ("dense circle", lambda: reconstruct_dense_circular(ms.support)),
+            ("multiset line", lambda: reconstruct_multiset_sparse(ms, line)),
+            ("multiset circle",
+             lambda: reconstruct_multiset_sparse(ms, circle)),
+            ("multiset dense", lambda: reconstruct_multiset_dense_linear(ms))):
+        builds.clear()
+        result = call()
+        if isinstance(result, Multiordering):
+            result.matrix()
+        assert isinstance(result, (SensorMatrix, Multiordering,
+                                   Unsupported)), name
+        assert len(builds) <= 2, name
+    path = write(tmp_path, "c.txt", PADDING)
+    for command in ("check", "realize", "normalize"):
+        for regime in ("sparse", "dense"):
+            for multiset in ([], ["--multiset"]):
+                argv = [command, path, "--regime", regime, *multiset]
+                builds.clear()
+                code, _, err = run(capsys, *argv)
+                assert (code, err) == (EXIT_FEASIBLE, ""), argv
+                assert len(builds) <= 2, argv
 
 
 class TestRealize:

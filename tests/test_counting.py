@@ -239,15 +239,17 @@ class TestOracleAgreement:
             ORACLE_12_SHA256[geometry])
 
     def test_two_rows_with_one_f_and_g_fail_the_self_check(self, monkeypatch):
-        # (f, g) names a row, so a row_stats that repeats a pair is a bug
-        monkeypatch.setattr(counting, "row_stats", lambda row, geometry: (2, 0))
+        # (f, g) names a row, so row ends that repeat a pair are a bug
+        monkeypatch.setattr(counting, "_row_ends",
+                            lambda mask, n, geometry: (2, 0))
         with pytest.raises(InternalError, match=r"share \(f, g\) = \(2, 0\)"):
             brute_force_dense(2, Geometry.LINE)
 
     def test_line_row_with_g_not_below_f_fails_the_self_check(
             self, monkeypatch):
         # the line's depth-first products rest on g < f for every row
-        monkeypatch.setattr(counting, "row_stats", lambda row, geometry: (1, 1))
+        monkeypatch.setattr(counting, "_row_ends",
+                            lambda mask, n, geometry: (1, 1))
         with pytest.raises(InternalError, match="g = 1 >= f = 1"):
             brute_force_dense(1, Geometry.LINE)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import random
@@ -452,6 +453,26 @@ class TestInterval:
         point = Interval1D.closed(F(1, 2), F(1, 2))
         assert point.contains(F(1, 2), Geometry.CIRCLE)
 
+    def test_every_constructor_checks_the_ends(self):
+        # a closed ray side and open coincident ends are refused however
+        # the interval is made: proper(), the dataclass constructor, or
+        # dataclasses.replace of a sound interval into either shape
+        sound = Interval1D.proper(0, 1)
+        routes = (
+            Interval1D.proper,
+            lambda *ends: Interval1D(Kind.PROPER, *ends),
+            lambda lo, hi, lo_closed, hi_closed: dataclasses.replace(
+                sound, lo=lo, hi=hi, lo_closed=lo_closed,
+                hi_closed=hi_closed),
+        )
+        for ends, match in (((None, F(1), True, False),
+                             "a ray side cannot be closed"),
+                            ((F(1), F(1), False, False),
+                             "coincident endpoints must be closed")):
+            for make in routes:
+                with pytest.raises(DegenerateInterval, match=match):
+                    make(*ends)
+
     def test_circle_arcs_need_unit_range(self):
         with pytest.raises(DegenerateInterval):
             IntervalArrangement((Interval1D.open(0, F(3, 2)),), Geometry.CIRCLE)
@@ -567,6 +588,24 @@ class TestNormalize:
         assert iv.kind is Kind.PROPER
         assert (iv.lo, iv.lo_closed) == (F(2), True)
         assert (iv.hi, iv.hi_closed) == (F(3), False)
+
+    @pytest.mark.parametrize("regime", [CO, CCO])
+    def test_snap_reads_row_ends_from_masks(self, regime, monkeypatch):
+        # each row's ends come from its bare mask: no BitVector per row
+        m = SensorMatrix.from_strings(["0110", "1100", "0000", "1111"],
+                                      regime.geometry)
+        arr, sensors = realize_matrix(m, regime)
+        made = []
+        init = BitVector.__init__
+
+        def recorded(w, *args, **kwargs):
+            init(w, *args, **kwargs)
+            made.append(w)
+
+        monkeypatch.setattr(BitVector, "__init__", recorded)
+        out = normalize_arbitrary(arr, sensors)
+        assert out._rows_at(sensors) == [r.mask for r in m.rows]
+        assert made == []
 
     def test_empty_sensor_set_rejected(self):
         arr = IntervalArrangement((Interval1D.open(0, 1),), Geometry.LINE)
@@ -1075,13 +1114,13 @@ def test_self_checks_survive_optimize_flag():
 
         m = SensorMatrix.from_strings(["0110"], Geometry.LINE)
         arr, sensors = g.realize_matrix(m, CO)
-        row_stats = g.row_stats
+        row_ends = g._row_ends
         # one sensor too far left: g - 1 in place of g
-        g.row_stats = lambda row, geo: (row_stats(row, geo)[0],
-                                        row_stats(row, geo)[1] - 1)
+        g._row_ends = lambda mask, n, geo: (row_ends(mask, n, geo)[0],
+                                            row_ends(mask, n, geo)[1] - 1)
         failed = [not raises(g.realize_matrix, m, CO),
                   not raises(g.normalize_arbitrary, arr, sensors)]
-        g.row_stats = row_stats
+        g._row_ends = row_ends
         two = g.IntervalArrangement(
             (g.Interval1D.open(0, 1), g.Interval1D.open(2, 3)), Geometry.LINE)
         closed = g.open_to_closed(two)

@@ -207,6 +207,13 @@ class TestMultiordering:
         with pytest.raises(ValueError, match="column length differs"):
             Multiordering((_bv("10"),), Code(frozenset([_bv("10")]), 3))
 
+    def test_matrix_is_built_once(self):
+        mo = reconstruct_dense_linear(_code(["100", "010", "001", "000"]))
+        m = mo.matrix()
+        assert mo.matrix() is m
+        assert m == SensorMatrix.from_columns(mo.columns, Geometry.LINE)
+        assert m.columns == mo.columns
+
     @pytest.mark.parametrize("k", [0, 3])
     def test_empty(self, k):
         mo = Multiordering((), Code(frozenset(), k))
@@ -958,6 +965,25 @@ class TestMultiset:
                     changed = True
                     break
 
+        def filled(cols, target):
+            # the former over / deficit loops: refuse a kept surplus,
+            # else repeat each short column after its first copy
+            counts = Counter(cols)
+            over = [c for c in counts if counts[c] > target[c]]
+            if over:
+                worst = min(over, key=BitVector.to_string)
+                return Infeasible(
+                    "every HCO matrix with this support needs %d copies of %s"
+                    % (counts[worst], worst.to_string()))
+            deficit = {c: target[c] - counts[c] for c in counts}
+            out = []
+            for c in cols:
+                out.append(c)
+                if deficit[c] > 0:
+                    out.extend([c] * deficit[c])
+                    deficit[c] = 0
+            return out
+
         rng = random.Random(31)
         compared = 0
         while compared < 500:
@@ -976,10 +1002,10 @@ class TestMultiset:
             noise = [_bv(w) for w in rng.choices(all_words(3), k=12)]
             for order in (cols, rng.sample(cols, len(cols)), noise):
                 target = {c: rng.randint(1, 3) for c in set(order)}
-                want, got = list(order), list(order)
+                want = list(order)
                 restart_loop(want, target)
-                reconstruct._prune_surplus(got, target)
-                assert got == want
+                assert (reconstruct._exact(order, target)
+                        == filled(want, target))
             compared += 1
 
     def test_dense_oracle_small(self):
