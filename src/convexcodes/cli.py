@@ -9,6 +9,19 @@ invocations produce identical bytes.
 
 Exit codes: 0 feasible, 1 infeasible, 2 unsupported, 3 size limit
 exceeded, 64 usage or parse error.
+
+A run registers only its own command: when the first word names one,
+main builds the parser with that command's subparser alone, a third of
+the cost of all five.  Any other first word (none, '-h', '--', an
+unknown word) registers all five, so the top-level help, the
+missing-command error and the invalid-choice error list them.  The
+one-command parser sets the subparsers metavar to the five names in
+braces, which argparse writes by itself when all five are registered,
+so a top-level usage line (printed on an unrecognized argument) reads
+the same either way.  The five-command parser leaves it unset: argparse
+names an argument by its metavar before its dest, so there the
+missing-command and invalid-choice errors would say "{check,...}" in
+place of "command".
 """
 
 from __future__ import annotations
@@ -446,56 +459,68 @@ def _cap(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="convexcodes",
-                description="Decide and realize 1-D convex neural codes.")
-    sub = p.add_subparsers(dest="command", required=True)
+def _code_args(sp, fn, with_file=True, with_regime=True):
+    if with_file:
+        sp.add_argument("file", type=_code_text,
+                        help="code file: one codeword per line, or"
+                             " 'count codeword'; '#' starts a comment")
+    sp.add_argument("--geometry", choices=["line", "circle"], default="line")
+    if with_regime:
+        sp.add_argument("--regime", choices=["sparse", "dense"],
+                        default="sparse")
+    if with_file and with_regime:
+        sp.add_argument("--multiset", action="store_true",
+                        help="honor codeword multiplicities exactly")
+    sp.add_argument("--format", choices=["text", "structured"],
+                    default="text")
+    sp.set_defaults(fn=fn)
 
-    def common(sp, with_file=True, with_regime=True):
-        if with_file:
-            sp.add_argument("file", type=_code_text,
-                            help="code file: one codeword per line, or"
-                                 " 'count codeword'; '#' starts a comment")
-        sp.add_argument("--geometry", choices=["line", "circle"],
-                        default="line")
-        if with_regime:
-            sp.add_argument("--regime", choices=["sparse", "dense"],
-                            default="sparse")
-        if with_file and with_regime:
-            sp.add_argument("--multiset", action="store_true",
-                            help="honor codeword multiplicities exactly")
-        sp.add_argument("--format", choices=["text", "structured"],
-                        default="text")
 
-    sp = sub.add_parser("check", help="decide feasibility")
-    common(sp)
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("realize", help="construct an interval arrangement")
-    common(sp)
-    sp.set_defaults(fn=cmd_realize)
-
-    sp = sub.add_parser("certificate",
-                        help="bipartition or odd-cycle certificate (line, sparse)")
-    common(sp, with_regime=False)
-    sp.set_defaults(fn=cmd_certificate)
-
-    sp = sub.add_parser("enumerate", help="count discrete interval sets")
-    common(sp, with_file=False)
+def _enumerate_args(sp):
+    _code_args(sp, cmd_enumerate, with_file=False)
     sp.add_argument("--max-n", type=_cap, default=5)
     sp.add_argument("--max-k", type=_cap, default=10)
     sp.add_argument("--oracle", action="store_true",
                     help="cross-check against brute force")
-    sp.set_defaults(fn=cmd_enumerate)
 
-    sp = sub.add_parser("normalize", help="apply a topology normalization"
-                                          " to a realization of the code")
-    common(sp)
+
+def _normalize_args(sp):
+    _code_args(sp, cmd_normalize)
     sp.add_argument("--transform", choices=["snap", "close", "open"],
                     default="snap",
                     help="snap: half-open intervals at sensors;"
                          " close/open: all-closed or all-open variant")
-    sp.set_defaults(fn=cmd_normalize)
+
+
+# name -> (help, the function that adds the command's arguments); each
+# reads its cmd_ function off the module when it runs, so a cmd_ function
+# replaced after import (a tracer's wrapper) is the one that runs
+_COMMANDS = {
+    "check": ("decide feasibility",
+              lambda sp: _code_args(sp, cmd_check)),
+    "realize": ("construct an interval arrangement",
+                lambda sp: _code_args(sp, cmd_realize)),
+    "certificate": ("bipartition or odd-cycle certificate (line, sparse)",
+                    lambda sp: _code_args(sp, cmd_certificate,
+                                          with_regime=False)),
+    "enumerate": ("count discrete interval sets", _enumerate_args),
+    "normalize": ("apply a topology normalization to a realization of the"
+                  " code", _normalize_args),
+}
+# the usage metavar argparse writes when all five are registered
+_ALL_COMMANDS = "{%s}" % ",".join(_COMMANDS)
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of command alone when it names one, else of all five."""
+    p = _Parser(prog="convexcodes",
+                description="Decide and realize 1-D convex neural codes.")
+    one = command in _COMMANDS
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar=_ALL_COMMANDS if one else None)
+    for name in (command,) if one else _COMMANDS:
+        help_text, add_args = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return p
 
 
@@ -503,7 +528,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     """Run one command.  Commands only fill the emitter; the status it
     holds picks the exit code.  A SizeLimit raised anywhere becomes a
     size-limit refusal in place of whatever the command had emitted."""
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     em = _Emitter(args.format == "structured")
     try:
         args.fn(args, em)

@@ -1,3 +1,4 @@
+import argparse
 import gc
 import io
 import itertools
@@ -24,6 +25,7 @@ from convexcodes.cli import (
     EXIT_UNSUPPORTED,
     ParseError,
     _json_text,
+    build_parser,
     count_sparse,
     main,
     parse_code_file,
@@ -667,6 +669,82 @@ class TestUsageErrors:
         assert code == EXIT_PARSE
         assert out == ""
         assert "parse error" in err
+
+
+COMMANDS = ["check", "realize", "certificate", "enumerate", "normalize"]
+
+
+class TestOneCommandParser:
+    """main registers only the command it runs; any other first word
+    registers all five, and the output is that of all five either way."""
+
+    @staticmethod
+    def _registered(monkeypatch, argv):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+        return names
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_command_registers_itself_alone(self, capsys, tmp_path,
+                                              monkeypatch, command):
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        argv = ([command, "--max-n", "2", "--max-k", "2"]
+                if command == "enumerate" else [command, path])
+        assert self._registered(monkeypatch, argv) == [command]
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"],
+                                      ["--", "check", "FILE"]], ids=" ".join)
+    def test_any_other_first_word_registers_all(self, capsys, tmp_path,
+                                                monkeypatch, argv):
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        argv = [path if a == "FILE" else a for a in argv]
+        assert self._registered(monkeypatch, argv) == COMMANDS
+
+    @staticmethod
+    def _outcome(capsys, parser, argv):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit as exc:
+            out = capsys.readouterr()
+            return exc.code, out.out, out.err
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], [], ["bogus", "FILE"], ["--", "check", "FILE"],
+        *[[c, "-h"] for c in COMMANDS],
+        ["check", "FILE", "--bogus"],
+        ["normalize", "FILE", "--transform", "bad"],
+        ["enumerate", "--max-n", "x"],
+        ["check", "ABSENT"],
+        ["check", "FILE"], ["realize", "FILE", "--format", "structured"],
+        ["certificate", "FILE", "--geometry", "circle"],
+        ["enumerate", "--regime", "dense", "--max-n", "2", "--oracle"],
+        ["normalize", "FILE", "--transform", "open", "--multiset"],
+    ], ids=" ".join)
+    def test_same_usage_help_errors_and_arguments_as_all_five(
+            self, capsys, tmp_path, monkeypatch, argv):
+        # usage lines wrap at the terminal width argparse reads
+        monkeypatch.setenv("COLUMNS", "80")
+        files = {"FILE": write(tmp_path, "c.txt", WALKTHROUGH),
+                 "ABSENT": str(tmp_path / "absent.txt")}
+        argv = [files.get(a, a) for a in argv]
+        one = self._outcome(capsys, build_parser(argv[0] if argv else None),
+                            argv)
+        assert one == self._outcome(capsys, build_parser(), argv)
+        if "-h" in argv[:2]:
+            assert one[0] == 0 and one[1].startswith("usage: convexcodes")
+        elif isinstance(one, tuple):
+            assert one[0] == EXIT_PARSE and one[2].startswith("usage: ")
 
 
 class TestCodeFiles:
