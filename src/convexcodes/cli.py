@@ -9,24 +9,12 @@ invocations produce identical bytes.
 
 Exit codes: 0 feasible, 1 infeasible, 2 unsupported, 3 size limit
 exceeded, 64 usage or parse error.
-
-A run registers only its own command: when the first word names one,
-main builds the parser with that command's subparser alone, a third of
-the cost of all five.  Any other first word (none, '-h', '--', an
-unknown word) registers all five, so the top-level help, the
-missing-command error and the invalid-choice error list them.  The
-one-command parser sets the subparsers metavar to the five names in
-braces, which argparse writes by itself when all five are registered,
-so a top-level usage line (printed on an unrecognized argument) reads
-the same either way.  The five-command parser leaves it unset: argparse
-names an argument by its metavar before its dest, so there the
-missing-command and invalid-choice errors would say "{check,...}" in
-place of "command".
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -459,7 +447,7 @@ def _cap(text: str) -> int:
     return value
 
 
-def _code_args(sp, fn, with_file=True, with_regime=True):
+def _code_args(sp, with_file=True, with_regime=True):
     if with_file:
         sp.add_argument("file", type=_code_text,
                         help="code file: one codeword per line, or"
@@ -473,11 +461,10 @@ def _code_args(sp, fn, with_file=True, with_regime=True):
                         help="honor codeword multiplicities exactly")
     sp.add_argument("--format", choices=["text", "structured"],
                     default="text")
-    sp.set_defaults(fn=fn)
 
 
 def _enumerate_args(sp):
-    _code_args(sp, cmd_enumerate, with_file=False)
+    _code_args(sp, with_file=False)
     sp.add_argument("--max-n", type=_cap, default=5)
     sp.add_argument("--max-k", type=_cap, default=10)
     sp.add_argument("--oracle", action="store_true",
@@ -485,43 +472,38 @@ def _enumerate_args(sp):
 
 
 def _normalize_args(sp):
-    _code_args(sp, cmd_normalize)
+    _code_args(sp)
     sp.add_argument("--transform", choices=["snap", "close", "open"],
                     default="snap",
                     help="snap: half-open intervals at sensors;"
                          " close/open: all-closed or all-open variant")
 
 
-# name -> (help, the function that adds the command's arguments); each
-# reads its cmd_ function off the module when it runs, so a cmd_ function
-# replaced after import (a tracer's wrapper) is the one that runs
+# name -> (help, the function that adds the command's arguments)
 _COMMANDS = {
-    "check": ("decide feasibility",
-              lambda sp: _code_args(sp, cmd_check)),
-    "realize": ("construct an interval arrangement",
-                lambda sp: _code_args(sp, cmd_realize)),
+    "check": ("decide feasibility", _code_args),
+    "realize": ("construct an interval arrangement", _code_args),
     "certificate": ("bipartition or odd-cycle certificate (line, sparse)",
-                    lambda sp: _code_args(sp, cmd_certificate,
-                                          with_regime=False)),
+                    lambda sp: _code_args(sp, with_regime=False)),
     "enumerate": ("count discrete interval sets", _enumerate_args),
     "normalize": ("apply a topology normalization to a realization of the"
                   " code", _normalize_args),
 }
-# the usage metavar argparse writes when all five are registered
-_ALL_COMMANDS = "{%s}" % ",".join(_COMMANDS)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of command alone when it names one, else of all five."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all five commands."""
     p = _Parser(prog="convexcodes",
                 description="Decide and realize 1-D convex neural codes.")
-    one = command in _COMMANDS
-    sub = p.add_subparsers(dest="command", required=True,
-                           metavar=_ALL_COMMANDS if one else None)
-    for name in (command,) if one else _COMMANDS:
-        help_text, add_args = _COMMANDS[name]
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args) in _COMMANDS.items():
         add_args(sub.add_parser(name, help=help_text))
     return p
+
+
+# the parser of every main call in the process; a parse leaves it as it
+# was, since each builds a fresh namespace
+_parser = functools.cache(build_parser)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -530,10 +512,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     size-limit refusal in place of whatever the command had emitted."""
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # argparse would take a '--' before a command for the command's name
+    if len(argv) > 1 and argv[0] == "--" and argv[1] in _COMMANDS:
+        argv = argv[1:]
+    args = _parser().parse_args(argv)
     em = _Emitter(args.format == "structured")
     try:
-        args.fn(args, em)
+        # looked up by name at each run, so a cmd_ function replaced after
+        # import (a tracer's wrapper) is the one that runs
+        globals()["cmd_" + args.command](args, em)
     except ParseError as exc:
         print("parse error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import all_words, brute_orderable
-from convexcodes import counting
+from convexcodes import cli, counting
 from convexcodes.cli import (
     EXIT_FEASIBLE,
     EXIT_INFEASIBLE,
@@ -675,51 +675,12 @@ COMMANDS = ["check", "realize", "certificate", "enumerate", "normalize"]
 
 
 class TestOneCommandParser:
-    """main registers only the command it runs; any other first word
-    registers all five, and the output is that of all five either way."""
+    """main builds one parser of all five commands, on its first call in
+    a process, and every later call reuses it as it was built."""
 
-    @staticmethod
-    def _registered(monkeypatch, argv):
-        names = []
-        add_parser = argparse._SubParsersAction.add_parser
-
-        def spy(self, name, **kwargs):
-            names.append(name)
-            return add_parser(self, name, **kwargs)
-
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
-        try:
-            main(argv)
-        except SystemExit:
-            pass
-        return names
-
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_a_command_registers_itself_alone(self, capsys, tmp_path,
-                                              monkeypatch, command):
-        path = write(tmp_path, "c.txt", WALKTHROUGH)
-        argv = ([command, "--max-n", "2", "--max-k", "2"]
-                if command == "enumerate" else [command, path])
-        assert self._registered(monkeypatch, argv) == [command]
-        assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"],
-                                      ["--", "check", "FILE"]], ids=" ".join)
-    def test_any_other_first_word_registers_all(self, capsys, tmp_path,
-                                                monkeypatch, argv):
-        path = write(tmp_path, "c.txt", WALKTHROUGH)
-        argv = [path if a == "FILE" else a for a in argv]
-        assert self._registered(monkeypatch, argv) == COMMANDS
-
-    @staticmethod
-    def _outcome(capsys, parser, argv):
-        try:
-            return parser.parse_args(argv)
-        except SystemExit as exc:
-            out = capsys.readouterr()
-            return exc.code, out.out, out.err
-
-    @pytest.mark.parametrize("argv", [
+    # usage, help, errors and every command, each read as the parser of
+    # a fresh build reads it
+    ARGVS = [
         ["-h"], [], ["bogus", "FILE"], ["--", "check", "FILE"],
         *[[c, "-h"] for c in COMMANDS],
         ["check", "FILE", "--bogus"],
@@ -730,21 +691,115 @@ class TestOneCommandParser:
         ["certificate", "FILE", "--geometry", "circle"],
         ["enumerate", "--regime", "dense", "--max-n", "2", "--oracle"],
         ["normalize", "FILE", "--transform", "open", "--multiset"],
-    ], ids=" ".join)
+    ]
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @staticmethod
+    def _files(tmp_path):
+        files = {"FILE": write(tmp_path, "c.txt", WALKTHROUGH),
+                 "ABSENT": str(tmp_path / "absent.txt")}
+        return lambda argv: [files.get(a, a) for a in argv]
+
+    @staticmethod
+    def _small_run(command):
+        return ([command, "--max-n", "2", "--max-k", "2"]
+                if command == "enumerate" else [command, "FILE"])
+
+    def _registered(self, capsys, tmp_path, monkeypatch, first):
+        """The commands registered by a first main call of first in a
+        process, and those registered by every later call."""
+        # drop the process parser, as a new process starts without one
+        cli._parser.cache_clear()
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        files = self._files(tmp_path)
+        self._outcome(capsys, files(first))
+        registered = names[:]
+        del names[:]
+        for command in COMMANDS:
+            argv = files(self._small_run(command))
+            assert self._outcome(capsys, argv)[0] == EXIT_FEASIBLE
+        for argv in self.ARGVS:
+            self._outcome(capsys, files(argv))
+        return registered, names
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_command_registers_all_five_once(self, capsys, tmp_path,
+                                               monkeypatch, command):
+        assert self._registered(capsys, tmp_path, monkeypatch,
+                                self._small_run(command)) == (COMMANDS, [])
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"],
+                                      ["--", "check", "FILE"]], ids=" ".join)
+    def test_any_other_first_word_registers_all(self, capsys, tmp_path,
+                                                monkeypatch, argv):
+        assert self._registered(capsys, tmp_path, monkeypatch, argv) == (
+            COMMANDS, [])
+
+    def _fresh(self, capsys, monkeypatch, argv):
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", build_parser)
+            return self._outcome(capsys, argv)
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
     def test_same_usage_help_errors_and_arguments_as_all_five(
             self, capsys, tmp_path, monkeypatch, argv):
         # usage lines wrap at the terminal width argparse reads
         monkeypatch.setenv("COLUMNS", "80")
-        files = {"FILE": write(tmp_path, "c.txt", WALKTHROUGH),
-                 "ABSENT": str(tmp_path / "absent.txt")}
-        argv = [files.get(a, a) for a in argv]
-        one = self._outcome(capsys, build_parser(argv[0] if argv else None),
-                            argv)
-        assert one == self._outcome(capsys, build_parser(), argv)
+        argv = self._files(tmp_path)(argv)
+        # the process parser is built before the run that reuses it
+        self._outcome(capsys, ["bogus"])
+        reused = self._outcome(capsys, argv)
+        assert reused == self._fresh(capsys, monkeypatch, argv)
         if "-h" in argv[:2]:
-            assert one[0] == 0 and one[1].startswith("usage: convexcodes")
-        elif isinstance(one, tuple):
-            assert one[0] == EXIT_PARSE and one[2].startswith("usage: ")
+            assert reused[0] == 0 and reused[1].startswith("usage: convexcodes")
+        elif reused[0] == EXIT_PARSE:
+            assert reused[2].startswith("usage: ")
+        if argv[:1] == ["--"]:
+            # one '--' before a command ends the options and runs it
+            assert reused == self._outcome(capsys, argv[1:])
+            assert reused[0] == EXIT_FEASIBLE
+
+    def test_a_reused_parser_carries_nothing_between_runs(
+            self, capsys, tmp_path, monkeypatch):
+        files = self._files(tmp_path)
+        first = [files(a) for a in self.ARGVS]
+        random.Random(0).shuffle(first)
+        # each pass runs the structured realize before the text one
+        for columns, order in (("80", first), ("120", first[::-1])):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in order + [files(["realize", "FILE"])]:
+                assert self._outcome(capsys, argv) == self._fresh(
+                    capsys, monkeypatch, argv), (columns, argv)
+
+    def test_a_command_replaced_after_the_first_run_is_the_one_run(
+            self, capsys, tmp_path, monkeypatch):
+        # a tracer wraps the cmd_ functions after import
+        path = write(tmp_path, "c.txt", WALKTHROUGH)
+        assert run(capsys, "check", path)[0] == EXIT_FEASIBLE
+        calls = []
+
+        def spy(args, em):
+            calls.append(args.file)
+            em.set("status", "feasible")
+
+        monkeypatch.setattr(cli, "cmd_check", spy)
+        assert run(capsys, "check", path) == (EXIT_FEASIBLE, "", "")
+        assert calls == [WALKTHROUGH]
 
 
 class TestCodeFiles:
