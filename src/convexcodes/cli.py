@@ -31,7 +31,6 @@ from .core import (
     Regime,
     SensorMatrix,
     SizeLimit,
-    ensure,
 )
 from .counting import (
     ORACLE_MAX_N,
@@ -57,6 +56,7 @@ from .reconstruct import (
     Multiordering,
     RejectionCertificate,
     Unsupported,
+    _refutation,
     reconstruct_dense_circular,
     reconstruct_dense_linear,
     reconstruct_multiset_dense_linear,
@@ -317,11 +317,7 @@ def cmd_check(args, em: _Emitter) -> None:
     elif isinstance(result, Infeasible) and regime == CO:
         # the reconstruction's failing row seeds the core search, so the
         # words are recognized once
-        cert = rejection_certificate(ms.support, failed_row=result.failed_row)
-        ensure(isinstance(cert, RejectionCertificate),
-               "recognizer rejected a code with a bipartite incompatibility"
-               " graph")
-        _emit_odd_cycle(em, cert)
+        _emit_odd_cycle(em, _refutation(ms.support, result.failed_row))
 
 
 def cmd_realize(args, em: _Emitter) -> None:

@@ -48,7 +48,8 @@ class Infeasible:
     recognition refused the words (sparse, or the dense line's CO
     ordering), is the index of the row whose reduction failed
     (OrderingResult.failed_row), and the reason names it; equality
-    ignores it."""
+    ignores it.  check hands a sparse-line refusal's row to the search
+    for its odd cycle, so the words are recognized once."""
 
     reason: str = ""
     failed_row: Optional[int] = field(default=None, compare=False)
@@ -169,7 +170,7 @@ def _valid_type2(u: Vertex, v: Vertex, row: int) -> bool:
     return a.bit(row) == 1 and c.bit(row) == 1 and b.bit(row) == 0
 
 
-def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
+def rejection_certificate(words: Code):
     """Certify sparse-line feasibility by an ordering, or refute it by an
     odd cycle of the incompatibility graph.
 
@@ -187,43 +188,31 @@ def rejection_certificate(words: Code, *, failed_row: Optional[int] = None):
     component, then at most 4r row passes over the core rows, each cut
     down to the words still kept.  The odd cycle is then written down
     from the core in O(ones), with no search of the graph.
-
-    failed_row, the Infeasible.failed_row of a line reconstruction of
-    the same words (sparse, or dense refused by its CO ordering), skips
-    their recognition, so the certificate makes none at all; the core
-    search and the cycle keep their self-checks.  A failed_row that is
-    no int in range(words.k), or one at which the words do not fail,
-    raises ValueError; so may one after the first row they fail at.
     """
-    given = failed_row is not None
-    if not given:
-        result = co_order(words)
-        if result.feasible:
-            return Bipartition(result.ordering)
-        failed_row = result.failed_row
-        ensure(failed_row is not None,
-               "recognizer rejected the words at no row")
-    elif not (isinstance(failed_row, int) and 0 <= failed_row < words.k):
-        raise ValueError("failed_row %r is not a row of %d-bit words"
-                         % (failed_row, words.k))
-    core = _infeasible_core(words.sorted_words(), failed_row)
-    cert = None if core is None else _odd_cycle(*core)
-    if cert is None:
-        # no Tucker core at failed_row: a library bug if the recognizer
-        # named the row, else the caller's mistake
-        ensure(given, "recognizer rejected a code whose core has a "
-               "bipartite incompatibility graph")
-        raise ValueError("the words do not first fail at row %d"
-                         % failed_row)
-    return cert
+    result = co_order(words)
+    if result.feasible:
+        return Bipartition(result.ordering)
+    return _refutation(words, result.failed_row)
+
+
+def _refutation(words: Code, failed_row: int) -> RejectionCertificate:
+    """The odd cycle of the CO-infeasible words, from the first row at
+    which the recognizer failed them: rejection_certificate's, and
+    check's, which hands over its refusal's Infeasible.failed_row so the
+    words are recognized once.  A row at which no core is found is a
+    library bug."""
+    ensure(isinstance(failed_row, int) and not isinstance(failed_row, bool)
+           and 0 <= failed_row < words.k,
+           "recognizer rejected the words at no row")
+    return _odd_cycle(*_infeasible_core(words.sorted_words(), failed_row))
 
 
 def _infeasible_core(ws: list[BitVector], failed: int
-                     ) -> Optional[tuple[list[BitVector], int]]:
+                     ) -> tuple[list[BitVector], int]:
     """A Tucker core of the CO-infeasible words ws, given the first row
     whose reduction fails: a subset of them, in their order, and the
     mask of the rows on which it is CO-infeasible and minimal in words
-    and in rows; None if the words do not fail at that row (_core_rows).
+    and in rows.
 
     The r rows of _core_rows are minimal for all the words, so for
     every subset still infeasible on them.  One word per nonzero
@@ -234,8 +223,6 @@ def _infeasible_core(ws: list[BitVector], failed: int
     of Tucker's five kinds, up to the order of rows and words.
     """
     core = _core_rows(ws, failed)
-    if core is None:
-        return None
     on_core = sum(1 << i for i in core)
     firsts: dict[int, BitVector] = {}
     for w in ws:
@@ -253,9 +240,8 @@ def _infeasible_core(ws: list[BitVector], failed: int
     return [words[j] for j in sorted(kept)], on_core
 
 
-def _core_rows(ws: list[BitVector], failed: int) -> Optional[list[int]]:
-    """A minimal set of rows on which the words ws are CO-infeasible, or
-    None if they do not fail at row failed.
+def _core_rows(ws: list[BitVector], failed: int) -> list[int]:
+    """A minimal set of rows on which the words ws are CO-infeasible.
 
     failed is the first row whose reduction fails when the rows are
     reduced in order.  CO holds iff it holds on each component of the
@@ -265,22 +251,21 @@ def _core_rows(ws: list[BitVector], failed: int) -> Optional[list[int]]:
     last failure first, until one fails; it joins the core and the
     candidates after it go, until the core rows fail alone.  Each pass
     reduces on a tree over only the words its rows touch, and stops
-    within the ball around the last failure that holds the core.  Only
-    the first pass, seeded with failed, can find no failure: every
-    later pass reduces the rows the pass before failed on.
+    within the ball around the last failure that holds the core.  Every
+    pass finds a failure: the first reduces the component of the rows
+    up to failed, on which the recognizer failed, and every later pass
+    the rows the pass before failed on.
     """
     rows = list(_row_constraints(ws))
-    if failed >= len(rows) or len(rows[failed]) < 2:
-        return None  # no reduction of fewer than two words fails
+    ensure(failed < len(rows) and len(rows[failed]) > 1,
+           "recognizer rejected the words at a row of fewer than two words")
     core = [failed]
     candidates = _nearest_rows(rows, failed)
     while True:
         at = _first_failure_touched([rows[i] for i in core]
                                     + [rows[i] for i in candidates])
-        if at is None:
-            ensure(len(core) == 1,
-                   "recognizer contradicted itself in the core search")
-            return None
+        ensure(at is not None,
+               "recognizer contradicted itself in the core search")
         if at < len(core):
             return core
         at -= len(core)
@@ -307,12 +292,10 @@ def _nearest_rows(rows: list[list[int]], failed: int) -> list[int]:
     return reached[1:]
 
 
-def _odd_cycle(ws: list[BitVector],
-               rows: int) -> Optional[RejectionCertificate]:
+def _odd_cycle(ws: list[BitVector], rows: int) -> RejectionCertificate:
     """An odd cycle of the incompatibility graph of the Tucker core ws
     on the rows of the mask rows, written down from its three words with
-    the fewest of those rows; None if there are fewer than three words,
-    or those three are no asteroidal triple.
+    the fewest of those rows.
 
     In each of Tucker's kinds they are one: any two of them, s and t,
     are joined by a path of words s = z0, z1, ..., zm = t, each two
@@ -322,8 +305,9 @@ def _odd_cycle(ws: list[BitVector],
     to x around y and from y to q around x close an odd cycle.  Each is
     a shortest path, found breadth-first over the rows: O(ones) in all.
     """
-    if len(ws) < 3:
-        return None
+    bipartite = ("recognizer rejected a code whose core has a bipartite "
+                 "incompatibility graph")
+    ensure(len(ws) >= 3, bipartite)
     holders = _set_positions((w.mask & rows for w in ws), rows.bit_length())
     x, y, q = sorted(range(len(ws)),
                      key=lambda j: (ws[j].mask & rows).bit_count())[:3]
@@ -331,8 +315,7 @@ def _odd_cycle(ws: list[BitVector],
     witnesses: dict[int, int] = {}
     for s, t, p in ((x, y, q), (q, x, y), (y, q, x)):
         towards = _paths_to(t, ws, holders, rows & ~ws[p].mask)
-        if s not in towards:
-            return None
+        ensure(s in towards, bipartite)
         z = s
         while z != t:
             if z != s:

@@ -40,6 +40,7 @@ from convexcodes.reconstruct import (
     Multiordering,
     RejectionCertificate,
     Unsupported,
+    _refutation,
     reconstruct_dense_circular,
     reconstruct_dense_linear,
     reconstruct_multiset_dense_linear,
@@ -530,47 +531,53 @@ class TestCertificates:
 
     @pytest.mark.parametrize("words, row, supplier, error", [
         # ODD_CYCLE_CODE first fails at row 3 of its 4
-        (ODD_CYCLE_CODE, 7, "caller", ValueError),
-        (ODD_CYCLE_CODE, 4, "caller", ValueError),
-        (ODD_CYCLE_CODE, -1, "caller", ValueError),
-        (ODD_CYCLE_CODE, 0, "caller", ValueError),
-        (ODD_CYCLE_CODE, 1, "caller", ValueError),
-        (["1100", "0110", "0011"], 1, "caller", ValueError),
-        (["1100", "0110", "0011"], 2, "caller", ValueError),
+        (ODD_CYCLE_CODE, 7, "caller", InternalError),
+        (ODD_CYCLE_CODE, 4, "caller", InternalError),
+        (ODD_CYCLE_CODE, -1, "caller", InternalError),
+        (ODD_CYCLE_CODE, 0, "caller", InternalError),
+        (ODD_CYCLE_CODE, 1, "caller", InternalError),
+        (["1100", "0110", "0011"], 1, "caller", InternalError),
+        (["1100", "0110", "0011"], 2, "caller", InternalError),
         # rows of no word, and of one, where no reduction can fail
-        (Code(frozenset(), 3), 1, "caller", ValueError),
-        (["1000", "0100", "1100"], 3, "caller", ValueError),
-        (["1000", "0110"], 0, "caller", ValueError),
+        (Code(frozenset(), 3), 1, "caller", InternalError),
+        (["1000", "0100", "1100"], 3, "caller", InternalError),
+        (["1000", "0110"], 0, "caller", InternalError),
         (ODD_CYCLE_CODE, 3, "caller", None),
         (ODD_CYCLE_CODE, 0, "co_order", InternalError),
         (["1100", "0110", "0011"], 1, "co_order", InternalError),
         # no int, though 1.0 == 1: a row index is an int
-        (ODD_CYCLE_CODE, 1.5, "caller", ValueError),
-        (ODD_CYCLE_CODE, 1.0, "caller", ValueError),
-        (ODD_CYCLE_CODE, "1", "caller", ValueError),
+        (ODD_CYCLE_CODE, 1.5, "caller", InternalError),
+        (ODD_CYCLE_CODE, 1.0, "caller", InternalError),
+        (ODD_CYCLE_CODE, "1", "caller", InternalError),
         # first fails at row 3: seeded with row 4, the core search finds
         # rows that are no Tucker core, and no odd cycle is written down
         (["00011", "00110", "01000", "01110", "10011", "11010"], 4,
-         "caller", ValueError),
+         "caller", InternalError),
+        (ODD_CYCLE_CODE, None, "caller", InternalError),
+        (ODD_CYCLE_CODE, True, "caller", InternalError),
     ])
     def test_failed_row_errors_name_who_gave_the_row(
             self, monkeypatch, words, row, supplier, error):
-        # a row the caller gives that is no row, or where the words do
-        # not fail, is the caller's mistake; the same row from the
-        # library's own recognizer is a library bug
+        # only the recognizer names the row the core search starts from,
+        # so a row that is no row, or where the words do not fail, is a
+        # library bug: an InternalError, never a ValueError, IndexError or
+        # TypeError.  rejection_certificate gets every row from a lying
+        # co_order; a caller row is also handed straight to _refutation,
+        # as check hands it its refusal's failed_row
         code = words if isinstance(words, Code) else _code(words)
         if error is None:
-            cert = rejection_certificate(code, failed_row=row)
+            assert co_order(code).failed_row == row
+            cert = _refutation(code, row)
             assert isinstance(cert, RejectionCertificate) and cert.verify()
             assert cert == rejection_certificate(code)
             return
-        given = {"failed_row": row}
-        if supplier == "co_order":
-            given = {}
-            monkeypatch.setattr(reconstruct, "co_order", lambda words:
-                                OrderingResult(False, failed_row=row))
+        if supplier == "caller":
+            with pytest.raises(error):
+                _refutation(code, row)
+        monkeypatch.setattr(reconstruct, "co_order", lambda words:
+                            OrderingResult(False, failed_row=row))
         with pytest.raises(error):
-            rejection_certificate(code, **given)
+            rejection_certificate(code)
 
 
 def _on_rows(words, rows):
