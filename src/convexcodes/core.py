@@ -282,7 +282,7 @@ class CodeMultiset:
     @classmethod
     def of(cls, entries: Mapping[BitVector, int]) -> "CodeMultiset":
         for w, m in entries.items():
-            if not isinstance(m, int):
+            if type(m) is not int:  # a bool is no count of copies
                 raise ValueError(f"multiplicity {m!r} is not an int for"
                                  f" {w.to_string()}")
             if m < 1:

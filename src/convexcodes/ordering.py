@@ -10,8 +10,8 @@ circular one by XOR-ing again.
 
 Both are one construction, whose only self-check is verify_matrix: the
 regime's signature and exactly the given words as columns.  A feasible
-result keeps its PQ-tree and renders tree_summary from it on first
-read, so callers that only want the ordering never build it.
+result keeps the ordering and the PQ-tree's bracket shape over the
+words, not the tree, and renders tree_summary from it on first read.
 """
 
 from __future__ import annotations
@@ -30,18 +30,7 @@ from .core import (
     _row_runs,
     verify_matrix,
 )
-from .pqtree import PQTree, ReductionFailed
-
-
-class _WordTree(PQTree):
-    """PQ-tree over word indices whose summary shows leaves as codewords."""
-
-    def __init__(self, names: list[BitVector]):
-        super().__init__(len(names))
-        self.names = names
-
-    def leaf_name(self, label: int) -> str:
-        return self.names[label].to_string()
+from .pqtree import PQTree, ReductionFailed, render
 
 
 @dataclass(frozen=True)
@@ -49,25 +38,26 @@ class OrderingResult:
     """A feasible column ordering plus its permutation-class summary.
 
     tree_summary uses codeword strings, with {..} for freely permutable
-    groups and [..] for sequences fixed up to reversal.  It, tree, the
-    reduced PQ-tree it is rendered from, and matrix, the checked sensor
-    matrix whose columns are the ordering, are None for an infeasible
-    result.  failed_row is the index of the row whose reduction failed,
-    over the words in sorted order (complemented by the anchor on the
-    circle), and None for a feasible result.  Equality compares
-    feasibility and ordering only.
+    groups and [..] for sequences fixed up to reversal; it is rendered
+    on first read from the PQ-tree's bracket shape over the words.  It and
+    matrix, the checked sensor matrix whose columns are the ordering,
+    are None for an infeasible result.  failed_row is the index of the
+    row whose reduction failed, over the words in sorted order
+    (complemented by the anchor on the circle), and None for a feasible
+    result.  Equality compares feasibility and ordering only.
     """
 
     feasible: bool
     ordering: Optional[tuple[BitVector, ...]] = None
-    tree: Optional[PQTree] = field(default=None, repr=False, compare=False)
+    _shape: Optional[tuple] = field(default=None, repr=False, compare=False)
     matrix: Optional[SensorMatrix] = field(default=None, repr=False,
                                            compare=False)
     failed_row: Optional[int] = field(default=None, compare=False)
 
     @cached_property
     def tree_summary(self) -> Optional[str]:
-        return None if self.tree is None else self.tree.summary()
+        return (None if self._shape is None
+                else render(self._shape, BitVector.to_string))
 
 
 def _row_constraints(words: list[BitVector]) -> Iterator[list[int]]:
@@ -118,14 +108,17 @@ def _order(words: Code, regime: Regime) -> OrderingResult:
         masks = sorted(flipped)
         names = list(map(flipped.__getitem__, masks))
         ws = [BitVector(words.k, m) for m in masks]
-    tree = _WordTree(names)
+    tree = PQTree(len(names))
     failed = _first_failure(tree, _row_constraints(ws))
     if failed is not None:
         return OrderingResult(False, failed_row=failed)
-    cols = tuple(map(names.__getitem__, tree.frontier()))
+    # one canonical pass: the bracket shape, each leaf as its word
+    shape = tuple([tok if type(tok) is str else names[tok]
+                   for tok in tree.canonical()])
+    cols = [tok for tok in shape if type(tok) is BitVector]
     m = SensorMatrix.from_columns(cols, regime.geometry, k=words.k)
     verify_matrix(m, regime, words)
-    return OrderingResult(True, cols, tree, m)
+    return OrderingResult(True, m.columns, shape, m)
 
 
 def co_order(words: Code) -> OrderingResult:

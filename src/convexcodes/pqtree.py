@@ -51,7 +51,7 @@ bounded by memory, not by the interpreter stack:
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import InternalError, ensure
 
@@ -60,6 +60,18 @@ LEAF, PNODE, QNODE = 0, 1, 2
 FULL, PARTIAL = 0, 1
 
 _OPENERS, _CLOSERS = ("{", "["), ("}", "]")
+
+
+def render(tokens: Iterable, name: Callable) -> str:
+    """Canonical tokens as one line: each bracket as is, name(tok) at any
+    other token (a leaf), and a space between siblings."""
+    out: list[str] = []
+    for tok in tokens:
+        text = tok if type(tok) is str else name(tok)
+        if out and out[-1] not in _OPENERS and text not in _CLOSERS:
+            out.append(" ")
+        out.append(text)
+    return "".join(out)
 
 
 class ReductionFailed(Exception):
@@ -508,46 +520,36 @@ class PQTree:
 
     # -- canonical output -------------------------------------------------
 
-    def frontier(self) -> list[int]:
-        """Canonical leaf order: P children ascend by min contained label;
-        Q nodes take the orientation whose first child has the smaller min."""
+    def canonical(self) -> Iterator[int | str]:
+        """The tree in pre-order: leaf labels, and around each internal
+        node's children {..} (a P node, or a Q node of two children) or
+        [..] (a Q run fixed up to reversal); {} if empty.  P children
+        ascend by min label; a Q node's first child has the smaller min."""
         if self.root is None:
-            return []
-        return [tok.label for tok in self._walk() if type(tok) is _Node]
-
-    def summary(self) -> str:
-        """Render the permutation classes: {..} free P groups, [..] Q runs
-        fixed up to reversal, leaf_name(label) at the leaves.  A Q node
-        with two children allows both orders, so it renders as {..}."""
-        if self.root is None:
-            return "{}"
-        out: list[str] = []
-        for tok in self._walk():
-            text = tok if type(tok) is str else self.leaf_name(tok.label)
-            if out and out[-1] not in _OPENERS and text not in _CLOSERS:
-                out.append(" ")
-            out.append(text)
-        return "".join(out)
-
-    def leaf_name(self, label: int) -> str:
-        """How summary() shows a leaf: its label, unless a subclass names it."""
-        return str(label)
-
-    def _walk(self) -> Iterator[_Node | str]:
-        """The canonical tree in pre-order: each leaf node, and for each
-        internal node its opening bracket, its children, its closing one."""
+            yield from "{}"
+            return
         ordered = self._canonical_children()
         stack: list[_Node | str] = [self.root]
         while stack:
             tok = stack.pop()
-            if type(tok) is str or tok.kind == LEAF:
+            if type(tok) is str:
                 yield tok
-                continue
-            children = ordered[tok]
-            free = tok.kind == PNODE or len(children) == 2
-            yield "{" if free else "["
-            stack.append("}" if free else "]")
-            stack.extend(reversed(children))
+            elif tok.kind == LEAF:
+                yield tok.label
+            else:
+                children = ordered[tok]
+                free = tok.kind == PNODE or len(children) == 2
+                yield "{" if free else "["
+                stack.append("}" if free else "]")
+                stack.extend(reversed(children))
+
+    def frontier(self) -> list[int]:
+        """The canonical leaf order: the labels of canonical()."""
+        return [tok for tok in self.canonical() if type(tok) is int]
+
+    def summary(self) -> str:
+        """The permutation classes: canonical() rendered by render()."""
+        return render(self.canonical(), str)
 
     def _canonical_children(self) -> dict[_Node, list[_Node]]:
         """Each internal node's children in canonical order.  One top-down

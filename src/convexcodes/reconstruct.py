@@ -143,7 +143,9 @@ class RejectionCertificate:
                    and u[0] != u[1] and u[0].n == u[1].n
                    for u in self.odd_cycle):
             return False
-        if not all(isinstance(r, int) for r in self.witnesses.values()):
+        # witnesses map edge indices 0..m-1 to int rows; a bool is neither
+        if not all(type(i) is int and 0 <= i < m and type(r) is int
+                   for i, r in self.witnesses.items()):
             return False
         for i in range(m):
             u = self.odd_cycle[i]

@@ -258,9 +258,10 @@ class TestCodeContainers:
         with pytest.raises(ValueError):
             CodeMultiset.of({w: 0})
 
-    @pytest.mark.parametrize("count", [1.5, "2"])
+    @pytest.mark.parametrize("count", [1.5, "2", True])
     def test_multiset_multiplicity_must_be_int(self, count):
-        # the error names the word whose count is not an int
+        # the error names the word whose count is not an int; True equals
+        # 1 but is no count
         bv = BitVector.from_string
         with pytest.raises(ValueError, match="for 10$"):
             CodeMultiset.of({bv("10"): count, bv("11"): 2})

@@ -156,14 +156,14 @@ class TestSparse:
 
     def test_self_checks_survive_optimize_flag(self):
         # python -O strips assert statements; a reduced tree whose
-        # frontier is a non-CO order, or a CO order of the wrong words,
-        # must still be caught, by every caller of the ordering
+        # canonical pass gives a non-CO order, or a CO order of the wrong
+        # words, must still be caught, by every caller of the ordering
         script = textwrap.dedent("""
             import sys
-            import convexcodes.ordering as ordering
             from convexcodes import (Code, Geometry, reconstruct_sparse,
                                      rejection_certificate)
             from convexcodes.core import InternalError
+            from convexcodes.pqtree import PQTree
 
             if not sys.flags.optimize:
                 sys.exit("not running under -O")
@@ -178,10 +178,10 @@ class TestSparse:
             # words sort as 100, 110, 001, 011
             code = Code.from_strings(["100", "110", "011", "001"])
             # this order splits row 0
-            ordering._WordTree.frontier = lambda tree: [0, 2, 1, 3]
+            PQTree.canonical = lambda tree: iter(["[", 0, 2, 1, 3, "]"])
             failed = [not raises(reconstruct_sparse, code, Geometry.LINE)]
             # CO, but 100 twice and no 011
-            ordering._WordTree.frontier = lambda tree: [0, 0, 1, 2]
+            PQTree.canonical = lambda tree: iter(["[", 0, 0, 1, 2, "]"])
             failed.append(not raises(rejection_certificate, code))
             sys.exit("unchecked: %r" % failed if any(failed) else 0)
         """)
@@ -370,6 +370,13 @@ class TestCertificates:
         assert not RejectionCertificate(good.odd_cycle, {0: 0, 1: 1, 2: 0, 4: 3}).verify()
         # dropped witness on a type-2 edge
         assert not RejectionCertificate(good.odd_cycle, {1: 1, 2: 0, 4: 3}).verify()
+        # a bool row or edge index, though True == 1
+        for bad in ({0: 2, 1: True, 2: 0, 4: 3}, {0: 2, True: 1, 2: 0, 4: 3}):
+            assert not RejectionCertificate(good.odd_cycle, bad).verify()
+        # an extra witness whose index names no edge of the cycle
+        for edge in (99, 5, -1):
+            bad = {**good.witnesses, edge: 0}
+            assert not RejectionCertificate(good.odd_cycle, bad).verify()
         # even walk
         assert not RejectionCertificate(good.odd_cycle[:4], {0: 2, 1: 1, 2: 0}).verify()
         # consecutive vertices that share no column

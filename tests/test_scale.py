@@ -3,6 +3,7 @@ sensors, each within a runtime budget set at about three times the time
 it took when the budget was set (Python 3.11, one core).  A missed
 budget is a defect to report, not a bound to loosen."""
 
+import gc
 import json
 import random
 import tracemalloc
@@ -28,7 +29,7 @@ from convexcodes.geometry import (
     realize_matrix,
 )
 from convexcodes.ordering import cco_order, co_order
-from convexcodes.pqtree import PQTree
+from convexcodes.pqtree import PQTree, _Node
 from convexcodes.reconstruct import (
     Bipartition,
     Multiordering,
@@ -285,6 +286,36 @@ def test_sparse_staircase(geometry):
     m = reconstruct_sparse(code, geometry)
     budget.check()
     assert isinstance(m, SensorMatrix) and m.n == len(code)
+
+
+def _live_nodes():
+    gc.collect()
+    return sum(type(o) is _Node for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("order, regime", [(co_order, CO), (cco_order, CCO)])
+def test_feasible_result_keeps_no_tree(order, regime):
+    # a feasible result holds its ordering, its matrix and the tree's
+    # bracket shape, not the PQ-tree: no tree node outlives the call, and
+    # beside the matrix the result holds at most 0.5 MB (3.20 MB on the
+    # line and 3.08 MB on the circle when it kept the tree)
+    code = _staircase(10**4)
+    nodes = _live_nodes()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = order(code)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+        base = tracemalloc.get_traced_memory()[0]
+        matrix = SensorMatrix.from_columns(result.ordering, regime.geometry,
+                                           k=code.k)
+        matrix_bytes = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert result.feasible and matrix == result.matrix
+    assert _live_nodes() == nodes
+    assert held - matrix_bytes <= 500_000, (held, matrix_bytes)
 
 
 def test_circle_rows_of_the_heaviest_word():
