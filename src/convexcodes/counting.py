@@ -10,7 +10,7 @@ included for validation at small sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, combinations
 from math import comb
 from typing import Mapping

@@ -33,7 +33,6 @@ from typing import Iterable, Optional, Sequence
 from .core import (
     BitVector,
     Code,
-    Density,
     Geometry,
     Regime,
     RegimeViolation,

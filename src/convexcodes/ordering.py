@@ -30,7 +30,7 @@ from .core import (
     _row_runs,
     verify_matrix,
 )
-from .pqtree import PQTree, ReductionFailed, render
+from .pqtree import PQTree, ReductionFailed, _Span, render
 
 
 @dataclass(frozen=True)
@@ -60,15 +60,17 @@ class OrderingResult:
                 else render(self._shape, BitVector.to_string))
 
 
-def _row_constraints(words: list[BitVector]) -> Iterator[list[int]]:
+def _row_constraints(words: list[BitVector]) -> Iterator[_Span]:
     """For each row i of the words, the indices of the words holding bit
-    i: its runs, cut from one shared index list at C speed."""
-    index = list(range(len(words)))
+    i: its runs, cut from one shared index list at C speed.  The run
+    bounds ascend strictly within 0..len(words), so each row's indices
+    are distinct and in range: a _Span of n = len(words), which a
+    PQTree over the words reduces unchecked."""
+    n = len(words)
+    index = list(range(n))
     for bounds in _row_runs(words, words[0].n if words else 0):
-        if len(bounds) == 2:
-            yield index[bounds[0]:bounds[1]]
-            continue
-        labels = []
+        labels = _Span()
+        labels.n = n
         for i in range(0, len(bounds), 2):
             labels += index[bounds[i]:bounds[i + 1]]
         yield labels

@@ -78,6 +78,14 @@ class ReductionFailed(Exception):
     """No ordering satisfies the constraints reduced so far."""
 
 
+class _Span(list):
+    """Leaf labels known to be distinct ints in 0..n-1, made only by the
+    recognizer's row cut (ordering._row_constraints).  PQTree.reduce
+    takes one sized to its tree as its label set, unchecked."""
+
+    __slots__ = ("n",)
+
+
 class _Cell:
     __slots__ = ("owner", "link")
 
@@ -284,10 +292,18 @@ class PQTree:
         kept label that only equals an int (1.0, Fraction(1)); raises
         ReductionFailed if no ordering satisfies all constraints reduced
         so far (the tree is unusable afterwards).
+
+        A _Span whose n is the tree's is taken as the label set as it is,
+        since its maker cut it distinct and in range; any other input, a
+        span of another size included, is checked as above.
         """
-        s = set(labels)
-        if not s <= self.labels:
-            raise ValueError("leaf label out of range for %d leaves" % self.n)
+        if type(labels) is _Span and labels.n == self.n:
+            s = labels
+        else:
+            s = set(labels)
+            if not s <= self.labels:
+                raise ValueError("leaf label out of range for %d leaves"
+                                 % self.n)
         m = len(s)
         if m <= 1 or m >= self.n:
             return

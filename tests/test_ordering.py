@@ -143,6 +143,46 @@ def test_circle_complements_each_word_once(monkeypatch):
     assert len(made) <= len(code) + k
 
 
+def test_row_constraints_are_spans_sized_to_the_words(monkeypatch):
+    # PQTree.reduce takes a _Span sized to its tree unchecked, so every
+    # row the recognizer cuts must be one, of distinct in-range labels:
+    # the per-bit list of the sorted words, plain or complemented by the
+    # circle's anchor, and every reduction of co_order and cco_order is
+    # handed one sized to its tree
+    from convexcodes import ordering, pqtree
+
+    seen = []
+    reduce = pqtree.PQTree.reduce
+
+    def recorded(tree, labels):
+        seen.append(type(labels) is pqtree._Span and labels.n == tree.n)
+        return reduce(tree, labels)
+
+    monkeypatch.setattr(pqtree.PQTree, "reduce", recorded)
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(400):
+        k = rng.randint(0, 9)
+        code = Code.of(BitVector(k, rng.getrandbits(k) if k else 0)
+                       for _ in range(rng.randint(0, 14)))
+        ws = code.sorted_words()
+        a = min(ws, key=BitVector.popcount).mask if ws else 0
+        for words in (ws, sorted((BitVector(k, w.mask ^ a) for w in ws),
+                                 key=lambda w: w.mask)):
+            rows = [[j for j, w in enumerate(words) if w.bit(i)]
+                    for i in range(k if words else 0)]
+            constraints = list(ordering._row_constraints(words))
+            assert constraints == rows
+            for c in constraints:
+                assert type(c) is pqtree._Span and c.n == len(words)
+                assert all(x < y for x, y in zip(c, c[1:]))
+                assert all(0 <= x < len(words) for x in c)
+        for order in (co_order, cco_order):
+            outcomes.add(order(code).feasible)
+    assert outcomes == {True, False}
+    assert len(seen) > 1000 and all(seen)
+
+
 class TestExhaustiveOracle:
     def test_all_subsets_length_three(self):
         universe = all_words(3)

@@ -1,10 +1,12 @@
 """The PQ-tree on its own: a permutation oracle, stack safety, linear work,
 labeling by count, and the trees the recognizers build."""
 
+import ast
 import hashlib
 import itertools
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -263,6 +265,78 @@ class TestLabelCheck:
         ref.reduce(sorted(set(labels)))
         assert tree.summary() == ref.summary()
         assert tree.frontier() == ref.frontier()
+
+
+def _span(n, labels):
+    span = pqtree._Span(labels)
+    span.n = n
+    return span
+
+
+class TestSpan:
+    """A _Span sized to the tree is reduced as given; a span of another
+    size is checked as any other input is."""
+
+    def test_a_span_of_another_size_is_checked(self):
+        tree = PQTree(4)
+        with pytest.raises(ValueError):
+            tree.reduce(_span(5, [3, 4]))
+        assert tree.summary() == "{0 1 2 3}"
+
+    def test_a_span_of_another_size_reduces_as_its_set(self):
+        tree, ref = PQTree(5), PQTree(5)
+        for t in (tree, ref):
+            t.reduce([2, 3])
+        tree.reduce(_span(6, [1, 1, 2]))
+        ref.reduce([1, 2])
+        assert tree.summary() == ref.summary() == "{0 [1 2 3] 4}"
+        assert tree.frontier() == ref.frontier()
+
+    def test_only_a_span_sized_to_the_tree_skips_the_check(self, monkeypatch):
+        # the check builds a set of the labels; every input reduces alike
+        given = []
+        monkeypatch.setattr(pqtree, "set", lambda *a: given.extend(a)
+                            or set(*a), raising=False)
+        for labels, checked in (([1, 2], True), (_span(5, [1, 2]), False),
+                                (_span(6, [1, 2]), True),
+                                (_span(4, [1, 2]), True)):
+            given.clear()
+            tree = PQTree(5)
+            tree.reduce(labels)
+            assert any(x is labels for x in given) == checked
+            assert tree.summary() == "{0 {1 2} 3 4}"
+
+
+def test_only_the_row_cut_names_spans():
+    # reduce takes a _Span sized to its tree unchecked, so no code but
+    # the row cut, whose labels are distinct and in range by
+    # construction, may make one: the library names _Span in its
+    # definition, reduce's type test, ordering's import and
+    # _row_constraints, and nowhere else
+    named = set()
+
+    def walk(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = scope + (child.name,)
+            if (isinstance(child, ast.Name) and child.id == "_Span"
+                    or isinstance(child, ast.Attribute)
+                    and child.attr == "_Span"
+                    or isinstance(child, ast.alias)
+                    and "_Span" in (child.name, child.asname)
+                    or "_Span" in inner[len(scope):]):
+                named.add((path.name, ".".join(inner)))
+            walk(child, path, inner)
+
+    src = pathlib.Path(__file__).parents[1] / "src"
+    paths = sorted(src.rglob("*.py"))
+    assert len(paths) > 5
+    for path in paths:
+        walk(ast.parse(path.read_text()), path, ())
+    assert named == {("pqtree.py", "_Span"), ("pqtree.py", "PQTree.reduce"),
+                     ("ordering.py", ""), ("ordering.py", "_row_constraints")}
 
 
 def _reference_bubble(leaves):
