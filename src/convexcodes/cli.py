@@ -22,7 +22,6 @@ from math import comb
 from typing import Optional
 
 from .core import (
-    CO,
     BitVector,
     CodeMultiset,
     Density,
@@ -56,7 +55,6 @@ from .reconstruct import (
     Multiordering,
     RejectionCertificate,
     Unsupported,
-    _refutation,
     reconstruct_dense_circular,
     reconstruct_dense_linear,
     reconstruct_multiset_dense_linear,
@@ -294,8 +292,8 @@ def _emit_arrangement(em: _Emitter, arr: IntervalArrangement,
 
 
 def _emit_odd_cycle(em: _Emitter, cert: RejectionCertificate) -> None:
-    """The odd cycle of check's CO refusal and of certificate, each pair
-    with its witness row where it has one."""
+    """The odd cycle of certificate and of a check refusal's evidence,
+    each pair with its witness row where it has one."""
     pairs = [(a.to_string(), b.to_string()) for a, b in cert.odd_cycle]
     if em.structured:
         em.set("certificate", {
@@ -311,13 +309,11 @@ def _emit_odd_cycle(em: _Emitter, cert: RejectionCertificate) -> None:
 
 
 def cmd_check(args, em: _Emitter) -> None:
-    ms, regime, result = _reconstruct(args, em)
+    _, _, result = _reconstruct(args, em)
     if isinstance(result, SensorMatrix):
         _emit_matrix(em, result)
-    elif isinstance(result, Infeasible) and regime == CO:
-        # the reconstruction's failing row seeds the core search, so the
-        # words are recognized once
-        _emit_odd_cycle(em, _refutation(ms.support, result.failed_row))
+    elif isinstance(result, Infeasible) and result.evidence is not None:
+        _emit_odd_cycle(em, result.evidence)
 
 
 def cmd_realize(args, em: _Emitter) -> None:

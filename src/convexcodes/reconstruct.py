@@ -11,7 +11,8 @@ The module also certifies the sparse line case both ways, and each
 certificate is checkable without trusting the recognizer.  A feasible
 code gets a Bipartition: the recognizer's CO ordering as is, whose line
 matrix has every row consecutive, with no 2-coloring attached.  An
-infeasible one gets a RejectionCertificate: an odd cycle in the
+infeasible one gets a RejectionCertificate, also the evidence of every
+CO refusal on the line, dense included: an odd cycle in the
 incompatibility graph, written down from a Tucker core, which the
 recognizer's own row constraints pick out.
 """
@@ -31,6 +32,7 @@ from .core import (
     Code,
     CodeMultiset,
     Geometry,
+    Regime,
     SensorMatrix,
     _set_positions,
     ensure,
@@ -47,12 +49,21 @@ class Infeasible:
     """No object of the requested kind exists.  failed_row, when a
     recognition refused the words (sparse, or the dense line's CO
     ordering), is the index of the row whose reduction failed
-    (OrderingResult.failed_row), and the reason names it; equality
-    ignores it.  check hands a sparse-line refusal's row to the search
-    for its odd cycle, so the words are recognized once."""
+    (OrderingResult.failed_row), and the reason names it.  evidence is
+    the odd cycle of a CO refusal, sparse or dense, searched for from
+    failed_row when first read; None for any other refusal.  Equality
+    and hash see the reason alone."""
 
     reason: str = ""
     failed_row: Optional[int] = field(default=None, compare=False)
+    _words: Optional[Code] = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def evidence(self) -> Optional[RejectionCertificate]:
+        if self._words is None:
+            return None
+        return _odd_cycle(*_infeasible_core(self._words.sorted_words(),
+                                            self.failed_row))
 
 
 @dataclass(frozen=True)
@@ -182,31 +193,19 @@ def rejection_certificate(words: Code):
     incompatibility graph is bipartite).
 
     The recognizer does the heavy work, and recognizes the whole code
-    once.  A feasible code is certified by co_order's ordering as is,
-    the column order of the matrix a sparse line reconstruction gives.
-    An infeasible code is shrunk to a Tucker core, starting from the
-    row whose reduction failed: r row passes for r core rows, each over
-    the earlier rows nearest that row, at most the ones of its
-    component, then at most 4r row passes over the core rows, each cut
-    down to the words still kept.  The odd cycle is then written down
-    from the core in O(ones), with no search of the graph.
+    once: this is reconstruct_sparse on the line.  A feasible code is
+    certified by the column order of its matrix.  An infeasible one by
+    its refusal's evidence: the words are shrunk to a Tucker core,
+    starting from the row whose reduction failed: r row passes for r
+    core rows, each over the earlier rows nearest that row, at most the
+    ones of its component, then at most 4r row passes over the core
+    rows, each cut down to the words still kept.  The odd cycle is then
+    written down from the core in O(ones), with no search of the graph.
     """
-    result = co_order(words)
-    if result.feasible:
-        return Bipartition(result.ordering)
-    return _refutation(words, result.failed_row)
-
-
-def _refutation(words: Code, failed_row: int) -> RejectionCertificate:
-    """The odd cycle of the CO-infeasible words, from the first row at
-    which the recognizer failed them: rejection_certificate's, and
-    check's, which hands over its refusal's Infeasible.failed_row so the
-    words are recognized once.  A row at which no core is found is a
-    library bug."""
-    ensure(isinstance(failed_row, int) and not isinstance(failed_row, bool)
-           and 0 <= failed_row < words.k,
-           "recognizer rejected the words at no row")
-    return _odd_cycle(*_infeasible_core(words.sorted_words(), failed_row))
+    result = reconstruct_sparse(words, Geometry.LINE)
+    if isinstance(result, Infeasible):
+        return result.evidence
+    return Bipartition(result.columns)
 
 
 def _infeasible_core(ws: list[BitVector], failed: int
@@ -351,19 +350,24 @@ def _paths_to(t: int, ws: list[BitVector], holders: list[list[int]],
     return towards
 
 
-def _no_ordering(name: str, result: OrderingResult) -> Infeasible:
-    """The refusal of a recognition whose reduction failed at a row."""
+def _no_ordering(words: Code, regime: Regime,
+                 result: OrderingResult) -> Infeasible:
+    """The refusal of the words' recognition in regime, at a row that must
+    be one of theirs; a CO refusal keeps the words for its evidence."""
+    row = result.failed_row
+    ensure(type(row) is int and 0 <= row < words.k,
+           "recognizer rejected the words at no row")
     return Infeasible("no %s column ordering exists: row %d fails"
-                      % (name, result.failed_row), result.failed_row)
+                      % (regime.name, row), row,
+                      words if regime == CO else None)
 
 
 def reconstruct_sparse(words: Code, geometry: Geometry):
     """A sparse matrix whose column set equals words, or Infeasible."""
-    order_fn = co_order if geometry is Geometry.LINE else cco_order
-    result = order_fn(words)
+    regime = CO if geometry is Geometry.LINE else CCO
+    result = (co_order if regime == CO else cco_order)(words)
     if not result.feasible:
-        return _no_ordering("CO" if geometry is Geometry.LINE else "CCO",
-                            result)
+        return _no_ordering(words, regime, result)
     # the ordering checked its matrix's signature and columns
     return result.matrix
 
@@ -373,7 +377,7 @@ def _meet_inserted(words: Code):
     both dense-line reconstructions start from it."""
     result = co_order(words)
     if not result.feasible:
-        return _no_ordering("CO", result)
+        return _no_ordering(words, CO, result)
     cols: list[BitVector] = []
     for w in result.ordering:
         if cols and inharmonious(cols[-1], w):

@@ -107,17 +107,28 @@ def brute_orderings(strings, regime: Regime) -> set[tuple[str, ...]]:
 
 def brute_dense_multiordering(words: Code, max_len: int) -> bool:
     """Does any column sequence of length <= max_len with support equal to
-    words form an HCO matrix?"""
+    words form an HCO matrix?  Depth first over the sequences, extending
+    only those that are HCO and end in no repeated column: a prefix of
+    an HCO sequence is one, and dropping a column equal to its left
+    neighbour leaves an HCO sequence of the same support."""
     ws = list(words.words)
     dense = Regime(Geometry.LINE, Density.DENSE)
-    for length in range(len(ws), max_len + 1):
-        for seq in itertools.product(ws, repeat=length):
-            if set(seq) != set(ws):
+
+    def extend(seq):
+        if len(set(seq)) == len(ws):
+            return True
+        if len(seq) == max_len:
+            return False
+        for w in ws:
+            if seq and w == seq[-1]:
                 continue
-            m = SensorMatrix.from_columns(seq, Geometry.LINE)
-            if regime_check(m, dense):
+            longer = seq + [w]
+            m = SensorMatrix.from_columns(longer, Geometry.LINE)
+            if regime_check(m, dense) and extend(longer):
                 return True
-    return False
+        return False
+
+    return extend([])
 
 
 def brute_multiset_orderable(ms, regime: Regime) -> bool:

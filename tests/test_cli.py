@@ -1,4 +1,5 @@
 import argparse
+import ast
 import gc
 import io
 import itertools
@@ -143,52 +144,25 @@ class TestCheck:
     @pytest.mark.parametrize("multiset", [False, True])
     def test_infeasible_words_recognized_once(self, capsys, tmp_path,
                                               monkeypatch, multiset):
-        # the certificate's core search starts from the row the
-        # reconstruction found failing; it recognizes fewer words only
-        import convexcodes.ordering as ordering
-
-        code = _staircase_with_triangle(40)
-        path = write(tmp_path, "c.txt", "".join(
-            w.to_string() + "\n" for w in code.sorted_words()))
-        sizes = []
-        order = ordering._order
-
-        def counted(words, regime):
-            sizes.append(len(words))
-            return order(words, regime)
-
-        monkeypatch.setattr(ordering, "_order", counted)
-        argv = ["check", path] + (["--multiset"] if multiset else [])
-        status, out, _ = run(capsys, *argv)
-        assert status == EXIT_INFEASIBLE
-        assert out.splitlines()[1] == (
-            "not bipartite: odd cycle of 3 ordering relations")
-        assert sizes.count(len(code)) == 1
-        assert max(sizes) == len(code)
+        _assert_recognized_once(capsys, tmp_path, monkeypatch,
+                                ["--multiset"] if multiset else [])
 
     @pytest.mark.parametrize("multiset", [False, True])
     def test_refusal_ends_with_the_certificate(self, capsys, tmp_path,
                                                multiset):
-        # on every CO-infeasible code of the exhaustive oracle's sizes and
-        # every Tucker kind up to 7 words, check prints its refusal line
-        # and then certificate's stdout, byte for byte
-        codes = [Code.from_strings(combo)
-                 for k, sizes in ((3, range(1, 5)), (4, range(1, 4)))
-                 for size in sizes
-                 for combo in itertools.combinations(all_words(k), size)
-                 if not brute_orderable(combo, CO)]
-        assert len(codes) == 33
-        path = tmp_path / "c.txt"
-        for code in codes + list(kinds(7).values()):
-            path.write_text("".join(w.to_string() + "\n"
-                                    for w in code.sorted_words()))
-            status, out, _ = run(capsys, "check", str(path),
-                                 *(["--multiset"] if multiset else []))
-            refusal, _, rest = out.partition("\n")
-            assert status == EXIT_INFEASIBLE
-            assert refusal.startswith("infeasible: no CO column ordering")
-            assert (EXIT_INFEASIBLE, rest, "") == run(capsys, "certificate",
-                                                      str(path))
+        _assert_ends_with_the_certificate(
+            capsys, tmp_path, ["--multiset"] if multiset else [])
+
+    @pytest.mark.parametrize("multiset", [[], ["--multiset"]],
+                             ids=["support", "multiset"])
+    def test_dense_refusal_ends_with_the_certificate(
+            self, capsys, tmp_path, monkeypatch, multiset):
+        # a dense-line realization read with one sensor per word is a
+        # sparse one, so the dense line's CO refusal prints the sparse
+        # line's odd cycle, from the one recognition of the words
+        flags = ["--regime", "dense", *multiset]
+        _assert_ends_with_the_certificate(capsys, tmp_path, flags)
+        _assert_recognized_once(capsys, tmp_path, monkeypatch, flags)
 
     def test_multiset_dense_rejection(self, capsys, tmp_path):
         path = write(tmp_path, "c.txt", "100\n010\n001\n000\n")
@@ -205,6 +179,51 @@ class TestCheck:
         )
         assert code == EXIT_FEASIBLE
 
+
+def _assert_recognized_once(capsys, tmp_path, monkeypatch, flags):
+    # the certificate's core search starts from the row the
+    # reconstruction found failing; it recognizes fewer words only
+    import convexcodes.ordering as ordering
+
+    code = _staircase_with_triangle(40)
+    path = write(tmp_path, "c.txt", "".join(
+        w.to_string() + "\n" for w in code.sorted_words()))
+    sizes = []
+    order = ordering._order
+
+    def counted(words, regime):
+        sizes.append(len(words))
+        return order(words, regime)
+
+    monkeypatch.setattr(ordering, "_order", counted)
+    status, out, _ = run(capsys, "check", path, *flags)
+    assert status == EXIT_INFEASIBLE
+    assert out.splitlines()[1] == (
+        "not bipartite: odd cycle of 3 ordering relations")
+    assert sizes.count(len(code)) == 1
+    assert max(sizes) == len(code)
+
+
+def _assert_ends_with_the_certificate(capsys, tmp_path, flags):
+    # on every CO-infeasible code of the exhaustive oracle's sizes and
+    # every Tucker kind up to 7 words, check prints its refusal line
+    # and then certificate's stdout, byte for byte
+    codes = [Code.from_strings(combo)
+             for k, sizes in ((3, range(1, 5)), (4, range(1, 4)))
+             for size in sizes
+             for combo in itertools.combinations(all_words(k), size)
+             if not brute_orderable(combo, CO)]
+    assert len(codes) == 33
+    path = tmp_path / "c.txt"
+    for code in codes + list(kinds(7).values()):
+        path.write_text("".join(w.to_string() + "\n"
+                                for w in code.sorted_words()))
+        status, out, _ = run(capsys, "check", str(path), *flags)
+        refusal, _, rest = out.partition("\n")
+        assert status == EXIT_INFEASIBLE
+        assert refusal.startswith("infeasible: no CO column ordering")
+        assert (EXIT_INFEASIBLE, rest, "") == run(capsys, "certificate",
+                                                  str(path))
 
 def test_each_answer_builds_at_most_two_matrices(capsys, tmp_path,
                                                  monkeypatch):
@@ -359,12 +378,17 @@ class TestRefusal:
                              ids=["support", "multiset"])
     def test_dense_check_names_the_failed_row(self, capsys, tmp_path,
                                               multiset, fmt):
-        # the dense line's refusal keeps co_order's row; no certificate
+        # the dense line's refusal keeps co_order's row, and prints the
+        # sparse line's odd cycle: a dense-line realization read with one
+        # sensor per word is a sparse one
         path = write(tmp_path, "c.txt", ODD_CYCLE)
         code, out, _ = run(capsys, "check", path, "--regime", "dense",
                            *multiset, "--format", fmt)
         assert code == EXIT_INFEASIBLE
-        assert out == INFEASIBLE[fmt]
+        assert out == CHECK_INFEASIBLE[fmt]
+        if fmt == "text":
+            _, cert, _ = run(capsys, "certificate", path)
+            assert out.split("\n", 1)[1] == cert
 
 
 class TestCertificate:
@@ -1086,6 +1110,18 @@ class TestOneResultPath:
             code, out, err = run(capsys, command, path)
             assert (code, out) == (EXIT_PARSE, "")
             assert err == "parse error: line 2: bad count '+2'\n"
+
+    def test_no_private_library_name(self):
+        # the command line reaches the library through its public names,
+        # so which evidence a refusal carries is the library's choice
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+        private = [(node.module, a.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom)
+                   and (node.level or node.module.startswith("convexcodes"))
+                   for a in node.names
+                   if any(part.startswith("_") for part
+                          in [a.name, *(node.module or "").split(".")])]
+        assert private == []
 
 
 class TestSizeGuards:

@@ -40,7 +40,6 @@ from convexcodes.reconstruct import (
     Multiordering,
     RejectionCertificate,
     Unsupported,
-    _refutation,
     reconstruct_dense_circular,
     reconstruct_dense_linear,
     reconstruct_multiset_dense_linear,
@@ -568,21 +567,20 @@ class TestCertificates:
         # only the recognizer names the row the core search starts from,
         # so a row that is no row, or where the words do not fail, is a
         # library bug: an InternalError, never a ValueError, IndexError or
-        # TypeError.  rejection_certificate gets every row from a lying
-        # co_order; a caller row is also handed straight to _refutation,
-        # as check hands it its refusal's failed_row
+        # TypeError.  No caller hands over a row: every bad one comes from
+        # a lying co_order, through the refusal's evidence as check reads
+        # it and through rejection_certificate
         code = words if isinstance(words, Code) else _code(words)
         if error is None:
             assert co_order(code).failed_row == row
-            cert = _refutation(code, row)
+            cert = reconstruct_sparse(code, Geometry.LINE).evidence
             assert isinstance(cert, RejectionCertificate) and cert.verify()
             assert cert == rejection_certificate(code)
             return
-        if supplier == "caller":
-            with pytest.raises(error):
-                _refutation(code, row)
         monkeypatch.setattr(reconstruct, "co_order", lambda words:
                             OrderingResult(False, failed_row=row))
+        with pytest.raises(error):
+            reconstruct_sparse(code, Geometry.LINE).evidence
         with pytest.raises(error):
             rejection_certificate(code)
 
@@ -832,6 +830,110 @@ class TestCertificateScaling:
                             lambda rows: 0)
         with pytest.raises(InternalError, match="bipartite"):
             rejection_certificate(code)
+
+
+class TestRefusalEvidence:
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda c: reconstruct_sparse(c, Geometry.LINE),
+                     id="sparse-line"),
+        pytest.param(lambda c: reconstruct_sparse(c, Geometry.CIRCLE),
+                     id="sparse-circle"),
+        pytest.param(reconstruct_dense_linear, id="dense-line"),
+        pytest.param(lambda c: reconstruct_multiset_dense_linear(
+            CodeMultiset.of({w: 2 for w in c.words})),
+            id="multiset-dense-line"),
+    ])
+    def test_a_refusal_at_no_row_is_a_library_bug(self, monkeypatch, call):
+        # a recognizer that refuses at no row is caught where the refusal
+        # is made, never a TypeError from formatting its reason
+        for name in ("co_order", "cco_order"):
+            monkeypatch.setattr(reconstruct, name,
+                                lambda words: OrderingResult(False))
+        with pytest.raises(InternalError, match="at no row"):
+            call(_code(["110", "011"]))
+
+    def test_evidence_is_searched_for_when_first_read(self, monkeypatch):
+        calls = []
+        core = reconstruct._infeasible_core
+
+        def spy(ws, failed):
+            calls.append(failed)
+            return core(ws, failed)
+
+        monkeypatch.setattr(reconstruct, "_infeasible_core", spy)
+        # every reconstruction that the line's CO recognition refuses
+        code = _code(ODD_CYCLE_CODE)
+        ms = CodeMultiset.of({w: 2 for w in code.words})
+        refusals = [reconstruct_sparse(code, Geometry.LINE),
+                    reconstruct_multiset_sparse(ms, Geometry.LINE),
+                    reconstruct_dense_linear(code),
+                    reconstruct_multiset_dense_linear(ms)]
+        assert all(isinstance(r, Infeasible) for r in refusals)
+        assert calls == []
+        cert = rejection_certificate(code)
+        assert calls == [3]
+        for i, refusal in enumerate(refusals, start=2):
+            first = refusal.evidence
+            assert refusal.evidence is first and first == cert
+            assert calls == [3] * i
+
+    def test_equality_and_hash_see_the_reason_alone(self):
+        code = _code(ODD_CYCLE_CODE)
+        refusal = reconstruct_sparse(code, Geometry.LINE)
+        kept = Infeasible(refusal.reason, refusal.failed_row, code)
+        plain = Infeasible(refusal.reason)
+        assert kept == plain == refusal
+        assert hash(kept) == hash(plain) == hash(refusal)
+        assert repr(kept) == repr(Infeasible(refusal.reason, 3))
+        assert kept.evidence == refusal.evidence == rejection_certificate(code)
+        assert plain.evidence is None
+
+    def test_no_evidence_outside_the_line_recognition(self):
+        circle = _code(["0000", "0011", "0101", "0110"])
+        padding = CodeMultiset.of({_bv("100"): 1, _bv("010"): 1,
+                                   _bv("001"): 1, _bv("000"): 1})
+        # each refusal beside the start of its reason
+        refusals = [
+            ("no CCO", reconstruct_sparse(circle, Geometry.CIRCLE)),
+            ("no CCO", reconstruct_multiset_sparse(
+                CodeMultiset.of({w: 2 for w in circle.words}),
+                Geometry.CIRCLE)),
+            ("product", reconstruct_dense_linear(_code(["110", "011"]))),
+            ("every HCO", reconstruct_multiset_dense_linear(padding)),
+            ("caller", Infeasible("caller")),
+        ]
+        for start, refusal in refusals:
+            assert isinstance(refusal, Infeasible)
+            assert refusal.reason.startswith(start)
+            assert refusal.evidence is None
+
+    def test_dense_refusal_evidence_on_every_small_code(self):
+        # every code of 1-5 words on k <= 3 rows: each dense refusal of
+        # the CO recognition carries the sparse line's odd cycle, which
+        # refutes the dense line too, as the oracle confirms
+        kinds = Counter()
+        for k in (1, 2, 3):
+            for size in range(1, 6):
+                for combo in itertools.combinations(all_words(k), size):
+                    code = _code(combo)
+                    result = reconstruct_dense_linear(code)
+                    if isinstance(result, Multiordering):
+                        kinds["feasible"] += 1
+                        continue
+                    assert isinstance(result, Infeasible)
+                    cert = result.evidence
+                    if result.failed_row is None:
+                        assert cert is None
+                        kinds["meet"] += 1
+                        continue
+                    kinds["CO"] += 1
+                    assert isinstance(cert, RejectionCertificate)
+                    assert cert.verify()
+                    assert {w for pair in cert.odd_cycle
+                            for w in pair} <= code.words
+                    assert cert == rejection_certificate(code)
+                    assert not brute_dense_multiordering(code, 2 * size - 1)
+        assert kinds == {"CO": 21, "meet": 41, "feasible": 174}
 
 
 def _reference_odd_cycle(ws):

@@ -32,6 +32,7 @@ from convexcodes.ordering import cco_order, co_order
 from convexcodes.pqtree import PQTree, _Node
 from convexcodes.reconstruct import (
     Bipartition,
+    Infeasible,
     Multiordering,
     RejectionCertificate,
     _infeasible_core,
@@ -440,6 +441,21 @@ def test_co_order_refuses_a_lone_tucker_kind(visits, make):
     budget.check()
     assert not result.feasible
     assert visits[0] <= 3 * ones, (visits[0], ones)
+
+
+@pytest.mark.parametrize("reconstruct", [
+    pytest.param(lambda code: reconstruct_sparse(code, Geometry.LINE),
+                 id="sparse"),
+    pytest.param(reconstruct_dense_linear, id="dense"),
+])
+def test_refusal_of_a_lone_tucker_kind_defers_its_evidence(reconstruct):
+    # the refusal of lone M_I(801) costs one recognition; the core search
+    # behind its evidence, about 8 s, runs only when the evidence is read
+    code = m_i(801)
+    budget = _Budget(0.5)
+    result = reconstruct(code)
+    budget.check()
+    assert isinstance(result, Infeasible)
 
 
 @pytest.mark.parametrize("layout, seconds", [
